@@ -4,11 +4,17 @@ Visitors wear anonymized RFID badges carrying only a category (man,
 woman, other).  Door readers emit a ``SensorReading`` per room entry.
 The counting pipeline works on ``KeyValuePair`` values whose ordering
 is fixed here so every stage sorts the same way.
+
+The key space is tiny (three tags and R rooms), so the pipeline shares
+one frozen pair object per distinct pair instead of building one per
+reading.  Compare pairs with ``==``, never ``is``: sharing is a cache,
+not part of a pair's meaning.  Never mutate a pair.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 
@@ -72,6 +78,21 @@ def room_key(room: int) -> str:
 # Valid counting keys: a canonical tag or RoomN (no zero padding).
 _KEY_RE = re.compile(r"^(man|woman|other|Room[1-9][0-9]*)$")
 
+# Bound of every pair and key cache.  A full cache drops its least
+# recently used entry; whatever is not cached is checked and built
+# exactly as without a cache.
+INTERN_LIMIT = 4096
+
+
+@functools.lru_cache(maxsize=INTERN_LIMIT)
+def _check_key(key: str) -> None:
+    """Raise ValueError unless ``key`` is a valid counting key.
+
+    Only keys that pass are remembered: a raise is never cached.
+    """
+    if not _KEY_RE.match(key):
+        raise ValueError(f"invalid pair key: {key!r}")
+
 
 @dataclass(frozen=True, order=True)
 class KeyValuePair:
@@ -86,8 +107,7 @@ class KeyValuePair:
     value: int
 
     def __post_init__(self) -> None:
-        if not _KEY_RE.match(self.key):
-            raise ValueError(f"invalid pair key: {self.key!r}")
+        _check_key(self.key)
         if not isinstance(self.value, int) or isinstance(self.value, bool):
             raise ValueError(f"pair value must be an int, got {self.value!r}")
         if self.value < 0:

@@ -20,12 +20,14 @@ deduplicated against the store, never counted twice.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from crowdmw import election
 from crowdmw.domain import (
+    INTERN_LIMIT,
     CountMode,
     KeyValuePair,
     MiddlewareError,
@@ -42,6 +44,7 @@ from crowdmw.mapreduce import (
     derive_room_segment,
     map_reading,
     merge_partials,
+    pair_texts,
     parse_pairs,
     partition,
     reduce_segment,
@@ -232,6 +235,15 @@ def _entry_text(pair: KeyValuePair, seq: int) -> str:
     return f"{pair.key}={pair.value}@{seq}"
 
 
+@functools.lru_cache(maxsize=INTERN_LIMIT)
+def _entry_pair(body: str) -> KeyValuePair:
+    """The shared pair for an entry's ``key=value`` text."""
+    key, eq, value = body.partition("=")
+    if not eq:
+        raise ValueError(f"malformed entry: {body!r}")
+    return KeyValuePair(key, int(value))
+
+
 def _parse_entries(text: str) -> list[tuple[KeyValuePair, int]]:
     if not text:
         return []
@@ -240,10 +252,7 @@ def _parse_entries(text: str) -> list[tuple[KeyValuePair, int]]:
         body, at, seq = item.rpartition("@")
         if not at:
             raise ValueError(f"entry without sequence: {item!r}")
-        key, eq, value = body.partition("=")
-        if not eq:
-            raise ValueError(f"malformed entry: {item!r}")
-        entries.append((KeyValuePair(key, int(value)), int(seq)))
+        entries.append((_entry_pair(body), int(seq)))
     return entries
 
 
@@ -298,12 +307,12 @@ def build_submission_parts(origin: NodeId, cycle_id: int,
 
 def build_assignment_parts(sender: NodeId, cycle_id: int,
                            segment: Segment) -> list[Message]:
-    pair_texts = [f"{p.key}={p.value}" for p in segment.pairs]
+    texts = pair_texts(segment.pairs)
     headroom = len(
         f"segment={segment.segment_index};count={len(segment.pairs)};"
         f"checksum={'0' * 16};part=9999/9999;pairs="
     )
-    chunks = _chunk(pair_texts, MAX_PAYLOAD - headroom, None)
+    chunks = _chunk(texts, MAX_PAYLOAD - headroom, None)
     messages = []
     for index, chunk in enumerate(chunks):
         payload = (
@@ -497,10 +506,6 @@ def _merge_cycle(cycle_id: int, total_readings: int,
 
 _TIMER_PRIORITY = {"ping": 0, "slot": 1, "collect": 2, "consolidate": 3,
                    "reduce": 4}
-
-_LEADER_KINDS = {MessageKind.PONG, MessageKind.REGISTER_ACK,
-                 MessageKind.SEGMENT_ASSIGN, MessageKind.CYCLE_SUCCESS,
-                 MessageKind.CYCLE_ABORT}
 
 
 @dataclass
@@ -1122,7 +1127,11 @@ class Node:
         if crc64(text.encode("utf-8")) != assignment.checksum:
             self._log(now, f"checksum_mismatch segment={index}")
             return
-        pairs = tuple(parse_pairs(text))
+        try:
+            pairs = tuple(parse_pairs(text))
+        except ValueError:
+            self._log(now, f"malformed_assignment from={message.sender}")
+            return
         if len(pairs) != assignment.count:
             self._log(now, f"short_segment segment={index}")
             return

@@ -24,7 +24,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from crowdmw.domain import MiddlewareError, TagCategory, room_key
+from crowdmw.domain import MiddlewareError, room_key
 from crowdmw.election import NodeRecord, RegistrySnapshot, Role
 from crowdmw.mapreduce import CycleResult
 
@@ -361,11 +361,3 @@ class JournalStore:
                 self._fh.close()
             except OSError:
                 pass
-
-
-def visitor_tag_for_key(key: str) -> TagCategory:
-    """Inverse of the visitor row key, e.g. 'woman' -> TagCategory.WOMAN."""
-    for tag in TagCategory:
-        if tag.value == key:
-            return tag
-    raise ValueError(f"not a visitor key: {key!r}")

@@ -238,12 +238,6 @@ class SimulatedNetwork:
         self.clock.advance_to(flight.due_ms)
         self._land(flight)
 
-    def dispatch_until(self, t_ms: float) -> None:
-        """Land every message due at or before t_ms, advancing the clock."""
-        while self._in_flight and self._in_flight[0].due_ms <= t_ms:
-            self.dispatch_next()
-        self.clock.advance_to(t_ms)
-
     def _land(self, flight: _Flight) -> None:
         endpoint = self._endpoints.get(flight.dest)
         if endpoint is None or endpoint.closed:
@@ -390,16 +384,3 @@ class UdpEndpoint:
     def close(self) -> None:
         self.closed = True
         self._sock.close()
-
-
-# Module-level aliases matching the operation names used elsewhere.
-
-
-def send(endpoint, dest: str, message: Message) -> None:
-    """Fire-and-forget send; acceptance of the datagram is all you get."""
-    endpoint.send(dest, message)
-
-
-def recv(endpoint, timeout_ms: float) -> Optional[Message]:
-    """Next delivered message for this endpoint, or None on timeout."""
-    return endpoint.recv(timeout_ms)

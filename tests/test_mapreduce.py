@@ -9,9 +9,10 @@ hand from the raw pairs before any pipeline code existed.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from crowdmw import domain, mapreduce
 from crowdmw.domain import CountMode, KeyValuePair, SensorReading, TagCategory
 from crowdmw.mapreduce import (
     ChecksumMismatch,
@@ -96,12 +97,175 @@ def test_verify_pairs_text_flags_corruption():
         verify_pairs_text(corrupted, claimed)
 
 
+# -- crc64 against the byte loop ----------------------------------------
+#
+# crc64 folds runs of repeated comma-separated blocks; the plain
+# one-byte-at-a-time table loop below is the oracle.
+
+_POLY = 0x42F0E1EBA9EA3693
+_MASK = (1 << 64) - 1
+
+
+def _oracle_table():
+    table = []
+    for byte in range(256):
+        crc = byte << 56
+        for _ in range(8):
+            crc = ((crc << 1) ^ (_POLY if crc >> 63 else 0)) & _MASK
+        table.append(crc)
+    return table
+
+
+_ORACLE_TABLE = _oracle_table()
+
+
+def crc64_bytewise(data: bytes) -> int:
+    crc = 0
+    for b in data:
+        crc = (_ORACLE_TABLE[((crc >> 56) ^ b) & 0xFF] ^ (crc << 8)) & _MASK
+    return crc
+
+
+def test_oracle_known_answer():
+    assert crc64_bytewise(b"123456789") == 0x6C40DF5F0B497347
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=2048),
+    st.text(max_size=600).map(lambda t: t.encode("utf-8")),
+))
+def test_crc64_matches_bytewise_on_arbitrary_bytes(data):
+    assert crc64(data) == crc64_bytewise(data)
+
+
+PAIR_ITEMS = [f"{key}={value}".encode() for key in ("man", "other", "woman")
+              for value in (1, 2, 3, 12)] + [b"Room1=1", b"Room10=1"]
+
+
+# Shrinking a megabyte of text through the byte loop takes minutes and
+# says nothing the failing example does not.
+@settings(max_examples=5, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    st.lists(st.tuples(st.sampled_from(PAIR_ITEMS), st.integers(1, 40)),
+             max_size=6),
+    st.sampled_from(PAIR_ITEMS),
+    st.integers(100_001, 120_000),
+)
+def test_crc64_matches_bytewise_on_long_sorted_runs(runs, item, count):
+    runs = sorted(runs + [(item, count)])
+    text = b",".join(b",".join([block] * k) for block, k in runs)
+    assert crc64(text) == crc64_bytewise(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from([b"", b"man=1", b"\xc3\xa9", b"x"]),
+                       st.integers(1, 300)), max_size=8),
+    st.booleans(), st.booleans(),
+)
+def test_crc64_matches_bytewise_with_empty_items(runs, lead, trail):
+    text = b",".join(b",".join([block] * k) for block, k in runs)
+    text = b"," * lead + text + b"," * trail
+    assert crc64(text) == crc64_bytewise(text)
+
+
+def test_crc64_empty_items_and_edges():
+    for text in (b",,", b",", b",man=1", b"man=1,", b",," * 600,
+                 b"," + b"man=1," * 400, b"man=1," * 400 + b"woman=2"):
+        assert crc64(text) == crc64_bytewise(text)
+
+
 @given(st.binary(min_size=1, max_size=64), st.integers(0, 63))
 def test_crc64_bit_flip_property(data, bit):
     bit = bit % (len(data) * 8)
     flipped = bytearray(data)
     flipped[bit // 8] ^= 1 << (bit % 8)
     assert crc64(bytes(flipped)) != crc64(data)
+
+
+# -- validation survives the pair caches ---------------------------------
+#
+# Pairs and keys are cached once they pass validation.  A cache must
+# never turn a failure into a success: the same bad input raises the
+# first time, the second time, and after a valid pair with the same key
+# was cached.
+
+BAD_KEYS = ["Room0", "x", "man "]
+
+
+@pytest.mark.parametrize("key", BAD_KEYS)
+def test_bad_key_raises_before_and_after_caching(key):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            KeyValuePair(key, 1)
+    KeyValuePair("man", 1)
+    KeyValuePair("Room1", 1)
+    with pytest.raises(ValueError):
+        KeyValuePair(key, 1)
+
+
+@pytest.mark.parametrize("value", [True, False, -1])
+def test_bad_value_raises_after_key_was_cached(value):
+    KeyValuePair("man", 1)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            KeyValuePair("man", value)
+
+
+# parse_pairs strips whitespace around keys by contract, so "man " is
+# only a bad key through KeyValuePair and the submission grammar.
+@pytest.mark.parametrize("text", ["Room0=1", "x=1", "man=-1", "man=True",
+                                  "man", "man=1,Room0=1"])
+def test_parse_pairs_rejects_before_and_after_caching(text):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            parse_pairs(text)
+    assert parse_pairs("man=1,Room1=1") == [KeyValuePair("man", 1),
+                                            KeyValuePair("Room1", 1)]
+    with pytest.raises(ValueError):
+        parse_pairs(text)
+
+
+def test_map_reading_cache_keeps_type_checks():
+    good = SensorReading(tag=TagCategory.MAN, room=1, timestamp=0)
+    assert map_reading(good, CountMode.VISITOR) == KeyValuePair("man", 1)
+    # room=True passes SensorReading's checks; the pair still rejects it.
+    odd = SensorReading(tag=TagCategory.MAN, room=True, timestamp=0)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            map_reading(odd, CountMode.VISITOR)
+
+
+def _cache_sizes():
+    sizes = []
+    for cached in (domain._check_key, mapreduce._parse_pair,
+                   mapreduce._visitor_pair, mapreduce._room_pair):
+        info = cached.cache_info()
+        sizes.append((info.currsize, info.maxsize))
+    return sizes
+
+
+def test_many_distinct_keys_parse_and_stay_bounded():
+    count = 20_000
+    assert count > domain.INTERN_LIMIT
+    text = ",".join(f"Room{i}=1" for i in range(1, count + 1))
+    pairs = parse_pairs(text)
+    assert [p.key for p in pairs] == [f"Room{i}" for i in range(1, count + 1)]
+    assert all(p.value == 1 for p in pairs)
+    readings = [SensorReading(tag=TagCategory.OTHER, room=i, timestamp=i)
+                for i in range(1, count + 1)]
+    for mode in CountMode:
+        assert sum(sequential_oracle(readings, mode).values()) == (
+            count if mode is CountMode.ROOM else count * (count + 1) // 2)
+    for size, bound in _cache_sizes():
+        assert size <= bound
+    # Past the bounds, new keys are still checked, good and bad alike.
+    assert parse_pairs(f"Room{count + 1}=2") == [
+        KeyValuePair(f"Room{count + 1}", 2)]
+    with pytest.raises(ValueError):
+        parse_pairs("Room0=1")
 
 
 # -- map and sort -------------------------------------------------------
@@ -184,6 +348,16 @@ def test_reduce_segment_rejects_tampered_checksum():
                   checksum=good.checksum ^ 1)
     with pytest.raises(ChecksumMismatch):
         reduce_segment(bad, CountMode.VISITOR)
+
+
+def test_derive_room_segment_matches_per_pair_derivation():
+    pairs = sort_pairs(KeyValuePair(tag, room) for tag in ("man", "woman")
+                       for room in (1, 2, 10, 11, 3) for _ in range(room))
+    segment = Segment.build(assignee=4, pairs=pairs, segment_index=2)
+    expected = Segment.build(4, sort_pairs(
+        KeyValuePair(f"Room{p.value}", 1) for p in pairs), 2)
+    assert derive_room_segment(segment) == expected
+    assert serialize_pairs(expected.pairs).startswith("Room1=1,Room1=1,Room10")
 
 
 def test_derive_room_segment_counts_rooms():

@@ -459,3 +459,86 @@ def test_leader_cycle_integrity_failure_message():
     # directly to pin its contract.
     with pytest.raises(MiddlewareError):
         raise IntegrityFailure("pair-count conservation failed")
+
+
+# -- validation survives the pair caches ----------------------------------
+
+
+@pytest.mark.parametrize("item", ["Room0=1@1", "x=1@1", "man =1@1",
+                                  "man=-1@1", "man=True@1", "man1@1"])
+def test_parse_entries_rejects_before_and_after_caching(item):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            _parse_entries(item)
+    assert _parse_entries("man=1@0,Room1=1@1") == [
+        (KeyValuePair("man", 1), 0), (KeyValuePair("Room1", 1), 1)]
+    with pytest.raises(ValueError):
+        _parse_entries(f"man=1@0,{item}")
+
+
+def test_parse_entries_many_distinct_keys_stay_bounded():
+    from crowdmw import runtime
+    from crowdmw.domain import INTERN_LIMIT
+
+    count = 20_000
+    text = ",".join(f"Room{i}=1@{i}" for i in range(1, count + 1))
+    entries = _parse_entries(text)
+    assert entries == [(KeyValuePair(f"Room{i}", 1), i)
+                       for i in range(1, count + 1)]
+    info = runtime._entry_pair.cache_info()
+    assert info.maxsize == INTERN_LIMIT and info.currsize <= info.maxsize
+
+
+def _idle_node(events, phase, *, leader):
+    from crowdmw.runtime import Node
+
+    node = Node(1, CycleConfig(), endpoint=None, store=None,
+                event_sink=events.append)
+    node.cycle_id = 0
+    node.phase = phase
+    node._is_leader = leader
+    return node
+
+
+@pytest.mark.parametrize("entries", ["Room0=1@1", "x=1@1", "man =1@1",
+                                     "man=-1@1", "man=1"])
+def test_malformed_submit_is_logged_after_valid_one(entries):
+    events = []
+    node = _idle_node(events, NodePhase.COLLECTING, leader=True)
+    valid = build_submission_parts(2, 0, [(KeyValuePair("man", 1), 0)])
+    node._on_data_submit(valid[0], 0.0)
+    assert node._submissions[2].entries() == [(KeyValuePair("man", 1), 0)]
+    for _ in range(2):
+        bad = Message(kind=MessageKind.DATA_SUBMIT, sender=3, cycle_id=0,
+                      payload=f"origin=3;part=0/1;entries={entries}".encode())
+        node._on_data_submit(bad, 1.0)
+        assert events[-1] == "t=1.000 node=1 malformed_submit from=3"
+    assert 3 not in node._submissions
+
+
+@pytest.mark.parametrize("pairs", ["Room0=1", "x=1", "man=-1", "man=1,man"])
+def test_malformed_assignment_is_logged(pairs):
+    from crowdmw.mapreduce import crc64
+
+    events = []
+    node = _idle_node(events, NodePhase.AWAITING_SEGMENT, leader=False)
+    # The checksum matches, so only pair validation can catch these.
+    payload = (f"segment=0;count=1;checksum={crc64(pairs.encode()):016x};"
+               f"part=0/1;pairs={pairs}")
+    for _ in range(2):
+        node._assignments.clear()
+        node._on_segment_assign(
+            Message(kind=MessageKind.SEGMENT_ASSIGN, sender=2, cycle_id=0,
+                    payload=payload.encode()), 1.0)
+        assert events[-1] == "t=1.000 node=1 malformed_assignment from=2"
+        assert node.phase is NodePhase.AWAITING_SEGMENT
+    bad_field = Message(kind=MessageKind.SEGMENT_ASSIGN, sender=2, cycle_id=0,
+                        payload=b"segment=0;count=x;checksum=0;part=0/1;"
+                                b"pairs=man=1")
+    node._on_segment_assign(bad_field, 2.0)
+    assert events[-1] == "t=2.000 node=1 malformed_assignment from=2"
+    segment = Segment.build(1, [KeyValuePair("man", 1)], 0)
+    node._assignments.clear()
+    for message in build_assignment_parts(2, 0, segment):
+        node._on_segment_assign(message, 3.0)
+    assert node.phase is NodePhase.AWAITING_RESULT
