@@ -40,6 +40,9 @@ class TagCategory(enum.Enum):
         return self.value
 
 
+# Visitor-mode pair keys: one per badge category.
+TAG_KEYS: frozenset[str] = frozenset(tag.value for tag in TagCategory)
+
 # Keys sort lexicographically, so the canonical tag order is
 # man < other < woman.
 CANONICAL_TAG_ORDER: tuple[TagCategory, ...] = tuple(

@@ -13,6 +13,7 @@ promise.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 import random
@@ -37,6 +38,7 @@ from crowdmw.runtime import (
 )
 from crowdmw.store import JournalStore
 from crowdmw.transport import (
+    Message,
     NetConfig,
     SimulatedNetwork,
     TransportMode,
@@ -356,6 +358,15 @@ class SimCluster:
     globally ordered by time; ties break faults first, deliveries
     second, timers last, then lowest node id.  One occurrence runs per
     step, so any run is exactly reproducible.
+
+    Node timers sit in one heap of ``(deadline, node_id)`` beside each
+    node's last known deadline; an entry whose deadline no longer
+    matches is stale and is discarded when it reaches the top.  A
+    node's deadline only moves when the node itself runs, so a step
+    re-reads ``next_deadline()`` for exactly one node: the node it
+    advanced, the node a delivery reached, or the node a fault killed.
+    ``run`` re-reads every node once on entry, which covers changes
+    made between runs.
     """
 
     DEADLOCK_FACTOR = 10
@@ -373,6 +384,8 @@ class SimCluster:
         self._faults = sorted(config.faults, key=lambda f: f.at_ms)
         self._fault_cursor = 0
         self._last_progress_ms = 0.0
+        self._timer_heap: list[tuple[float, int]] = []
+        self._deadlines: dict[int, Optional[float]] = {}
 
         cycle_config = config.cycle_config()
         routed, self.ledger = build_workload(config)
@@ -390,8 +403,8 @@ class SimCluster:
             )
             node.ingest_listener = self._on_ingest
             endpoint.set_handler(
-                lambda message, src, bound=node: bound.on_message(
-                    message, src, self.clock.now_ms()
+                lambda message, src, bound=node: self._deliver(
+                    bound, message, src
                 )
             )
             self.nodes[node_id] = node
@@ -412,6 +425,10 @@ class SimCluster:
                    reading: SensorReading) -> None:
         self.ingested[node_id].append((seq, reading))
 
+    def _deliver(self, node: Node, message: Message, src: str) -> None:
+        node.on_message(message, src, self.clock.now_ms())
+        self._refresh(node.node_id)
+
     # -- occurrence scheduling ------------------------------------------
 
     def _next_fault(self) -> Optional[float]:
@@ -419,23 +436,28 @@ class SimCluster:
             return self._faults[self._fault_cursor].at_ms
         return None
 
+    def _refresh(self, node_id: int) -> None:
+        """Re-read one node's deadline; push it if it moved."""
+        deadline = self.nodes[node_id].next_deadline()
+        if deadline != self._deadlines.get(node_id):
+            self._deadlines[node_id] = deadline
+            if deadline is not None:
+                heapq.heappush(self._timer_heap, (deadline, node_id))
+
     def _next_occurrence(self) -> Optional[tuple[float, int, int]]:
         best: Optional[tuple[float, int, int]] = None
         fault_at = self._next_fault()
         if fault_at is not None:
             best = (fault_at, 0, 0)
         net_at = self.network.next_due_ms()
-        if net_at is not None:
-            candidate = (net_at, 1, 0)
-            if best is None or candidate < best:
-                best = candidate
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            deadline = node.next_deadline()
-            if deadline is not None:
-                candidate = (deadline, 2, node_id)
-                if best is None or candidate < best:
-                    best = candidate
+        if net_at is not None and (best is None or net_at < best[0]):
+            best = (net_at, 1, 0)
+        heap, deadlines = self._timer_heap, self._deadlines
+        while heap and deadlines[heap[0][1]] != heap[0][0]:
+            heapq.heappop(heap)
+        if heap and (best is None or heap[0][0] < best[0]):
+            deadline, node_id = heap[0]
+            best = (deadline, 2, node_id)
         return best
 
     def start(self) -> None:
@@ -445,6 +467,8 @@ class SimCluster:
     def run(self, until_ms: float) -> None:
         """Execute occurrences strictly before ``until_ms``."""
         budget = self.DEADLOCK_FACTOR * self.config.cycle_duration_ms
+        for node_id in self.nodes:
+            self._refresh(node_id)
         while True:
             occurrence = self._next_occurrence()
             if occurrence is None or occurrence[0] >= until_ms:
@@ -464,6 +488,7 @@ class SimCluster:
             else:
                 self.clock.advance_to(at)
                 self.nodes[node_id].advance(at)
+                self._refresh(node_id)
         if until_ms > self.clock.now_ms():
             self.clock.advance_to(until_ms)
 
@@ -516,6 +541,7 @@ class SimCluster:
         if node.killed:
             return
         node.kill()
+        self._refresh(node_id)
         self.events.append(f"t={now:.3f} node={node_id} killed")
 
 

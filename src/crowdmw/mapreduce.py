@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from crowdmw.domain import (
     INTERN_LIMIT,
+    TAG_KEYS,
     CountMode,
     KeyValuePair,
     MiddlewareError,
@@ -242,7 +243,7 @@ class Segment:
 
 def _valid_key_for_mode(key: str, mode: CountMode) -> bool:
     if mode is CountMode.VISITOR:
-        return key in {t.value for t in TagCategory}
+        return key in TAG_KEYS
     return key.startswith("Room")
 
 
@@ -385,20 +386,23 @@ def merge_partials(partials: Sequence[PartialResult],
     return merged, total_pairs
 
 
-def derive_room_segment(segment: Segment) -> Segment:
-    """Re-key a visitor segment by room so one dispatch covers both modes.
+def room_counts(pairs: Iterable[KeyValuePair]) -> list[tuple[int, int]]:
+    """(room, readings) for visitor pairs, in ``room_key`` order.
 
-    A visitor pair (tag, room) carries the full reading, so the room
-    pair (RoomN, 1) is derivable locally by the reducer.  Rooms are
-    counted per run of equal visitor pairs, then emitted in key order
-    as shared pairs, one per reading.
+    A visitor pair (tag, room) carries the full reading, so room counts
+    are derivable locally.  Rooms are counted per run of equal pairs.
     """
     rooms: dict[int, int] = {}
-    for pair, count in _runs(segment.pairs):
+    for pair, count in _runs(pairs):
         rooms[pair.value] = rooms.get(pair.value, 0) + count
+    return [(room, rooms[room]) for room in sorted(rooms, key=room_key)]
+
+
+def derive_room_segment(segment: Segment) -> Segment:
+    """Re-key a visitor segment by room, one shared pair per reading."""
     room_pairs: list[KeyValuePair] = []
-    for room in sorted(rooms, key=room_key):
-        room_pairs += [_room_pair(room)] * rooms[room]
+    for room, count in room_counts(segment.pairs):
+        room_pairs += [_room_pair(room)] * count
     return Segment.build(segment.assignee, room_pairs, segment.segment_index)
 
 

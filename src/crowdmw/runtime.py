@@ -28,11 +28,13 @@ from typing import Callable, Iterable, Optional, Sequence
 from crowdmw import election
 from crowdmw.domain import (
     INTERN_LIMIT,
+    TAG_KEYS,
     CountMode,
     KeyValuePair,
     MiddlewareError,
     SensorReading,
     TagCategory,
+    room_key,
 )
 from crowdmw.election import Role
 from crowdmw.mapreduce import (
@@ -41,6 +43,8 @@ from crowdmw.mapreduce import (
     PartialResult,
     Segment,
     crc64,
+    # Unused here; bound for the benchmark's tracer, which wraps it by
+    # this module's name.
     derive_room_segment,
     map_reading,
     merge_partials,
@@ -48,6 +52,7 @@ from crowdmw.mapreduce import (
     parse_pairs,
     partition,
     reduce_segment,
+    room_counts,
     sort_pairs,
 )
 from crowdmw.simgen import dedupe_readings
@@ -424,12 +429,19 @@ def integrity_check(segments: Sequence[Segment],
 
 
 def _reduce_both(segment: Segment) -> tuple[PartialResult, PartialResult]:
-    """Reduce one visitor-keyed segment in both modes."""
+    """Reduce one visitor-keyed segment in both modes.
+
+    The visitor reduce verifies the segment's checksum; room counts are
+    derived from the verified pairs and never leave the node, so they
+    are not checksummed again.
+    """
     visitor = reduce_segment(segment, CountMode.VISITOR)
-    room = reduce_segment(derive_room_segment(segment), CountMode.ROOM)
-    room = PartialResult(assignee=room.assignee, mode=CountMode.ROOM,
-                         aggregates=room.aggregates,
-                         input_pair_count=visitor.input_pair_count)
+    room = PartialResult(
+        assignee=segment.assignee, mode=CountMode.ROOM,
+        aggregates={room_key(room): count
+                    for room, count in room_counts(segment.pairs)},
+        input_pair_count=visitor.input_pair_count,
+    )
     return visitor, room
 
 
@@ -506,6 +518,9 @@ def _merge_cycle(cycle_id: int, total_readings: int,
 
 _TIMER_PRIORITY = {"ping": 0, "slot": 1, "collect": 2, "consolidate": 3,
                    "reduce": 4}
+
+# Event-line names, so logging a datagram skips the enum descriptors.
+_KIND_NAMES = {kind: kind.name.lower() for kind in MessageKind}
 
 
 @dataclass
@@ -599,7 +614,8 @@ class Node:
         self._expected_origins: set[NodeId] = set()
         self._segments: list[Segment] = []
         self._consolidated_count = 0
-        self._remote_partials: dict[int, dict] = {}
+        self._remote_partials: dict[
+            int, tuple[PartialResult, PartialResult]] = {}
         self._new_acks: dict[NodeId, int] = {}
         self._watermarks: dict[NodeId, int] = {}
         self._slot_done = False
@@ -625,7 +641,7 @@ class Node:
 
     def _send(self, now: float, dest: str, message: Message) -> None:
         self.endpoint.send(dest, message)
-        self._log(now, f"send kind={message.kind.name.lower()} to={dest} "
+        self._log(now, f"send kind={_KIND_NAMES[message.kind]} to={dest} "
                        f"cycle={message.cycle_id} "
                        f"bytes={len(message.payload)}")
 
@@ -912,6 +928,11 @@ class Node:
             index_str, total_str = fields["part"].split("/")
             index, total = int(index_str), int(total_str)
             entries = _parse_entries(fields["entries"])
+            # Submissions carry visitor pairs: a tag and a room >= 1.
+            if not (0 <= index < total and all(
+                    pair.key in TAG_KEYS and pair.value > 0
+                    for pair, _ in entries)):
+                raise ValueError("not a visitor submission part")
         except (ValueError, KeyError):
             self._log(now, f"malformed_submit from={message.sender}")
             return
@@ -919,8 +940,12 @@ class Node:
         if submission is None or submission.total != total:
             submission = _SubmissionParts(total=total)
             self._submissions[origin] = submission
+        fresh = index not in submission.parts
         submission.parts[index] = entries
-        self._maybe_consolidate_early(now)
+        # Only a part that completes its submission can complete the
+        # expected set; a repeat of a stored part changes nothing.
+        if fresh and submission.complete():
+            self._maybe_consolidate_early(now)
 
     def _responding(self) -> list[NodeId]:
         return sorted(
@@ -990,7 +1015,21 @@ class Node:
             self._log(now, f"stale_partial from={message.sender} "
                            f"segment={index}")
             return
-        self._remote_partials[index] = parsed
+        try:
+            # Room mode counts one per pair, so an honest partial's room
+            # counts add up to its pair count.
+            if sum(parsed["room"].values()) != parsed["count"]:
+                raise ValueError("room counts do not add up")
+            partials = tuple(
+                PartialResult(assignee=matching[0].assignee, mode=mode,
+                              aggregates=parsed[mode.value],
+                              input_pair_count=parsed["count"])
+                for mode in (CountMode.VISITOR, CountMode.ROOM)
+            )
+        except ValueError:
+            self._log(now, f"corrupt_partial from={message.sender}")
+            return
+        self._remote_partials[index] = partials
         self._maybe_finish_early(now)
 
     def _maybe_finish_early(self, now: float) -> None:
@@ -1009,18 +1048,9 @@ class Node:
         room_partials: list[PartialResult] = []
         fallbacks = 0
         for segment in self._segments:
-            parsed = self._remote_partials.get(segment.segment_index)
-            if segment.assignee != self.node_id and parsed is not None:
-                visitor_partials.append(PartialResult(
-                    assignee=segment.assignee, mode=CountMode.VISITOR,
-                    aggregates=parsed["visitor"],
-                    input_pair_count=parsed["count"],
-                ))
-                room_partials.append(PartialResult(
-                    assignee=segment.assignee, mode=CountMode.ROOM,
-                    aggregates=parsed["room"],
-                    input_pair_count=parsed["count"],
-                ))
+            remote = self._remote_partials.get(segment.segment_index)
+            if segment.assignee != self.node_id and remote is not None:
+                visitor, room = remote
             else:
                 # Local reduction fallback for own or missing segments.
                 if segment.assignee != self.node_id:
@@ -1028,8 +1058,8 @@ class Node:
                     self._log(now, "fallback_reduce "
                                    f"segment={segment.segment_index}")
                 visitor, room = _reduce_both(segment)
-                visitor_partials.append(visitor)
-                room_partials.append(room)
+            visitor_partials.append(visitor)
+            room_partials.append(room)
         for attempt in range(max(1, self.config.retry_limit)):
             if integrity_check(self._segments, visitor_partials):
                 break
@@ -1144,6 +1174,11 @@ class Node:
             self._log(now, f"checksum_mismatch segment={index}")
             self._transition(now, NodePhase.AWAITING_RESULT)
             return
+        except ValueError:
+            # Valid pairs that are not visitor pairs (a room key, room 0).
+            self._log(now, f"malformed_assignment from={message.sender}")
+            self._transition(now, NodePhase.AWAITING_RESULT)
+            return
         reply = build_reduce_result(
             self.node_id, self.cycle_id, index, assignment.checksum,
             dict(visitor.aggregates), dict(room.aggregates),
@@ -1173,7 +1208,7 @@ class Node:
     def on_message(self, message: Message, source: str, now: float) -> None:
         if self.killed:
             return
-        self._log(now, f"recv kind={message.kind.name.lower()} "
+        self._log(now, f"recv kind={_KIND_NAMES[message.kind]} "
                        f"from={message.sender} cycle={message.cycle_id}")
         kind = message.kind
         if kind is MessageKind.PING:

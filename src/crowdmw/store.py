@@ -111,6 +111,8 @@ class JournalStore:
         self._nodes: dict[int, NodeRecord] = {}
         self._results: dict[tuple[int, str, str], ResultTableRow] = {}
         self._committed: dict[int, frozenset] = {}
+        # Highest committed ack per origin, kept as rows are applied.
+        self._acks: dict[int, int] = {}
         self._writes_since_compact = 0
         self._recover()
         try:
@@ -189,11 +191,20 @@ class JournalStore:
             rows = pending.pop(cycle, [])
             if len(rows) != count:
                 raise ValueError(f"commit marker for cycle {cycle} mismatched")
-            for row in rows:
-                self._results[(row.cycle_id, row.mode, row.key)] = row
+            self._apply_results(rows)
             self._committed[cycle] = frozenset(r.content() for r in rows)
         else:
             raise ValueError(f"unknown table {table!r}")
+
+    def _apply_results(self, rows: list[ResultTableRow]) -> None:
+        """Make one committed cycle's rows visible, acks included."""
+        acks = [(int(r.key.removeprefix("node")), r.count)
+                for r in rows if r.mode == "ack"]
+        for row in rows:
+            self._results[(row.cycle_id, row.mode, row.key)] = row
+        for origin, seq in acks:
+            if seq > self._acks.get(origin, -1):
+                self._acks[origin] = seq
 
     def _apply_node(self, record: NodeRecord) -> None:
         # Registry arbitration: a new leader claim demotes any other
@@ -270,8 +281,7 @@ class JournalStore:
             ]
             bodies.append(f"commit|{result.cycle_id},{len(rows)}")
             self._append(bodies)
-            for row in rows:
-                self._results[(row.cycle_id, row.mode, row.key)] = row
+            self._apply_results(rows)
             self._committed[result.cycle_id] = content
             self._maybe_compact()
             # Same shape as the idempotent path: callers cannot tell a
@@ -298,15 +308,8 @@ class JournalStore:
 
     def ack_watermarks(self) -> dict[int, int]:
         """Highest committed read sequence per origin node."""
-        marks: dict[int, int] = {}
         with self._lock:
-            for row in self._results.values():
-                if row.mode != "ack":
-                    continue
-                origin = int(row.key.removeprefix("node"))
-                if row.count > marks.get(origin, -1):
-                    marks[origin] = row.count
-        return marks
+            return dict(self._acks)
 
     def totals(self, mode: str) -> dict[str, int]:
         """Aggregate committed counts for one mode across all cycles."""

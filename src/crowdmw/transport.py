@@ -18,7 +18,7 @@ import heapq
 import random
 import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from crowdmw.clock import VirtualClock
@@ -53,6 +53,9 @@ class MessageKind(enum.IntEnum):
     REDUCE_RESULT = 6
     CYCLE_SUCCESS = 7
     CYCLE_ABORT = 8
+
+
+_KINDS = {int(kind): kind for kind in MessageKind}
 
 
 @dataclass(frozen=True)
@@ -97,10 +100,9 @@ def decode_message(data: bytes) -> Message:
     )
     if version != WIRE_VERSION:
         raise Malformed(f"unsupported wire version {version}")
-    try:
-        kind = MessageKind(kind_raw)
-    except ValueError:
-        raise Malformed(f"unknown message kind {kind_raw}") from None
+    kind = _KINDS.get(kind_raw)
+    if kind is None:
+        raise Malformed(f"unknown message kind {kind_raw}")
     payload = data[HEADER_LEN:]
     if len(payload) != payload_len:
         raise Malformed(
@@ -144,21 +146,14 @@ class NetConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(order=True)
-class _Flight:
-    due_ms: float
-    seq: int
-    dest: str = field(compare=False)
-    src: str = field(compare=False)
-    frame: bytes = field(compare=False)
-
-
 class SimulatedNetwork:
     """Deterministic in-process network on a virtual clock.
 
     Every send draws from one seeded RNG in send order, so a run is a
     pure function of (config, send sequence).  Messages are dropped or
-    reordered, never duplicated or corrupted.
+    reordered, never duplicated or corrupted.  In-flight frames are
+    ``(due_ms, seq, dest, src, frame)`` tuples in a heap; ``seq`` is
+    unique, so ordering never looks past it.
     """
 
     def __init__(self, config: NetConfig,
@@ -168,13 +163,12 @@ class SimulatedNetwork:
         self._rng = random.Random(config.seed)
         self._loss_rate = config.loss_rate
         self._endpoints: dict[str, "SimEndpoint"] = {}
-        self._in_flight: list[_Flight] = []
+        self._in_flight: list[tuple[float, int, str, str, bytes]] = []
         self._seq = 0
         self._partitions: list[tuple[frozenset[str], float, float]] = []
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
-        self.drop_listener: Optional[Callable[[str, str, Message], None]] = None
 
     # -- wiring -------------------------------------------------------------
 
@@ -215,8 +209,6 @@ class SimulatedNetwork:
             self._loss_rate > 0.0 and self._rng.random() < self._loss_rate
         ):
             self.dropped += 1
-            if self.drop_listener is not None:
-                self.drop_listener(src.address, dest, message)
             return
         tx_ms = len(frame) * self.config.transmission_us_per_byte / 1000.0
         depart = max(now, src.next_free_ms) + tx_ms
@@ -226,30 +218,27 @@ class SimulatedNetwork:
         self._seq += 1
         heapq.heappush(
             self._in_flight,
-            _Flight(depart + latency, self._seq, dest, src.address, frame),
+            (depart + latency, self._seq, dest, src.address, frame),
         )
 
     def next_due_ms(self) -> Optional[float]:
-        return self._in_flight[0].due_ms if self._in_flight else None
+        return self._in_flight[0][0] if self._in_flight else None
 
     def dispatch_next(self) -> None:
         """Advance the clock to the next in-flight message and land it."""
-        flight = heapq.heappop(self._in_flight)
-        self.clock.advance_to(flight.due_ms)
-        self._land(flight)
-
-    def _land(self, flight: _Flight) -> None:
-        endpoint = self._endpoints.get(flight.dest)
+        due_ms, _, dest, src, frame = heapq.heappop(self._in_flight)
+        self.clock.advance_to(due_ms)
+        endpoint = self._endpoints.get(dest)
         if endpoint is None or endpoint.closed:
             # Dead letter: receiver gone, exactly like real UDP.
             self.dropped += 1
             return
-        message = decode_message(flight.frame)
+        message = decode_message(frame)
         self.delivered += 1
         if endpoint.handler is not None:
-            endpoint.handler(message, flight.src)
+            endpoint.handler(message, src)
         else:
-            endpoint.inbox.append((message, flight.src))
+            endpoint.inbox.append((message, src))
 
 
 class SimEndpoint:

@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from crowdmw.harness import ScenarioConfig, SimCluster
+from crowdmw.harness import ScenarioConfig, SimCluster, parse_fault
 from crowdmw.store import JournalStore
 
 GOLDEN = {
@@ -28,6 +28,17 @@ GOLDEN = {
              loss_rate=0.05, transmission_us_per_byte=15.0),
         "66246bcc9df1c6497643bbe01962801517a2d8e0d20303c051e3503f50898a2c",
         "743b15ce9c14326f78a840893be83108b8322c8480b77c91c610f5a99c5043f8",
+    ),
+    # Eight nodes under loss with two leader kills, a partition and two
+    # loss changes: kills and deliveries reschedule node timers mid-run.
+    "faults-wide": (
+        dict(nodes=8, cycles=12, visitors=300, seed=7, loss_rate=0.03,
+             faults=tuple(parse_fault(text) for text in (
+                 "kill_leader@4100", "partition@9000+3000:1,2,3",
+                 "set_loss@12500:0.1", "kill_leader@16100",
+                 "set_loss@20000:0.02"))),
+        "7a98babe30915e6315b0d495f2df373185eb28663d6476c699d5d3406933e22a",
+        "e5a52ae22cca5584a0e8b61459bbf96cb8e906c336c0f0f239a1e18be72ec42d",
     ),
 }
 

@@ -542,3 +542,105 @@ def test_malformed_assignment_is_logged(pairs):
     for message in build_assignment_parts(2, 0, segment):
         node._on_segment_assign(message, 3.0)
     assert node.phase is NodePhase.AWAITING_RESULT
+
+
+# -- early consolidation ------------------------------------------------------
+
+
+def _consolidating_leader(tmp_path, events):
+    """Node 3 leading slot 0 of three, past collection, own part in."""
+    from crowdmw import election
+    from crowdmw.runtime import Node
+    from crowdmw.store import JournalStore
+    from crowdmw.transport import NetConfig, SimulatedNetwork
+
+    config = CycleConfig()
+    store = JournalStore(str(tmp_path / "leader.journal"))
+    for node_id in (1, 2, 3):
+        election.register_node(store, node_id, f"node{node_id}:7000", 0,
+                               config.liveness_window_ms)
+    endpoint = SimulatedNetwork(NetConfig()).open("node3:7000")
+    node = Node(3, config, endpoint, store, event_sink=events.append)
+    node.start(0.0)
+    node.advance(float(config.collection_ms))
+    assert node.phase is NodePhase.CONSOLIDATING
+    return node, store
+
+
+def _submission(origin, count, parts):
+    entries = [(KeyValuePair("man", origin), seq) for seq in range(count)]
+    messages = build_submission_parts(origin, 0, entries,
+                                      max_entries_per_part=count // parts)
+    assert len(messages) == parts
+    return messages
+
+
+def _deliver_until_consolidated(node, messages):
+    """Deliver in order; the index of the message that consolidated."""
+    consolidated_at = None
+    for step, message in enumerate(messages):
+        node.on_message(message, f"node{message.sender}:7000",
+                        1500.0 + step)
+        if consolidated_at is None and node.phase is not NodePhase.CONSOLIDATING:
+            consolidated_at = step
+    return consolidated_at
+
+
+def _consolidated_total(events):
+    commits = [line for line in events if " commit cycle=0 " in line]
+    assert len(commits) == 1
+    return int(commits[0].split(" total=")[1].split()[0])
+
+
+def _finish_by_fallback(node):
+    node.advance(2000.0 - 1.0)
+    assert node.phase is NodePhase.BROADCASTING
+
+
+def test_consolidates_when_last_part_arrives_out_of_order(tmp_path):
+    events = []
+    node, store = _consolidating_leader(tmp_path, events)
+    one, two = _submission(1, 6, 3), _submission(2, 4, 2)
+    order = [one[2], two[1], one[0], two[0], one[1]]
+    assert _deliver_until_consolidated(node, order) == len(order) - 1
+    assert node.phase is NodePhase.MERGING
+    assert "consolidate" not in node._timers
+    _finish_by_fallback(node)
+    assert _consolidated_total(events) == 10
+    store.close()
+
+
+def test_duplicated_part_neither_triggers_nor_double_counts(tmp_path):
+    events = []
+    node, store = _consolidating_leader(tmp_path, events)
+    one, two = _submission(1, 4, 2), _submission(2, 3, 1)
+    order = [one[0], one[0], two[0], two[0], one[0], one[1], one[1]]
+    assert _deliver_until_consolidated(node, order) == 5
+    _finish_by_fallback(node)
+    assert _consolidated_total(events) == 7
+    store.close()
+
+
+def test_restarted_submission_waits_for_its_new_total(tmp_path):
+    events = []
+    node, store = _consolidating_leader(tmp_path, events)
+    first = _submission(1, 6, 3)
+    restart = _submission(1, 4, 2)
+    two = _submission(2, 2, 1)
+    # Two of three parts, then a restart with total 2: the old parts
+    # are dropped, so the first new part does not complete node 1 even
+    # though two parts have now arrived for a total of two.
+    order = [first[0], first[1], two[0], restart[0], restart[1]]
+    assert _deliver_until_consolidated(node, order) == len(order) - 1
+    _finish_by_fallback(node)
+    assert _consolidated_total(events) == 4 + 2
+    store.close()
+
+
+def test_consolidation_timer_still_fires_without_every_origin(tmp_path):
+    events = []
+    node, store = _consolidating_leader(tmp_path, events)
+    assert _deliver_until_consolidated(node, _submission(1, 2, 2)) is None
+    node.advance(1500.0 + CycleConfig().submit_window_ms)
+    assert node.phase is NodePhase.MERGING
+    store.close()

@@ -201,3 +201,60 @@ def test_ack_watermarks_take_latest_maximum(path):
     store.commit_results(_result(1), committed_at=20, acks={1: 8})
     assert store.ack_watermarks() == {1: 8, 2: 9}
     store.close()
+
+
+def _rescanned_watermarks(store):
+    """The watermarks as a full scan of every committed ack row."""
+    marks = {}
+    for row in store.snapshot_results():
+        if row.mode == "ack":
+            origin = int(row.key.removeprefix("node"))
+            marks[origin] = max(row.count, marks.get(origin, -1))
+    return marks
+
+
+def test_ack_watermarks_equal_rescan_through_reopen_and_compaction(path):
+    store = JournalStore(path)
+    assert store.ack_watermarks() == {}
+    acks = [{1: 3, 2: 7}, {1: 9}, {3: 0, 2: 5}, {}, {1: 4, 12: 40}]
+    for cycle, cycle_acks in enumerate(acks):
+        store.commit_results(_result(cycle), committed_at=cycle,
+                             acks=cycle_acks)
+        assert store.ack_watermarks() == _rescanned_watermarks(store)
+    # A repeat of an identical commit changes nothing.
+    store.commit_results(_result(1), committed_at=1, acks={1: 9})
+    expected = {1: 9, 2: 7, 3: 0, 12: 40}
+    assert store.ack_watermarks() == expected
+    # Callers get a copy, not the store's own map.
+    store.ack_watermarks()[1] = -5
+    assert store.ack_watermarks() == expected
+    store.close()
+
+    reopened = JournalStore(path)
+    assert reopened.ack_watermarks() == expected
+    for i in range(JournalStore.COMPACT_EVERY + 1):  # auto-compacts
+        reopened.upsert_node(_row(1, "node1:7000", Role.FOLLOWER, i))
+    reopened.commit_results(_result(5), committed_at=5, acks={2: 11})
+    reopened.compact()
+    expected[2] = 11
+    assert reopened.ack_watermarks() == expected
+    assert reopened.ack_watermarks() == _rescanned_watermarks(reopened)
+    reopened.close()
+
+    compacted = JournalStore(path)
+    assert compacted.ack_watermarks() == expected
+    assert compacted.ack_watermarks() == _rescanned_watermarks(compacted)
+    compacted.close()
+
+
+def test_uncommitted_acks_do_not_count(path):
+    store = JournalStore(path)
+    store.commit_results(_result(0), committed_at=0, acks={1: 2})
+    store.close()
+    # A torn cycle: ack rows journaled without their commit marker.
+    with open(path, "ab") as fh:
+        for body in ("results|1,ack,node1,50,1", "results|1,ack,node4,8,1"):
+            fh.write(JournalStore._frame(body))
+    reopened = JournalStore(path)
+    assert reopened.ack_watermarks() == {1: 2}
+    reopened.close()
