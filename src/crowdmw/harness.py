@@ -314,7 +314,11 @@ def route_readings(readings: Iterable[SensorReading],
 def build_workload(config: ScenarioConfig) -> tuple[
         dict[int, list[tuple[float, SensorReading]]],
         Optional[simgen.GenerationLedger]]:
-    """Produce per-node timed readings for the scenario."""
+    """Produce per-node timed readings for the scenario.
+
+    Each node's list is unsorted when it mixes a fixture with generated
+    readings; ``ListReadingSource`` orders it by time.
+    """
     routed: dict[int, list[tuple[float, SensorReading]]] = {
         node_id: [] for node_id in config.node_ids()
     }
@@ -341,8 +345,6 @@ def build_workload(config: ScenarioConfig) -> tuple[
             readings, config.node_ids()
         ).items():
             routed[node_id].extend(timed)
-    for timed in routed.values():
-        timed.sort(key=lambda item: item[0])
     return routed, ledger
 
 

@@ -191,17 +191,26 @@ def _parse_pair(item: str) -> KeyValuePair:
     return KeyValuePair(key.strip(), int(value.strip()))
 
 
-def parse_pairs(text: str) -> list[KeyValuePair]:
+def parse_pairs(text: str, *, canonical: bool = False) -> list[KeyValuePair]:
     """Inverse of serialize_pairs; tolerates surrounding whitespace.
 
+    With ``canonical`` it tolerates nothing: ``text`` must be exactly
+    ``serialize_pairs`` of the result (no spaces, signs or leading
+    zeros), else ValueError.  Then the checksum of ``text`` is the
+    checksum of the pairs, and a reducer need not compute it again.
     Equal items share one pair object, parsed once per run.
     """
     stripped = text.strip()
+    if canonical and stripped != text:
+        raise ValueError("pair text has surrounding whitespace")
     if not stripped:
         return []
     pairs: list[KeyValuePair] = []
     for item, count in _runs(stripped.split(",")):
-        pairs += [_parse_pair(item)] * count
+        pair = _parse_pair(item)
+        if canonical and item != f"{pair.key}={pair.value}":
+            raise ValueError(f"non-canonical pair entry: {item!r}")
+        pairs += [pair] * count
     return pairs
 
 
@@ -353,9 +362,15 @@ def partition(pairs: Sequence[KeyValuePair],
     return segments
 
 
-def reduce_segment(segment: Segment, mode: CountMode) -> PartialResult:
-    """Sum values per key after proving the segment arrived intact."""
-    if checksum_pairs(segment.pairs) != segment.checksum:
+def reduce_segment(segment: Segment, mode: CountMode, *,
+                   verified: bool = False) -> PartialResult:
+    """Sum values per key after proving the segment arrived intact.
+
+    ``verified`` skips the proof for a segment whose pairs are known to
+    match its checksum: built here by ``partition``, or parsed with
+    ``canonical`` from text whose checksum was checked.
+    """
+    if not verified and checksum_pairs(segment.pairs) != segment.checksum:
         raise ChecksumMismatch(
             f"segment {segment.segment_index} failed checksum verification"
         )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -38,7 +39,6 @@ from crowdmw.domain import (
 )
 from crowdmw.election import Role
 from crowdmw.mapreduce import (
-    ChecksumMismatch,
     CycleResult,
     PartialResult,
     Segment,
@@ -213,7 +213,7 @@ class ListReadingSource:
     """Reading source backed by a pre-routed (time, reading) list."""
 
     def __init__(self, timed: Iterable[tuple[float, SensorReading]]) -> None:
-        self._timed = sorted(timed, key=lambda item: item[0])
+        self._timed = sorted(timed, key=operator.itemgetter(0))
         self._cursor = 0
 
     def take_due(self, now_ms: float) -> list[SensorReading]:
@@ -431,11 +431,13 @@ def integrity_check(segments: Sequence[Segment],
 def _reduce_both(segment: Segment) -> tuple[PartialResult, PartialResult]:
     """Reduce one visitor-keyed segment in both modes.
 
-    The visitor reduce verifies the segment's checksum; room counts are
-    derived from the verified pairs and never leave the node, so they
-    are not checksummed again.
+    Every caller holds a segment whose pairs match its checksum: the
+    leader built it, or the follower checked the wire text's checksum
+    and parsed it in canonical form.  So it is not checksummed again,
+    and room counts, which never leave the node, are derived from the
+    same pairs.
     """
-    visitor = reduce_segment(segment, CountMode.VISITOR)
+    visitor = reduce_segment(segment, CountMode.VISITOR, verified=True)
     room = PartialResult(
         assignee=segment.assignee, mode=CountMode.ROOM,
         aggregates={room_key(room): count
@@ -928,8 +930,9 @@ class Node:
             index_str, total_str = fields["part"].split("/")
             index, total = int(index_str), int(total_str)
             entries = _parse_entries(fields["entries"])
-            # Submissions carry visitor pairs: a tag and a room >= 1.
-            if not (0 <= index < total and all(
+            # A node submits its own readings only, and submissions
+            # carry visitor pairs: a tag and a room >= 1.
+            if not (origin == message.sender and 0 <= index < total and all(
                     pair.key in TAG_KEYS and pair.value > 0
                     for pair, _ in entries)):
                 raise ValueError("not a visitor submission part")
@@ -1158,7 +1161,7 @@ class Node:
             self._log(now, f"checksum_mismatch segment={index}")
             return
         try:
-            pairs = tuple(parse_pairs(text))
+            pairs = tuple(parse_pairs(text, canonical=True))
         except ValueError:
             self._log(now, f"malformed_assignment from={message.sender}")
             return
@@ -1170,10 +1173,6 @@ class Node:
         self._transition(now, NodePhase.REDUCING)
         try:
             visitor, room = _reduce_both(segment)
-        except ChecksumMismatch:
-            self._log(now, f"checksum_mismatch segment={index}")
-            self._transition(now, NodePhase.AWAITING_RESULT)
-            return
         except ValueError:
             # Valid pairs that are not visitor pairs (a room key, room 0).
             self._log(now, f"malformed_assignment from={message.sender}")

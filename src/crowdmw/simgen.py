@@ -12,10 +12,12 @@ always yields one stream.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from crowdmw.domain import (
     CountMode,
@@ -80,15 +82,31 @@ class LedgerEntry:
 
 @dataclass
 class GenerationLedger:
-    """Every generated reading, duplicates flagged, sequences dense."""
+    """Every generated reading, duplicates flagged, sequences dense.
 
-    entries: list[LedgerEntry] = field(default_factory=list)
+    Holds the readings and their duplicate flags, index-aligned.  A run
+    mostly needs only ``len()``, so the ``LedgerEntry`` values are built
+    the first time ``entries`` (or anything reading it) asks, then
+    cached; the sequence of an entry is its index.
+    """
+
+    readings: tuple[SensorReading, ...] = ()
+    duplicates: tuple[bool, ...] = ()
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.readings)
 
     def __iter__(self) -> Iterator[LedgerEntry]:
         return iter(self.entries)
+
+    @functools.cached_property
+    def entries(self) -> list[LedgerEntry]:
+        return [
+            LedgerEntry(sequence, r.tag, r.room, r.timestamp, r.reader_id,
+                        duplicate)
+            for sequence, (r, duplicate) in enumerate(
+                zip(self.readings, self.duplicates))
+        ]
 
     def non_duplicates(self) -> list[LedgerEntry]:
         return [e for e in self.entries if not e.is_duplicate]
@@ -109,14 +127,13 @@ class GenerationLedger:
         }
 
 
-def _draw_tag(rng: random.Random, mix: tuple[float, float, float]) -> TagCategory:
+def _draw_tag(rng: random.Random, cumulative: Sequence[float]) -> int:
+    """Index into the mix of the category a uniform roll lands in."""
     roll = rng.random()
-    cumulative = 0.0
-    for tag, probability in zip(_MIX_ORDER, mix):
-        cumulative += probability
-        if roll < cumulative:
-            return tag
-    return _MIX_ORDER[-1]
+    for index, bound in enumerate(cumulative):
+        if roll < bound:
+            return index
+    return len(_MIX_ORDER) - 1
 
 
 def generate_stream(model: VisitorModel,
@@ -128,29 +145,52 @@ def generate_stream(model: VisitorModel,
     visits never collide on (tag, room, timestamp); only an injected
     double read shares all three with its original, which is exactly
     the collision collection-side dedupe collapses.
+
+    A visit takes the first free millisecond of its (tag, room) lane at
+    or after its arrival.  Lanes are numbered ``tag * (rooms + 1) +
+    room`` and a slot is ``timestamp * lanes + lane``, so a lane's next
+    millisecond is ``slot + lanes``.  ``after`` maps each taken slot to
+    a later slot of its lane with every slot between them taken; a
+    probe follows it and points the slots it passed at the slot after
+    the one it takes, so a run of taken slots is crossed once, not once
+    per visit that lands on it.  A room has no other room to walk to
+    when the museum has one room, so such a walk ends there.
     """
     if duration_ms < 1:
         raise ValueError("duration_ms must be >= 1")
     rng = random.Random(model.seed)
-    used_slots: set[tuple[TagCategory, int, int]] = set()
-    raw: list[tuple[int, int, int, TagCategory, int, int, bool]] = []
+    rooms = model.rooms
+    lanes = len(_MIX_ORDER) * (rooms + 1)
+    # Running sums of the mix, one per category, as the roll meets them.
+    cumulative = list(itertools.accumulate(model.tag_mix[:len(_MIX_ORDER)]))
+    # choices[r]: the rooms a visitor in room r may walk to (0: outside).
+    choices = [tuple(r for r in range(1, rooms + 1) if r != room)
+               for room in range(rooms + 1)]
+    low, high = model.dwell_ms
+    after: dict[int, int] = {}
+    raw: list[tuple[int, int, int, int, int, int, bool]] = []
     # Tuple layout: (timestamp, visitor, ordinal, tag, room, reader, dup).
 
     for visitor in range(model.visitor_count):
-        tag = _draw_tag(rng, model.tag_mix)
-        at = rng.uniform(0, duration_ms)
-        walk_length = rng.randint(1, 2 * model.rooms)
+        tag = _draw_tag(rng, cumulative)
+        # rng.uniform(a, b) is a + (b - a) * random(): the same draws.
+        at = duration_ms * rng.random()
+        walk_length = rng.randint(1, 2 * rooms)
         room = 0
         ordinal = 0
         for _ in range(walk_length):
-            if at >= duration_ms:
+            if at >= duration_ms or not choices[room]:
                 break
-            choices = [r for r in range(1, model.rooms + 1) if r != room]
-            room = rng.choice(choices)
-            timestamp = int(at)
-            while (tag, room, timestamp) in used_slots:
-                timestamp += 1
-            used_slots.add((tag, room, timestamp))
+            room = rng.choice(choices[room])
+            slot = int(at) * lanes + tag * (rooms + 1) + room
+            passed = []
+            while (later := after.get(slot)) is not None:
+                passed.append(slot)
+                slot = later
+            for taken in passed:
+                after[taken] = slot + lanes
+            after[slot] = slot + lanes
+            timestamp = slot // lanes
             reader = 2 * room
             raw.append((timestamp, visitor, ordinal, tag, room, reader, False))
             ordinal += 1
@@ -158,18 +198,14 @@ def generate_stream(model: VisitorModel,
                 raw.append((timestamp, visitor, ordinal, tag, room,
                             reader + 1, True))
                 ordinal += 1
-            at += rng.uniform(*model.dwell_ms)
+            at += low + (high - low) * rng.random()
 
-    raw.sort(key=lambda item: item[:3])
-    ledger = GenerationLedger()
-    readings = []
-    for sequence, (timestamp, _visitor, _ordinal, tag, room, reader,
-                   dup) in enumerate(raw):
-        entry = LedgerEntry(sequence=sequence, tag=tag, room=room,
-                            timestamp=timestamp, reader_id=reader,
-                            is_duplicate=dup)
-        ledger.entries.append(entry)
-        readings.append(entry.to_reading())
+    # (timestamp, visitor, ordinal) is unique, so the tuples order by it.
+    raw.sort()
+    readings = [SensorReading(_MIX_ORDER[tag], room, timestamp, reader)
+                for timestamp, _, _, tag, room, reader, _ in raw]
+    ledger = GenerationLedger(tuple(readings),
+                              tuple([item[6] for item in raw]))
     return readings, ledger
 
 

@@ -148,6 +148,8 @@ def _aggregates(key, value):
 
 LYING = {
     # From an origin no real node submits as, so nothing overwrites it.
+    # A leader takes a submission only from its origin: the sender draw
+    # below includes 9.
     MessageKind.DATA_SUBMIT: _fixed(_fields(
         origin=st.just("9"), part=st.just("0/1"),
         entries=_entries(KEY, SMALL, SMALL, min_size=1))),
@@ -211,7 +213,8 @@ def test_on_message_never_raises(kind):
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(render=renders, sender=st.integers(0, 5), stale=st.booleans())
+    @given(render=renders, sender=st.integers(0, 5) | st.just(9),
+           stale=st.booleans())
     def check(render, sender, stale):
         with tempfile.TemporaryDirectory() as workdir:
             store = JournalStore(os.path.join(workdir, "fuzz.journal"))

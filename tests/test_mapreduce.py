@@ -88,6 +88,20 @@ def test_serialize_parse_roundtrip():
     assert parse_pairs("") == []
 
 
+@pytest.mark.parametrize("text", ["man =1", " man=1", "man=1 ", "man=01",
+                                  "man=+1", "man=1,man= 1"])
+def test_canonical_parse_refuses_what_plain_parse_tolerates(text):
+    assert parse_pairs(text)
+    with pytest.raises(ValueError):
+        parse_pairs(text, canonical=True)
+
+
+def test_canonical_parse_round_trips():
+    pairs = sort_pairs(stream_pairs())
+    assert parse_pairs(serialize_pairs(pairs), canonical=True) == pairs
+    assert parse_pairs("", canonical=True) == []
+
+
 def test_verify_pairs_text_flags_corruption():
     text = serialize_pairs(sort_pairs(stream_pairs()))
     claimed = checksum_pairs(parse_pairs(text))
@@ -348,6 +362,9 @@ def test_reduce_segment_rejects_tampered_checksum():
                   checksum=good.checksum ^ 1)
     with pytest.raises(ChecksumMismatch):
         reduce_segment(bad, CountMode.VISITOR)
+    # A caller that proved the pairs itself skips the checksum pass.
+    assert reduce_segment(bad, CountMode.VISITOR, verified=True) == \
+        reduce_segment(good, CountMode.VISITOR)
 
 
 def test_derive_room_segment_matches_per_pair_derivation():

@@ -516,13 +516,54 @@ def test_malformed_submit_is_logged_after_valid_one(entries):
     assert 3 not in node._submissions
 
 
-@pytest.mark.parametrize("pairs", ["Room0=1", "x=1", "man=-1", "man=1,man"])
+def test_submit_for_another_origin_is_dropped():
+    events = []
+    node = _idle_node(events, NodePhase.COLLECTING, leader=True)
+    forged = Message(kind=MessageKind.DATA_SUBMIT, sender=1, cycle_id=0,
+                     payload=b"origin=9;part=0/1;entries=man=3@0,man=3@1")
+    node._on_data_submit(forged, 1.0)
+    assert events[-1] == "t=1.000 node=1 malformed_submit from=1"
+    assert node._submissions == {}
+
+
+def test_forged_origin_leaves_the_cycle_as_it_was(tmp_path):
+    # Node 1 submits two readings as node 9, which is not in the
+    # cluster.  Taken at its word, node 9 joined the responders, its
+    # readings were counted (total=90) and its segment, addressed to no
+    # one, was reduced locally after the reduce window ran out.
+    from crowdmw.harness import ScenarioConfig, SimCluster
+    from crowdmw.store import JournalStore
+
+    store = JournalStore(str(tmp_path / "forged.journal"))
+    try:
+        cluster = SimCluster(
+            ScenarioConfig(nodes=3, cycles=1, seed=5, visitors=30), store)
+        cluster.start()
+        cluster.run(1000.0)
+        leader = cluster.nodes[3]
+        assert leader._is_leader and leader.phase is NodePhase.COLLECTING
+        leader.on_message(
+            Message(kind=MessageKind.DATA_SUBMIT, sender=1, cycle_id=0,
+                    payload=b"origin=9;part=0/1;entries=man=3@0,man=3@1"),
+            "node1:7000", cluster.clock.now_ms())
+        cluster.run(2000.0)
+    finally:
+        store.close()
+    assert "t=1000.000 node=3 malformed_submit from=1" in cluster.events
+    assert not any(" fallback_reduce " in line for line in cluster.events)
+    assert ("t=1720.775 node=3 commit cycle=0 rows=10 total=88 fallbacks=0"
+            in cluster.events)
+
+
+@pytest.mark.parametrize("pairs", ["Room0=1", "x=1", "man=-1", "man=1,man",
+                                   "man =1", " man=1", "man=01", "man=+1"])
 def test_malformed_assignment_is_logged(pairs):
     from crowdmw.mapreduce import crc64
 
     events = []
     node = _idle_node(events, NodePhase.AWAITING_SEGMENT, leader=False)
-    # The checksum matches, so only pair validation can catch these.
+    # The checksum matches, so only pair validation can catch these:
+    # the reducer trusts a checksum-valid text only in canonical form.
     payload = (f"segment=0;count=1;checksum={crc64(pairs.encode()):016x};"
                f"part=0/1;pairs={pairs}")
     for _ in range(2):

@@ -3,7 +3,12 @@
 The generator must be a pure function of its model: same seed, same
 stream.  The ledger is ground truth for fault tests, so its alignment
 with the emitted readings and its duplicate flags get checked exactly.
+``probe_generate_stream`` below keeps the generator as it was before
+the next-free-slot map, probing a set one millisecond at a time; the
+generator must reproduce it reading for reading.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +26,54 @@ from crowdmw.simgen import (
     list_fixtures,
     replay_fixture,
 )
+
+
+_MIX_ORDER = (TagCategory.MAN, TagCategory.WOMAN, TagCategory.OTHER)
+
+
+def probe_generate_stream(model, duration_ms):
+    """The generator before the next-free-slot map: (readings, entries)."""
+    rng = random.Random(model.seed)
+    used_slots = set()
+    raw = []
+    for visitor in range(model.visitor_count):
+        roll = rng.random()
+        cumulative = 0.0
+        tag = _MIX_ORDER[-1]
+        for candidate, probability in zip(_MIX_ORDER, model.tag_mix):
+            cumulative += probability
+            if roll < cumulative:
+                tag = candidate
+                break
+        at = rng.uniform(0, duration_ms)
+        walk_length = rng.randint(1, 2 * model.rooms)
+        room = 0
+        ordinal = 0
+        for _ in range(walk_length):
+            if at >= duration_ms:
+                break
+            choices = [r for r in range(1, model.rooms + 1) if r != room]
+            room = rng.choice(choices)
+            timestamp = int(at)
+            while (tag, room, timestamp) in used_slots:
+                timestamp += 1
+            used_slots.add((tag, room, timestamp))
+            reader = 2 * room
+            raw.append((timestamp, visitor, ordinal, tag, room, reader, False))
+            ordinal += 1
+            if rng.random() < model.double_read_rate:
+                raw.append((timestamp, visitor, ordinal, tag, room,
+                            reader + 1, True))
+                ordinal += 1
+            at += rng.uniform(*model.dwell_ms)
+    raw.sort(key=lambda item: item[:3])
+    entries = [
+        LedgerEntry(sequence=sequence, tag=tag, room=room,
+                    timestamp=timestamp, reader_id=reader, is_duplicate=dup)
+        for sequence, (timestamp, _, _, tag, room, reader, dup)
+        in enumerate(raw)
+    ]
+    return [e.to_reading() for e in entries], entries
 
 
 def _model(**overrides):
@@ -147,6 +200,116 @@ def test_empty_ledger_helpers():
     ledger = GenerationLedger()
     assert ledger.non_duplicates() == []
     assert ledger.expected_counts(CountMode.ROOM) == {}
+
+
+# -- against the probing generator -------------------------------------------
+
+
+_MIXES = st.tuples(st.integers(0, 4), st.integers(0, 4),
+                   st.integers(0, 4)).filter(any).map(
+    lambda weights: tuple(w / sum(weights) for w in weights))
+
+
+@st.composite
+def _models(draw):
+    low = draw(st.integers(1, 20))
+    return VisitorModel(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        visitor_count=draw(st.integers(0, 120)),
+        tag_mix=draw(_MIXES),
+        rooms=draw(st.integers(1, 6)),
+        dwell_ms=(low, low + draw(st.integers(0, 5))),
+        double_read_rate=draw(st.floats(0.0, 1.0)),
+    )
+
+
+@given(model=_models(), duration=st.integers(1, 400))
+@settings(max_examples=150, deadline=None)
+def test_generator_matches_probing_generator(model, duration):
+    try:
+        expected, entries = probe_generate_stream(model, duration)
+    except IndexError:
+        # In a one-room museum the old walk drew its second room from
+        # an empty list; the walk now ends in its only room instead.
+        assert model.rooms == 1
+        readings, ledger = generate_stream(model, duration)
+        assert {r.room for r in readings} == {1}
+        return
+    readings, ledger = generate_stream(model, duration)
+    assert readings == expected
+    assert ledger.entries == entries
+
+
+def _saturated(visitors):
+    """Every visitor arrives in millisecond 0 of a 1 ms stream and reads
+    one room, so every visit piles onto one of the two man lanes."""
+    return VisitorModel(seed=11, visitor_count=visitors, tag_mix=(1, 0, 0),
+                        rooms=2, double_read_rate=0.0)
+
+
+def _assert_lanes_dense(readings):
+    for room in (1, 2):
+        stamps = sorted(r.timestamp for r in readings if r.room == room)
+        assert stamps == list(range(len(stamps)))
+
+
+def test_saturated_lanes_match_probing_generator():
+    readings, ledger = generate_stream(_saturated(1_500), 1)
+    assert (readings, ledger.entries) == probe_generate_stream(
+        _saturated(1_500), 1)
+    _assert_lanes_dense(readings)
+
+
+def test_saturated_lanes_cost_linear_time():
+    # The probing generator walks a lane from its start on every visit,
+    # about 10**8 steps here; the slot map jumps to the lane's end.
+    readings, _ = generate_stream(_saturated(20_000), 1)
+    assert len(readings) == 20_000
+    _assert_lanes_dense(readings)
+
+
+def test_one_room_walk_ends_in_its_room():
+    readings, ledger = generate_stream(
+        _model(visitor_count=50, rooms=1, double_read_rate=0.0), 5_000)
+    assert {r.room for r in readings} == {1}
+    # Arrivals fall inside the stream, so every visitor reads once.
+    assert len(readings) == 50
+
+
+# -- the ledger builds entries on demand --------------------------------------
+
+
+def test_ledger_len_builds_no_entries():
+    readings, ledger = generate_stream(_model(visitor_count=100), 5_000)
+    assert len(ledger) == len(readings)
+    assert "entries" not in vars(ledger)
+
+
+def test_lazy_ledger_equals_eager_values():
+    model = _model(visitor_count=300, double_read_rate=0.2)
+    readings, ledger = generate_stream(model, 20_000)
+    _, entries = probe_generate_stream(model, 20_000)
+    originals = [e for e in entries if not e.is_duplicate]
+    assert ledger.entries == entries
+    assert ledger.entries is ledger.entries
+    assert list(ledger) == entries
+    assert ledger.non_duplicates() == originals
+    for mode in CountMode:
+        assert ledger.expected_counts(mode) == sequential_oracle(
+            (e.to_reading() for e in originals), mode)
+    assert ledger.tag_proportions() == {
+        tag: sum(1 for e in originals if e.tag is tag) / len(originals)
+        for tag in TagCategory
+    }
+
+
+def test_empty_ledger_still_works():
+    ledger = GenerationLedger()
+    assert len(ledger) == 0
+    assert ledger.entries == []
+    assert list(ledger) == []
+    assert ledger.tag_proportions() == {tag: 0.0 for tag in TagCategory}
+    assert ledger == GenerationLedger()
 
 
 # -- fixtures ---------------------------------------------------------------
