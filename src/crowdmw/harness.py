@@ -423,9 +423,9 @@ class SimCluster:
                 or " leader_claimed " in line):
             self._last_progress_ms = self.clock.now_ms()
 
-    def _on_ingest(self, node_id: int, seq: int,
-                   reading: SensorReading) -> None:
-        self.ingested[node_id].append((seq, reading))
+    def _on_ingest(self, node_id: int,
+                   added: list[tuple[int, SensorReading]]) -> None:
+        self.ingested[node_id].extend(added)
 
     def _deliver(self, node: Node, message: Message, src: str) -> None:
         node.on_message(message, src, self.clock.now_ms())
@@ -852,9 +852,10 @@ def _run_udp(config: ScenarioConfig, store_path: str) -> ScenarioReport:
         node_id: [] for node_id in config.node_ids()
     }
 
-    def on_ingest(node_id: int, seq: int, reading: SensorReading) -> None:
+    def on_ingest(node_id: int,
+                  added: list[tuple[int, SensorReading]]) -> None:
         with events_lock:
-            ingested[node_id].append((seq, reading))
+            ingested[node_id].extend(added)
 
     for node_id in config.node_ids():
         endpoint = network.open()

@@ -170,17 +170,15 @@ def crc64(data: bytes) -> int:
 # ---------------------------------------------------------------------------
 
 
-def pair_texts(pairs: Iterable[KeyValuePair]) -> list[str]:
-    """``key=value`` per pair, formatted once per run of equal pairs."""
+def serialize_pairs(pairs: Iterable[KeyValuePair]) -> str:
+    """Canonical text form of a pair list, whitespace-free.
+
+    ``key=value`` is formatted once per run of equal pairs.
+    """
     texts: list[str] = []
     for pair, count in _runs(pairs):
         texts += [f"{pair.key}={pair.value}"] * count
-    return texts
-
-
-def serialize_pairs(pairs: Iterable[KeyValuePair]) -> str:
-    """Canonical text form of a pair list, whitespace-free."""
-    return ",".join(pair_texts(pairs))
+    return ",".join(texts)
 
 
 @functools.lru_cache(maxsize=INTERN_LIMIT)

@@ -19,12 +19,15 @@ deduplicated against the store, never counted twice.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import enum
 import functools
+import itertools
 import operator
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from crowdmw import election
 from crowdmw.domain import (
@@ -46,13 +49,12 @@ from crowdmw.mapreduce import (
     # Unused here; bound for the benchmark's tracer, which wraps it by
     # this module's name.
     derive_room_segment,
-    map_reading,
     merge_partials,
-    pair_texts,
     parse_pairs,
     partition,
     reduce_segment,
     room_counts,
+    serialize_pairs,
     sort_pairs,
 )
 from crowdmw.simgen import dedupe_readings
@@ -64,6 +66,13 @@ from crowdmw.transport import (
 )
 
 NodeId = int
+
+# One run: a visitor pair and the sequences of its readings.
+Run = tuple[KeyValuePair, list[int]]
+
+_FIRST = operator.itemgetter(0)
+_SECOND = operator.itemgetter(1)
+_PAIR_ORDER = operator.attrgetter("key", "value")
 
 
 class CycleAborted(MiddlewareError):
@@ -169,63 +178,85 @@ PHASE_EDGES: dict[NodePhase, frozenset[NodePhase]] = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClientBuffer:
-    """Readings awaiting a committed cycle, tagged with sequences."""
+# A reading's visitor pair as (key, value): tuples that sort in the
+# canonical pair order.
+_VISITOR_KEY = operator.attrgetter("tag._value_", "room")
 
-    pending: list[tuple[int, SensorReading]] = field(default_factory=list)
-    next_seq: int = 0
-    committed_through: int = -1
+
+class ClientBuffer:
+    """Readings awaiting a committed cycle, as runs of sequences.
+
+    Each pending visitor pair, as (key, value), keeps its ascending
+    sequences, filled once at ingest; the readings themselves are not
+    kept, since only their pairs are ever submitted.
+    """
+
+    def __init__(self) -> None:
+        self._seqs: collections.defaultdict[tuple[str, int], list[int]] = (
+            collections.defaultdict(list))
+        self.next_seq = 0
+        self.committed_through = -1
 
     def __len__(self) -> int:
-        return len(self.pending)
+        return sum(map(len, self._seqs.values()))
 
     def ingest(self, readings: Iterable[SensorReading]
                ) -> list[tuple[int, SensorReading]]:
         """Append deduplicated readings, assigning dense sequences."""
-        added = []
-        for reading in dedupe_readings(readings):
-            added.append((self.next_seq, reading))
-            self.next_seq += 1
-        self.pending.extend(added)
-        return added
+        kept = dedupe_readings(readings)
+        start = self.next_seq
+        self.next_seq += len(kept)
+        for seq, key in zip(range(start, self.next_seq),
+                            map(_VISITOR_KEY, kept)):
+            self._seqs[key].append(seq)
+        return list(zip(range(start, self.next_seq), kept))
+
+    def runs(self) -> list[Run]:
+        """Pending runs in canonical pair order.
+
+        The sequence lists are the buffer's own: the next ingest
+        appends to them, a prune replaces them.
+        """
+        return [(KeyValuePair(*key), self._seqs[key])
+                for key in sorted(self._seqs)]
 
     def entries(self) -> list[tuple[KeyValuePair, int]]:
         """Pending readings as sorted visitor pairs with sequences."""
-        mapped = [
-            (map_reading(reading, CountMode.VISITOR), seq)
-            for seq, reading in self.pending
-        ]
-        mapped.sort(key=lambda item: (item[0].key, item[0].value, item[1]))
-        return mapped
+        return list(itertools.chain.from_iterable(
+            zip(itertools.repeat(pair), seqs) for pair, seqs in self.runs()
+        ))
 
     def prune_through(self, seq: int) -> int:
         """Drop readings covered by a committed watermark."""
         if seq <= self.committed_through:
             return 0
-        before = len(self.pending)
-        self.pending = [(s, r) for s, r in self.pending if s > seq]
+        dropped = 0
+        for key, seqs in list(self._seqs.items()):
+            cut = bisect.bisect_right(seqs, seq)
+            dropped += cut
+            if cut == len(seqs):
+                del self._seqs[key]
+            elif cut:
+                self._seqs[key] = seqs[cut:]
         self.committed_through = seq
-        return before - len(self.pending)
+        return dropped
 
 
 class ListReadingSource:
     """Reading source backed by a pre-routed (time, reading) list."""
 
     def __init__(self, timed: Iterable[tuple[float, SensorReading]]) -> None:
-        self._timed = sorted(timed, key=operator.itemgetter(0))
+        self._timed = sorted(timed, key=_FIRST)
         self._cursor = 0
 
     def take_due(self, now_ms: float) -> list[SensorReading]:
-        due = []
-        while (self._cursor < len(self._timed)
-               and self._timed[self._cursor][0] <= now_ms):
-            due.append(self._timed[self._cursor][1])
-            self._cursor += 1
-        return due
+        start = self._cursor
+        self._cursor = bisect.bisect_right(self._timed, now_ms, start,
+                                           key=_FIRST)
+        return list(map(_SECOND, self._timed[start:self._cursor]))
 
     def remaining(self) -> list[tuple[float, SensorReading]]:
-        return list(self._timed[self._cursor:])
+        return self._timed[self._cursor:]
 
     def injected_count(self) -> int:
         return len(self._timed)
@@ -234,10 +265,6 @@ class ListReadingSource:
 # ---------------------------------------------------------------------------
 # Wire payload grammar (text, field=value separated by ';').
 # ---------------------------------------------------------------------------
-
-
-def _entry_text(pair: KeyValuePair, seq: int) -> str:
-    return f"{pair.key}={pair.value}@{seq}"
 
 
 @functools.lru_cache(maxsize=INTERN_LIMIT)
@@ -249,16 +276,22 @@ def _entry_pair(body: str) -> KeyValuePair:
     return KeyValuePair(key, int(value))
 
 
-def _parse_entries(text: str) -> list[tuple[KeyValuePair, int]]:
-    if not text:
-        return []
-    entries = []
-    for item in text.split(","):
-        body, at, seq = item.rpartition("@")
-        if not at:
-            raise ValueError(f"entry without sequence: {item!r}")
-        entries.append((_entry_pair(body), int(seq)))
-    return entries
+def _parse_entries(text: str) -> list[Run]:
+    """``key=value@seq`` entries as runs of neighbours with one body.
+
+    An entry without ``@`` splits into an empty body, which
+    ``_entry_pair`` refuses like any other malformed body.
+    """
+    runs: list[Run] = []
+    last = None
+    for item in text.split(",") if text else ():
+        body, _, seq = item.rpartition("@")
+        if body == last:
+            runs[-1][1].append(int(seq))
+        else:
+            runs.append((_entry_pair(body), [int(seq)]))
+            last = body
+    return runs
 
 
 def _parse_fields(payload: bytes) -> dict[str, str]:
@@ -271,22 +304,34 @@ def _parse_fields(payload: bytes) -> dict[str, str]:
     return fields
 
 
-def _chunk(items: Sequence[str], budget: int,
-           max_items: Optional[int]) -> list[list[str]]:
-    """Greedy split so each part's joined text fits the byte budget."""
-    if not items:
-        return [[]]
-    parts: list[list[str]] = [[]]
-    used = 0
-    for item in items:
-        cost = len(item) + (1 if parts[-1] else 0)
-        full = max_items is not None and len(parts[-1]) >= max_items
-        if parts[-1] and (used + cost > budget or full):
-            parts.append([])
-            used = 0
-            cost = len(item)
-        parts[-1].append(item)
-        used += cost
+def _chunk(text: str, budget: int, max_items: Optional[int]) -> list[str]:
+    """Greedy split of comma-joined items into parts of whole items.
+
+    A part takes items while its text fits ``budget`` characters and
+    it holds at most ``max_items``; an item over the budget goes alone,
+    and empty text makes one empty part.  With a comma appended, every
+    item ends at a comma: a part ends at its ``max_items``-th, or at
+    the last one the budget reaches if sooner (else the first).
+    """
+    cap = None if max_items is None else max(max_items, 1)
+    text += ","
+    last = len(text) - 1
+    parts = []
+    start = 0
+    while start <= last:
+        stop = last
+        if cap is not None:
+            stop = start - 1
+            for _ in range(cap):
+                stop = text.find(",", stop + 1)
+                if stop == last:
+                    break
+        if stop - start > budget:
+            stop = text.rfind(",", start, start + budget + 1)
+            if stop < 0:
+                stop = text.find(",", start)
+        parts.append(text[start:stop])
+        start = stop + 1
     return parts
 
 
@@ -294,15 +339,22 @@ def build_submission_parts(origin: NodeId, cycle_id: int,
                            entries: Sequence[tuple[KeyValuePair, int]],
                            max_entries_per_part: Optional[int] = None
                            ) -> list[Message]:
-    """Encode a submission, split so every datagram stays legal."""
-    texts = [_entry_text(pair, seq) for pair, seq in entries]
+    """Encode a submission, split so every datagram stays legal.
+
+    Neighbouring entries of one pair form a run, written with one join
+    around its ``key=value@`` prefix.
+    """
+    runs = []
+    for pair, run in itertools.groupby(entries, _FIRST):
+        prefix = f"{pair.key}={pair.value}@"
+        runs.append(prefix + f",{prefix}".join(map(str, map(_SECOND, run))))
     headroom = len(f"origin={origin};part=9999/9999;entries=")
-    chunks = _chunk(texts, MAX_PAYLOAD - headroom, max_entries_per_part)
+    chunks = _chunk(",".join(runs), MAX_PAYLOAD - headroom,
+                    max_entries_per_part)
     messages = []
     for index, chunk in enumerate(chunks):
         payload = (
-            f"origin={origin};part={index}/{len(chunks)};"
-            f"entries={','.join(chunk)}"
+            f"origin={origin};part={index}/{len(chunks)};entries={chunk}"
         )
         messages.append(Message(kind=MessageKind.DATA_SUBMIT, sender=origin,
                                 cycle_id=cycle_id,
@@ -312,18 +364,18 @@ def build_submission_parts(origin: NodeId, cycle_id: int,
 
 def build_assignment_parts(sender: NodeId, cycle_id: int,
                            segment: Segment) -> list[Message]:
-    texts = pair_texts(segment.pairs)
     headroom = len(
         f"segment={segment.segment_index};count={len(segment.pairs)};"
         f"checksum={'0' * 16};part=9999/9999;pairs="
     )
-    chunks = _chunk(texts, MAX_PAYLOAD - headroom, None)
+    chunks = _chunk(serialize_pairs(segment.pairs), MAX_PAYLOAD - headroom,
+                    None)
     messages = []
     for index, chunk in enumerate(chunks):
         payload = (
             f"segment={segment.segment_index};count={len(segment.pairs)};"
             f"checksum={segment.checksum:016x};part={index}/{len(chunks)};"
-            f"pairs={','.join(chunk)}"
+            f"pairs={chunk}"
         )
         messages.append(Message(kind=MessageKind.SEGMENT_ASSIGN,
                                 sender=sender, cycle_id=cycle_id,
@@ -428,6 +480,41 @@ def integrity_check(segments: Sequence[Segment],
     return sum(p.input_pair_count for p in partials) == total
 
 
+def consolidate_runs(submissions: Iterable[tuple[NodeId, Iterable[Run]]],
+                     watermarks: Mapping[NodeId, int]
+                     ) -> tuple[list[KeyValuePair], dict[NodeId, int]]:
+    """Sorted pairs of the entries above each origin's watermark, and acks.
+
+    An origin's ack is its highest sequence above the watermark, else
+    the watermark; it has none when both are missing.  A run is counted
+    on a sorted copy of its sequences, so unsorted or repeated ones off
+    the wire still count one pair per entry.  Counts are keyed by the
+    pair's (key, value), whose order is the canonical pair order.
+    """
+    counts: dict[tuple[str, int], list] = {}
+    acks: dict[NodeId, int] = {}
+    for origin, runs in submissions:
+        top = watermark = watermarks.get(origin, -1)
+        for pair, seqs in runs:
+            ordered = sorted(seqs)
+            fresh = len(ordered) - bisect.bisect_right(ordered, watermark)
+            if fresh:
+                key = _PAIR_ORDER(pair)
+                if key in counts:
+                    counts[key][1] += fresh
+                else:
+                    counts[key] = [pair, fresh]
+                if ordered[-1] > top:
+                    top = ordered[-1]
+        if top >= 0:
+            acks[origin] = top
+    consolidated: list[KeyValuePair] = []
+    for key in sorted(counts):
+        pair, count = counts[key]
+        consolidated += [pair] * count
+    return consolidated, acks
+
+
 def _reduce_both(segment: Segment) -> tuple[PartialResult, PartialResult]:
     """Reduce one visitor-keyed segment in both modes.
 
@@ -528,17 +615,14 @@ _KIND_NAMES = {kind: kind.name.lower() for kind in MessageKind}
 @dataclass
 class _SubmissionParts:
     total: int
-    parts: dict[int, list[tuple[KeyValuePair, int]]] = field(
-        default_factory=dict)
+    parts: dict[int, list[Run]] = field(default_factory=dict)
 
     def complete(self) -> bool:
         return len(self.parts) == self.total
 
-    def entries(self) -> list[tuple[KeyValuePair, int]]:
-        out: list[tuple[KeyValuePair, int]] = []
-        for index in sorted(self.parts):
-            out.extend(self.parts[index])
-        return out
+    def runs(self) -> list[Run]:
+        return [run for index in sorted(self.parts)
+                for run in self.parts[index]]
 
 
 @dataclass
@@ -599,8 +683,8 @@ class Node:
         self.aborts = 0
         self.elections_won = 0
         self.dedupe_dropped = 0
-        self.ingest_listener: Optional[
-            Callable[[NodeId, int, SensorReading], None]] = None
+        self.ingest_listener: Optional[Callable[
+            [NodeId, list[tuple[int, SensorReading]]], None]] = None
 
         self._timers: dict[str, float] = {}
         self._leader_id: Optional[NodeId] = None
@@ -613,6 +697,9 @@ class Node:
 
         # Leader-side per-slot state.
         self._submissions: dict[NodeId, _SubmissionParts] = {}
+        # Registry address per node id, as of the claim and the
+        # collection end: a submission counts only from its origin's.
+        self._origin_addresses: dict[NodeId, str] = {}
         self._expected_origins: set[NodeId] = set()
         self._segments: list[Segment] = []
         self._consolidated_count = 0
@@ -847,6 +934,7 @@ class Node:
         })
         self._log(now, f"leader_claimed cycle={self.cycle_id}")
         snapshot, live = self._live_snapshot(now)
+        self._origin_addresses = {r.node_id: r.address for r in live}
         announcement = (
             f"leader={self.node_id};addr={self.endpoint.address}"
         ).encode("utf-8")
@@ -883,18 +971,18 @@ class Node:
                     f"kept={len(added)}",
                 )
             if self.ingest_listener is not None:
-                for seq, reading in added:
-                    self.ingest_listener(self.node_id, seq, reading)
+                self.ingest_listener(self.node_id, added)
         if self.phase is not NodePhase.COLLECTING:
             # Never confirmed a leader this slot; keep buffering.
             return
         if self._is_leader:
             self._transition(now, NodePhase.SUBMITTING)
-            entries = self.buffer.entries()
-            submission = _SubmissionParts(total=1, parts={0: entries})
+            submission = _SubmissionParts(total=1,
+                                          parts={0: self.buffer.runs()})
             self._submissions[self.node_id] = submission
             snapshot, live = self._live_snapshot(now)
-            self._expected_origins = {r.node_id for r in live}
+            self._origin_addresses = {r.node_id: r.address for r in live}
+            self._expected_origins = set(self._origin_addresses)
             self._transition(now, NodePhase.CONSOLIDATING)
             self._arm("consolidate", now + self.config.submit_window_ms)
             self._maybe_consolidate_early(now)
@@ -918,7 +1006,8 @@ class Node:
 
     # -- leader path -------------------------------------------------------
 
-    def _on_data_submit(self, message: Message, now: float) -> None:
+    def _on_data_submit(self, message: Message, source: str,
+                        now: float) -> None:
         if not self._is_leader or message.cycle_id != self.cycle_id:
             return
         if self.phase not in (NodePhase.COLLECTING, NodePhase.SUBMITTING,
@@ -929,12 +1018,14 @@ class Node:
             origin = int(fields["origin"])
             index_str, total_str = fields["part"].split("/")
             index, total = int(index_str), int(total_str)
-            entries = _parse_entries(fields["entries"])
-            # A node submits its own readings only, and submissions
-            # carry visitor pairs: a tag and a room >= 1.
-            if not (origin == message.sender and 0 <= index < total and all(
-                    pair.key in TAG_KEYS and pair.value > 0
-                    for pair, _ in entries)):
+            runs = _parse_entries(fields["entries"])
+            # A node submits its own readings only, from the address it
+            # registered (the header's sender is whatever it claims),
+            # and submissions carry visitor pairs: a tag and a room >= 1.
+            if not (self._origin_addresses.get(origin) == source
+                    and 0 <= index < total and all(
+                        pair.key in TAG_KEYS and pair.value > 0
+                        for pair, _ in runs)):
                 raise ValueError("not a visitor submission part")
         except (ValueError, KeyError):
             self._log(now, f"malformed_submit from={message.sender}")
@@ -944,7 +1035,7 @@ class Node:
             submission = _SubmissionParts(total=total)
             self._submissions[origin] = submission
         fresh = index not in submission.parts
-        submission.parts[index] = entries
+        submission.parts[index] = runs
         # Only a part that completes its submission can complete the
         # expected set; a repeat of a stored part changes nothing.
         if fresh and submission.complete():
@@ -973,18 +1064,10 @@ class Node:
             self._abort_cycle(now, "min_responding")
             return
         # Watermark dedupe: drop entries already covered by a commit.
-        pairs: list[KeyValuePair] = []
-        self._new_acks = {}
-        for origin in responding:
-            watermark = self._watermarks.get(origin, -1)
-            top = watermark
-            for pair, seq in self._submissions[origin].entries():
-                if seq > watermark:
-                    pairs.append(pair)
-                    top = max(top, seq)
-            if top >= 0:
-                self._new_acks[origin] = top
-        consolidated = sort_pairs(pairs)
+        consolidated, self._new_acks = consolidate_runs(
+            ((origin, self._submissions[origin].runs())
+             for origin in responding),
+            self._watermarks)
         self._consolidated_count = len(consolidated)
         self._segments = partition(consolidated, responding)
         self._remote_partials = {}
@@ -1234,7 +1317,7 @@ class Node:
                 self._confirm_leader(now, leader_id, address)
             return
         if kind is MessageKind.DATA_SUBMIT:
-            self._on_data_submit(message, now)
+            self._on_data_submit(message, source, now)
         elif kind is MessageKind.SEGMENT_ASSIGN:
             self._on_segment_assign(message, now)
         elif kind is MessageKind.REDUCE_RESULT:

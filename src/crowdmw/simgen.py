@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -209,12 +210,17 @@ def generate_stream(model: VisitorModel,
     return readings, ledger
 
 
+# A reading's dedupe key.  The tag is keyed by ``_value_``, the member's
+# plain attribute: its text has a cached hash, unlike the enum.
+_DEDUPE_KEY = operator.attrgetter("tag._value_", "room", "timestamp")
+
+
 def dedupe_readings(readings: Iterable[SensorReading]) -> list[SensorReading]:
     """Collapse paired-reader double reads: same tag, room, timestamp."""
-    seen: set[tuple[TagCategory, int, int]] = set()
+    seen: set[tuple[str, int, int]] = set()
     kept = []
     for reading in readings:
-        slot = (reading.tag, reading.room, reading.timestamp)
+        slot = _DEDUPE_KEY(reading)
         if slot in seen:
             continue
         seen.add(slot)

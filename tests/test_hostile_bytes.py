@@ -147,11 +147,11 @@ def _aggregates(key, value):
 
 
 LYING = {
-    # From an origin no real node submits as, so nothing overwrites it.
-    # A leader takes a submission only from its origin: the sender draw
-    # below includes 9.
+    # A leader takes a submission only from its origin's registered
+    # address, so this one comes from node 2's (see SOURCES).  Before
+    # node 2's own submission it is overwritten; after, it replaces it.
     MessageKind.DATA_SUBMIT: _fixed(_fields(
-        origin=st.just("9"), part=st.just("0/1"),
+        origin=st.just("2"), part=st.just("0/1"),
         entries=_entries(KEY, SMALL, SMALL, min_size=1))),
     MessageKind.SEGMENT_ASSIGN: _fixed(st.builds(
         _assignment, SMALL, st.none(), st.just("0/1"),
@@ -178,6 +178,7 @@ MALFORMED = {
         st.builds(lambda o, s: f"{o}:{s}", NUMBER, NUMBER)))),
     MessageKind.CYCLE_ABORT: _fixed(_fields(reason=st.text(max_size=8))),
 }
+SOURCES = {MessageKind.DATA_SUBMIT: "node2:7000"}
 RAW = _fixed(st.binary(max_size=60).map(lambda b: b.decode("latin-1")))
 
 # Node 1 dies after it got its segment and before it replies, so a
@@ -229,7 +230,8 @@ def test_on_message_never_raises(kind):
                             cycle_id=node.cycle_id + stale,
                             payload=render(node).encode("utf-8",
                                                         "surrogateescape"),
-                        ), "node9:7000", cluster.clock.now_ms())
+                        ), SOURCES.get(kind, "node9:7000"),
+                            cluster.clock.now_ms())
                 cluster.run(4000.0)
             finally:
                 store.close()

@@ -127,7 +127,7 @@ def test_buffer_prune_watermark():
     buffer.ingest([_reading(TagCategory.MAN, 1, t) for t in range(5)])
     assert buffer.prune_through(2) == 3
     assert buffer.committed_through == 2
-    assert [seq for seq, _ in buffer.pending] == [3, 4]
+    assert [seq for _, seq in buffer.entries()] == [3, 4]
     # Stale or repeated watermarks drop nothing and never regress.
     assert buffer.prune_through(2) == 0
     assert buffer.prune_through(1) == 0
@@ -157,6 +157,11 @@ def _entries(count):
     return out
 
 
+def _expand(runs):
+    """Runs of (pair, sequences) as the flat (pair, sequence) entries."""
+    return [(pair, seq) for pair, seqs in runs for seq in seqs]
+
+
 def _reassemble_submission(messages):
     holder = None
     for message in messages:
@@ -167,7 +172,7 @@ def _reassemble_submission(messages):
         assert int(total) == holder.total
         holder.parts[int(index)] = _parse_entries(fields["entries"])
     assert holder.complete()
-    return holder.entries()
+    return _expand(holder.runs())
 
 
 def test_submission_roundtrip_single_part():
@@ -470,7 +475,7 @@ def test_parse_entries_rejects_before_and_after_caching(item):
     for _ in range(2):
         with pytest.raises(ValueError):
             _parse_entries(item)
-    assert _parse_entries("man=1@0,Room1=1@1") == [
+    assert _expand(_parse_entries("man=1@0,Room1=1@1")) == [
         (KeyValuePair("man", 1), 0), (KeyValuePair("Room1", 1), 1)]
     with pytest.raises(ValueError):
         _parse_entries(f"man=1@0,{item}")
@@ -482,7 +487,7 @@ def test_parse_entries_many_distinct_keys_stay_bounded():
 
     count = 20_000
     text = ",".join(f"Room{i}=1@{i}" for i in range(1, count + 1))
-    entries = _parse_entries(text)
+    entries = _expand(_parse_entries(text))
     assert entries == [(KeyValuePair(f"Room{i}", 1), i)
                        for i in range(1, count + 1)]
     info = runtime._entry_pair.cache_info()
@@ -497,6 +502,7 @@ def _idle_node(events, phase, *, leader):
     node.cycle_id = 0
     node.phase = phase
     node._is_leader = leader
+    node._origin_addresses = {n: f"node{n}:7000" for n in (1, 2, 3)}
     return node
 
 
@@ -506,12 +512,13 @@ def test_malformed_submit_is_logged_after_valid_one(entries):
     events = []
     node = _idle_node(events, NodePhase.COLLECTING, leader=True)
     valid = build_submission_parts(2, 0, [(KeyValuePair("man", 1), 0)])
-    node._on_data_submit(valid[0], 0.0)
-    assert node._submissions[2].entries() == [(KeyValuePair("man", 1), 0)]
+    node._on_data_submit(valid[0], "node2:7000", 0.0)
+    assert _expand(node._submissions[2].runs()) == [
+        (KeyValuePair("man", 1), 0)]
     for _ in range(2):
         bad = Message(kind=MessageKind.DATA_SUBMIT, sender=3, cycle_id=0,
                       payload=f"origin=3;part=0/1;entries={entries}".encode())
-        node._on_data_submit(bad, 1.0)
+        node._on_data_submit(bad, "node3:7000", 1.0)
         assert events[-1] == "t=1.000 node=1 malformed_submit from=3"
     assert 3 not in node._submissions
 
@@ -521,16 +528,18 @@ def test_submit_for_another_origin_is_dropped():
     node = _idle_node(events, NodePhase.COLLECTING, leader=True)
     forged = Message(kind=MessageKind.DATA_SUBMIT, sender=1, cycle_id=0,
                      payload=b"origin=9;part=0/1;entries=man=3@0,man=3@1")
-    node._on_data_submit(forged, 1.0)
+    node._on_data_submit(forged, "node1:7000", 1.0)
     assert events[-1] == "t=1.000 node=1 malformed_submit from=1"
     assert node._submissions == {}
 
 
-def test_forged_origin_leaves_the_cycle_as_it_was(tmp_path):
-    # Node 1 submits two readings as node 9, which is not in the
-    # cluster.  Taken at its word, node 9 joined the responders, its
-    # readings were counted (total=90) and its segment, addressed to no
-    # one, was reduced locally after the reduce window ran out.
+def _forged_submission_events(tmp_path, sender, origin):
+    """Events of a 3-node cycle where node 1 sends a forged submission.
+
+    At t=1000 the leader, node 3, gets a DATA_SUBMIT from node 1's
+    address whose header says ``sender`` and whose body says
+    ``origin``.  The honest cycle commits total=88 at t=1720.775.
+    """
     from crowdmw.harness import ScenarioConfig, SimCluster
     from crowdmw.store import JournalStore
 
@@ -543,16 +552,38 @@ def test_forged_origin_leaves_the_cycle_as_it_was(tmp_path):
         leader = cluster.nodes[3]
         assert leader._is_leader and leader.phase is NodePhase.COLLECTING
         leader.on_message(
-            Message(kind=MessageKind.DATA_SUBMIT, sender=1, cycle_id=0,
-                    payload=b"origin=9;part=0/1;entries=man=3@0,man=3@1"),
+            Message(kind=MessageKind.DATA_SUBMIT, sender=sender, cycle_id=0,
+                    payload=f"origin={origin};part=0/1;"
+                            f"entries=man=3@0,man=3@1".encode()),
             "node1:7000", cluster.clock.now_ms())
         cluster.run(2000.0)
     finally:
         store.close()
-    assert "t=1000.000 node=3 malformed_submit from=1" in cluster.events
     assert not any(" fallback_reduce " in line for line in cluster.events)
     assert ("t=1720.775 node=3 commit cycle=0 rows=10 total=88 fallbacks=0"
             in cluster.events)
+    return cluster.events
+
+
+def test_forged_origin_leaves_the_cycle_as_it_was(tmp_path):
+    # Node 1 submits two readings as node 9, which is not in the
+    # cluster.  Taken at its word, node 9 joined the responders, its
+    # readings were counted (total=90) and its segment, addressed to no
+    # one, was reduced locally after the reduce window ran out.
+    events = _forged_submission_events(tmp_path, sender=1, origin=9)
+    assert "t=1000.000 node=3 malformed_submit from=1" in events
+
+
+@pytest.mark.parametrize("sender", [9, 2])
+def test_forged_sender_is_refused(tmp_path, sender):
+    # Node 1 also forges the header's sender: node 9, not in the
+    # cluster, or node 2.  Believing the header, the leader counted
+    # node 9's readings (total=90, with a fallback reduce at t=1963),
+    # or let the forged part replace node 2's (total=69 at t=1699).
+    # Only the source address, not node 9's or node 2's, shows it.
+    events = _forged_submission_events(tmp_path, sender=sender,
+                                       origin=sender)
+    assert f"t=1000.000 node=3 malformed_submit from={sender}" in events
 
 
 @pytest.mark.parametrize("pairs", ["Room0=1", "x=1", "man=-1", "man=1,man",
