@@ -8,7 +8,9 @@ a run is a pure function of the scenario and seed: the same inputs
 produce byte-identical event logs and CSV reports.  The UDP backend
 runs the same nodes as threads over loopback sockets; it exists to
 show the protocol works on a real transport, and makes no determinism
-promise.
+promise.  One builder (``build_nodes``) wires the nodes and one
+applier (``apply_fault``) injects the faults for both backends; each
+takes the network to work on.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from crowdmw import election, simgen
 from crowdmw.clock import VirtualClock, WallClock
@@ -143,7 +145,6 @@ class ScenarioConfig:
     cycle_duration_ms: int = 2000
     mapreduce_window_ms: int = 500
     min_responding_nodes: int = 2
-    retry_limit: int = 3
     ping_timeout_ms: int = 250
     ping_retries: int = 2
 
@@ -190,7 +191,6 @@ class ScenarioConfig:
             cycle_duration_ms=self.cycle_duration_ms,
             mapreduce_window_ms=self.mapreduce_window_ms,
             min_responding_nodes=self.min_responding_nodes,
-            retry_limit=self.retry_limit,
             ping_timeout_ms=self.ping_timeout_ms,
             ping_retries=self.ping_retries,
         )
@@ -219,7 +219,6 @@ _INT_KEYS = {
     "cycle_ms": "cycle_duration_ms",
     "window_ms": "mapreduce_window_ms",
     "min_responding": "min_responding_nodes",
-    "retry_limit": "retry_limit",
     "ping_timeout_ms": "ping_timeout_ms",
     "ping_retries": "ping_retries",
     "visitors": "visitors",
@@ -349,6 +348,89 @@ def build_workload(config: ScenarioConfig) -> tuple[
 
 
 # ---------------------------------------------------------------------------
+# Cluster wiring and faults, shared by both backends.
+# ---------------------------------------------------------------------------
+
+
+def build_nodes(config: ScenarioConfig, store: JournalStore,
+                network: SimulatedNetwork | UdpNetwork, *,
+                address: str, event_sink: Callable[[str], None],
+                ingest_listener: Callable[
+                    [int, list[tuple[int, SensorReading]]], None]
+                ) -> tuple[dict[int, Node], dict[int, ListReadingSource],
+                           Optional[simgen.GenerationLedger]]:
+    """Build the scenario's nodes on ``network``, with their workload.
+
+    Each node binds ``address`` formatted with its ``node_id`` and is
+    pre-registered at t=0, so the first slot already sees the full
+    membership.  Returns the nodes, their reading sources and the
+    generation ledger.
+    """
+    cycle_config = config.cycle_config()
+    routed, ledger = build_workload(config)
+    nodes: dict[int, Node] = {}
+    sources: dict[int, ListReadingSource] = {}
+    for node_id in config.node_ids():
+        endpoint = network.open(address.format(node_id=node_id))
+        source = ListReadingSource(routed[node_id])
+        node = Node(
+            node_id, cycle_config, endpoint, store, source,
+            rng=random.Random((config.seed << 16) ^ node_id),
+            override=config.override_leader,
+            event_sink=event_sink,
+            max_entries_per_part=config.entries_per_part,
+            modes=config.count_modes(),
+        )
+        node.ingest_listener = ingest_listener
+        nodes[node_id] = node
+        sources[node_id] = source
+        election.register_node(store, node_id, endpoint.address, 0,
+                               cycle_config.liveness_window_ms)
+    return nodes, sources, ledger
+
+
+def _current_leader(nodes: dict[int, Node], store: JournalStore,
+                    now: float) -> Optional[int]:
+    """The registry's live leader, else the highest live node id."""
+    leader = store.snapshot_nodes(int(now)).leader_record()
+    if (leader is not None and leader.node_id in nodes
+            and not nodes[leader.node_id].killed):
+        return leader.node_id
+    live = [node_id for node_id, node in nodes.items() if not node.killed]
+    return max(live) if live else None
+
+
+def apply_fault(fault: FaultSpec, now: float, nodes: dict[int, Node],
+                store: JournalStore, network: SimulatedNetwork | UdpNetwork,
+                log: Callable[[str], None]) -> Optional[int]:
+    """Apply one fault at ``now``; the id of the node it killed, if any.
+
+    Killing a node that is already dead does nothing.  A partition
+    needs a SimulatedNetwork; the UDP backend refuses it up front.
+    """
+    target = None
+    if fault.kind == "kill_leader":
+        target = _current_leader(nodes, store, now)
+    elif fault.kind == "kill_node":
+        target = fault.node_id
+    elif fault.kind == "set_loss":
+        network.set_loss_rate(fault.rate)
+        log(f"t={now:.3f} node=0 set_loss rate={fault.rate}")
+    elif fault.kind == "partition":
+        addresses = frozenset(nodes[n].endpoint.address
+                              for n in fault.nodes if n in nodes)
+        network.add_partition(addresses, now, now + fault.duration_ms)
+        ids = ",".join(str(n) for n in sorted(fault.nodes))
+        log(f"t={now:.3f} node=0 partition nodes={ids} "
+            f"until={now + fault.duration_ms:.3f}")
+    if target not in nodes or nodes[target].killed:
+        return None
+    nodes[target].kill()
+    log(f"t={now:.3f} node={target} killed")
+    return target
+
+
+# ---------------------------------------------------------------------------
 # Simulated cluster driver.
 # ---------------------------------------------------------------------------
 
@@ -380,42 +462,23 @@ class SimCluster:
         self.clock = VirtualClock()
         self.network = SimulatedNetwork(config.net_config(), self.clock)
         self.events: list[str] = out_events if out_events is not None else []
-        self.nodes: dict[int, Node] = {}
-        self.sources: dict[int, ListReadingSource] = {}
-        self.ingested: dict[int, list[tuple[int, SensorReading]]] = {}
+        self.ingested: dict[int, list[tuple[int, SensorReading]]] = {
+            node_id: [] for node_id in config.node_ids()
+        }
         self._faults = sorted(config.faults, key=lambda f: f.at_ms)
         self._fault_cursor = 0
         self._last_progress_ms = 0.0
         self._timer_heap: list[tuple[float, int]] = []
         self._deadlines: dict[int, Optional[float]] = {}
-
-        cycle_config = config.cycle_config()
-        routed, self.ledger = build_workload(config)
-        for node_id in config.node_ids():
-            address = f"node{node_id}:7000"
-            endpoint = self.network.open(address)
-            source = ListReadingSource(routed[node_id])
-            node = Node(
-                node_id, cycle_config, endpoint, store, source,
-                rng=random.Random((config.seed << 16) ^ node_id),
-                override=config.override_leader,
-                event_sink=self._sink,
-                max_entries_per_part=config.entries_per_part,
-                modes=config.count_modes(),
-            )
-            node.ingest_listener = self._on_ingest
-            endpoint.set_handler(
+        self.nodes, self.sources, self.ledger = build_nodes(
+            config, store, self.network, address="node{node_id}:7000",
+            event_sink=self._sink, ingest_listener=self._on_ingest)
+        for node in self.nodes.values():
+            node.endpoint.set_handler(
                 lambda message, src, bound=node: self._deliver(
                     bound, message, src
                 )
             )
-            self.nodes[node_id] = node
-            self.sources[node_id] = source
-            self.ingested[node_id] = []
-            # Pre-provision the registry so the first slot already
-            # sees the full membership.
-            election.register_node(store, node_id, address, 0,
-                                   cycle_config.liveness_window_ms)
 
     def _sink(self, line: str) -> None:
         self.events.append(line)
@@ -483,8 +546,12 @@ class SimCluster:
                 )
             if kind == 0:
                 self.clock.advance_to(at)
-                self._apply_fault(self._faults[self._fault_cursor])
+                fault = self._faults[self._fault_cursor]
                 self._fault_cursor += 1
+                killed = apply_fault(fault, self.clock.now_ms(), self.nodes,
+                                     self.store, self.network, self._sink)
+                if killed is not None:
+                    self._refresh(killed)
             elif kind == 1:
                 self.network.dispatch_next()
             else:
@@ -493,58 +560,6 @@ class SimCluster:
                 self._refresh(node_id)
         if until_ms > self.clock.now_ms():
             self.clock.advance_to(until_ms)
-
-    # -- fault application ------------------------------------------------
-
-    def _live_ids(self) -> list[int]:
-        return sorted(
-            node_id for node_id, node in self.nodes.items()
-            if not node.killed
-        )
-
-    def _apply_fault(self, fault: FaultSpec) -> None:
-        now = self.clock.now_ms()
-        if fault.kind == "kill_leader":
-            target = self._current_leader()
-            if target is not None:
-                self._kill(target, now)
-        elif fault.kind == "kill_node":
-            if fault.node_id in self.nodes:
-                self._kill(fault.node_id, now)
-        elif fault.kind == "set_loss":
-            self.network.set_loss_rate(fault.rate)
-            self.events.append(
-                f"t={now:.3f} node=0 set_loss rate={fault.rate}"
-            )
-        elif fault.kind == "partition":
-            addresses = frozenset(
-                self.nodes[n].endpoint.address
-                for n in fault.nodes if n in self.nodes
-            )
-            self.network.add_partition(addresses, now,
-                                       now + fault.duration_ms)
-            ids = ",".join(str(n) for n in sorted(fault.nodes))
-            self.events.append(
-                f"t={now:.3f} node=0 partition nodes={ids} "
-                f"until={now + fault.duration_ms:.3f}"
-            )
-
-    def _current_leader(self) -> Optional[int]:
-        snapshot = self.store.snapshot_nodes(int(self.clock.now_ms()))
-        leader = snapshot.leader_record()
-        if leader is not None and leader.node_id in self.nodes:
-            if not self.nodes[leader.node_id].killed:
-                return leader.node_id
-        live = self._live_ids()
-        return max(live) if live else None
-
-    def _kill(self, node_id: int, now: float) -> None:
-        node = self.nodes[node_id]
-        if node.killed:
-            return
-        node.kill()
-        self._refresh(node_id)
-        self.events.append(f"t={now:.3f} node={node_id} killed")
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +801,7 @@ def run_scenario(config: ScenarioConfig, store_path: str) -> ScenarioReport:
     return _run_udp(config, store_path)
 
 
-def _final_leader(store: JournalStore, nodes: dict[int, Node]
-                  ) -> Optional[int]:
+def _final_leader(store: JournalStore) -> Optional[int]:
     snapshot = store.snapshot_nodes()
     leader = snapshot.leader_record()
     if leader is not None:
@@ -808,7 +822,7 @@ def _build_report(config: ScenarioConfig, store: JournalStore,
         visitor_totals=store.totals("visitor"),
         room_totals=store.totals("room"),
         committed_cycles=store.committed_cycles(),
-        leader_id=_final_leader(store, nodes),
+        leader_id=_final_leader(store),
         commits=sum(node.commits for node in nodes.values()),
         aborts=sum(node.aborts for node in nodes.values()),
         reconciliation=_reconcile(config, store, nodes, sources, ingested),
@@ -838,85 +852,40 @@ def _run_udp(config: ScenarioConfig, store_path: str) -> ScenarioReport:
     clock = WallClock()
     network = UdpNetwork(config.net_config())
     events: list[str] = []
-    events_lock = threading.Lock()
-
-    def sink(line: str) -> None:
-        with events_lock:
-            events.append(line)
-
-    routed, ledger = build_workload(config)
-    cycle_config = config.cycle_config()
-    nodes: dict[int, Node] = {}
-    sources: dict[int, ListReadingSource] = {}
     ingested: dict[int, list[tuple[int, SensorReading]]] = {
         node_id: [] for node_id in config.node_ids()
     }
+    lock = threading.Lock()
+
+    def sink(line: str) -> None:
+        with lock:
+            events.append(line)
 
     def on_ingest(node_id: int,
                   added: list[tuple[int, SensorReading]]) -> None:
-        with events_lock:
+        with lock:
             ingested[node_id].extend(added)
 
-    for node_id in config.node_ids():
-        endpoint = network.open()
-        source = ListReadingSource(routed[node_id])
-        node = Node(
-            node_id, cycle_config, endpoint, store, source,
-            rng=random.Random((config.seed << 16) ^ node_id),
-            override=config.override_leader,
-            event_sink=sink,
-            max_entries_per_part=config.entries_per_part,
-            modes=config.count_modes(),
-        )
-        node.ingest_listener = on_ingest
-        nodes[node_id] = node
-        sources[node_id] = source
-        election.register_node(store, node_id, endpoint.address, 0,
-                               cycle_config.liveness_window_ms)
-
+    nodes, sources, ledger = build_nodes(
+        config, store, network, address="127.0.0.1:0", event_sink=sink,
+        ingest_listener=on_ingest)
     stop = threading.Event()
     threads = [
-        threading.Thread(
-            target=drive_node,
-            args=(nodes[node_id],),
-            kwargs={"clock": clock, "stop": stop},
-            daemon=True,
-        )
-        for node_id in config.node_ids()
+        threading.Thread(target=drive_node, args=(node,),
+                         kwargs={"clock": clock, "stop": stop}, daemon=True)
+        for node in nodes.values()
     ]
 
-    def apply_fault(fault: FaultSpec) -> None:
-        now = clock.now_ms()
-        if fault.kind == "kill_leader":
-            snapshot = store.snapshot_nodes(int(now))
-            leader = snapshot.leader_record()
-            live = [n for n in nodes.values() if not n.killed]
-            target = None
-            if leader is not None and leader.node_id in nodes:
-                if not nodes[leader.node_id].killed:
-                    target = leader.node_id
-            if target is None and live:
-                target = max(n.node_id for n in live)
-            if target is not None:
-                nodes[target].kill()
-                sink(f"t={now:.3f} node={target} killed")
-        elif fault.kind == "kill_node" and fault.node_id in nodes:
-            nodes[fault.node_id].kill()
-            sink(f"t={now:.3f} node={fault.node_id} killed")
-        elif fault.kind == "set_loss":
-            network.set_loss_rate(fault.rate)
-            sink(f"t={now:.3f} node=0 set_loss rate={fault.rate}")
+    def fire(fault: FaultSpec) -> None:
+        apply_fault(fault, clock.now_ms(), nodes, store, network, sink)
 
-    timers = [
-        threading.Timer(fault.at_ms / 1000.0, apply_fault, args=(fault,))
-        for fault in config.faults
-    ]
+    timers = [threading.Timer(fault.at_ms / 1000.0, fire, args=(fault,))
+              for fault in config.faults]
     for thread in threads:
         thread.start()
     for timer in timers:
         timer.start()
-    end_event = threading.Event()
-    end_event.wait(config.cycles * config.cycle_duration_ms / 1000.0)
+    stop.wait(config.cycles * config.cycle_duration_ms / 1000.0)
     stop.set()
     for timer in timers:
         timer.cancel()

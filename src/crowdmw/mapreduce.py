@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -248,10 +249,15 @@ class Segment:
         return cls(assignee, pairs, segment_index, checksum_pairs(pairs))
 
 
+# A canonical room key: two spellings of one room would merge into one
+# room number and break the room sum.
+_ROOM_KEY = re.compile(r"Room[1-9][0-9]*")
+
+
 def _valid_key_for_mode(key: str, mode: CountMode) -> bool:
     if mode is CountMode.VISITOR:
         return key in TAG_KEYS
-    return key.startswith("Room")
+    return _ROOM_KEY.fullmatch(key) is not None
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,8 @@ from crowdmw.mapreduce import (
     reduce_segment,
     room_counts,
     serialize_pairs,
+    # Unused here; bound for the benchmark's tracer, which wraps it by
+    # this module's name.
     sort_pairs,
 )
 from crowdmw.simgen import dedupe_readings
@@ -80,11 +82,7 @@ class CycleAborted(MiddlewareError):
 
 
 class IntegrityFailure(MiddlewareError):
-    """Checksum or pair-count conservation failed after retries."""
-
-
-class LeaderUnknown(MiddlewareError):
-    """No confirmed leader to submit to."""
+    """The partials' pair counts do not cover the dispatched segments."""
 
 
 @dataclass
@@ -94,7 +92,6 @@ class CycleConfig:
     cycle_duration_ms: int = 2000
     mapreduce_window_ms: int = 500
     min_responding_nodes: int = 2
-    retry_limit: int = 3
     ping_timeout_ms: int = 250
     ping_retries: int = 2
 
@@ -107,8 +104,6 @@ class CycleConfig:
             )
         if self.min_responding_nodes < 2:
             raise ValueError("min_responding_nodes must be >= 2")
-        if self.retry_limit < 0:
-            raise ValueError("retry_limit must be >= 0")
         if self.ping_timeout_ms < 1 or self.ping_retries < 1:
             raise ValueError("ping timeout and retries must be >= 1")
 
@@ -534,63 +529,33 @@ def _reduce_both(segment: Segment) -> tuple[PartialResult, PartialResult]:
     return visitor, room
 
 
-def leader_cycle(submissions: Sequence[tuple[NodeId, Sequence[KeyValuePair]]],
-                 *, cycle_id: int = 0, min_responding: int = 2,
-                 modes: Sequence[CountMode] = (CountMode.VISITOR,
-                                               CountMode.ROOM),
-                 retry_limit: int = 3) -> CycleResult:
-    """Run one full cycle pipeline over collected submissions.
+def reduce_check_merge(cycle_id: int, segments: Sequence[Segment],
+                       remote: Mapping[int, tuple[PartialResult,
+                                                  PartialResult]],
+                       modes: Sequence[CountMode]) -> CycleResult:
+    """Reduce, check and merge one cycle's segments.
 
-    ``submissions`` holds one (origin, visitor pairs) entry per
-    responding node; a node that sent no data still counts as
-    responding with an empty list.  Raises CycleAborted when fewer than
-    ``min_responding`` distinct nodes responded and IntegrityFailure
-    when conservation cannot be established within the retry budget.
+    A segment takes the (visitor, room) partials stored for its index
+    in ``remote``; any other segment is reduced here.  Raises
+    IntegrityFailure when the partials' pair counts do not cover the
+    segments.
     """
-    origins = {origin for origin, _ in submissions}
-    if len(origins) < min_responding:
-        raise CycleAborted(
-            f"{len(origins)} responding nodes, need {min_responding}"
-        )
-    consolidated = sort_pairs(
-        pair for _, pairs in submissions for pair in pairs
-    )
-    segments = partition(consolidated, origins)
-    visitor_partials = []
-    room_partials = []
-    for attempt in range(max(1, retry_limit)):
-        visitor_partials = []
-        room_partials = []
-        for segment in segments:
-            visitor, room = _reduce_both(segment)
-            visitor_partials.append(visitor)
-            room_partials.append(room)
-        if integrity_check(segments, visitor_partials):
-            break
-    else:
+    partials = [remote[s.segment_index] if s.segment_index in remote
+                else _reduce_both(s) for s in segments]
+    visitor_partials = [visitor for visitor, _ in partials]
+    if not integrity_check(segments, visitor_partials):
         raise IntegrityFailure("pair-count conservation failed")
-    return _merge_cycle(cycle_id, len(consolidated), visitor_partials,
-                        room_partials, modes)
-
-
-def _merge_cycle(cycle_id: int, total_readings: int,
-                 visitor_partials: Sequence[PartialResult],
-                 room_partials: Sequence[PartialResult],
-                 modes: Sequence[CountMode]) -> CycleResult:
     visitor_aggregates: dict[TagCategory, int] = {}
     room_aggregates: dict[int, int] = {}
     if CountMode.VISITOR in modes:
-        merged, count = merge_partials(visitor_partials, CountMode.VISITOR)
-        if count != total_readings:
-            raise IntegrityFailure("visitor merge lost pairs")
+        merged, _ = merge_partials(visitor_partials, CountMode.VISITOR)
         visitor_aggregates = {
             tag: merged[tag.value]
             for tag in TagCategory if tag.value in merged
         }
     if CountMode.ROOM in modes:
-        merged, count = merge_partials(room_partials, CountMode.ROOM)
-        if count != total_readings:
-            raise IntegrityFailure("room merge lost pairs")
+        merged, _ = merge_partials([room for _, room in partials],
+                                   CountMode.ROOM)
         room_aggregates = {
             int(key.removeprefix("Room")): value
             for key, value in merged.items()
@@ -598,7 +563,34 @@ def _merge_cycle(cycle_id: int, total_readings: int,
     return CycleResult(cycle_id=cycle_id,
                        visitor_aggregates=visitor_aggregates,
                        room_aggregates=room_aggregates,
-                       total_readings=total_readings)
+                       total_readings=sum(len(s.pairs) for s in segments))
+
+
+def leader_cycle(submissions: Sequence[tuple[NodeId, Sequence[KeyValuePair]]],
+                 *, cycle_id: int = 0, min_responding: int = 2,
+                 modes: Sequence[CountMode] = (CountMode.VISITOR,
+                                               CountMode.ROOM)
+                 ) -> CycleResult:
+    """Run one full cycle pipeline over collected submissions.
+
+    ``submissions`` holds one (origin, visitor pairs) entry per
+    responding node; a node that sent no data still counts as
+    responding with an empty list.  The pairs go through the live
+    leader's own steps: each is a one-entry run for ``consolidate_runs``
+    (with no watermarks), then ``partition`` and ``reduce_check_merge``
+    with every segment reduced here.  Raises CycleAborted when fewer
+    than ``min_responding`` distinct nodes responded.
+    """
+    origins = {origin for origin, _ in submissions}
+    if len(origins) < min_responding:
+        raise CycleAborted(
+            f"{len(origins)} responding nodes, need {min_responding}"
+        )
+    consolidated, _ = consolidate_runs(
+        ((origin, [(pair, [0]) for pair in pairs])
+         for origin, pairs in submissions), {})
+    return reduce_check_merge(cycle_id, partition(consolidated, origins),
+                              {}, modes)
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +694,9 @@ class Node:
         self._origin_addresses: dict[NodeId, str] = {}
         self._expected_origins: set[NodeId] = set()
         self._segments: list[Segment] = []
-        self._consolidated_count = 0
+        # Address each remote segment was dispatched to, by index: a
+        # partial counts only from its assignee's.
+        self._assignee_addresses: dict[int, str] = {}
         self._remote_partials: dict[
             int, tuple[PartialResult, PartialResult]] = {}
         self._new_acks: dict[NodeId, int] = {}
@@ -849,7 +843,7 @@ class Node:
         self._submissions = {}
         self._expected_origins = set()
         self._segments = []
-        self._consolidated_count = 0
+        self._assignee_addresses = {}
         self._remote_partials = {}
         self._new_acks = {}
         self._assignments = {}
@@ -988,15 +982,10 @@ class Node:
             self._maybe_consolidate_early(now)
         elif self._leader_address is not None:
             self._transition(now, NodePhase.SUBMITTING)
-            try:
-                self._submit(now)
-            except LeaderUnknown:
-                return
+            self._submit(now)
             self._transition(now, NodePhase.AWAITING_SEGMENT)
 
     def _submit(self, now: float) -> None:
-        if self._leader_address is None:
-            raise LeaderUnknown("no confirmed leader this slot")
         parts = build_submission_parts(
             self.node_id, self.cycle_id, self.buffer.entries(),
             self.max_entries_per_part,
@@ -1068,8 +1057,8 @@ class Node:
             ((origin, self._submissions[origin].runs())
              for origin in responding),
             self._watermarks)
-        self._consolidated_count = len(consolidated)
         self._segments = partition(consolidated, responding)
+        self._assignee_addresses = {}
         self._remote_partials = {}
         self._transition(now, NodePhase.DISPATCHING)
         snapshot, live = self._live_snapshot(now)
@@ -1079,6 +1068,7 @@ class Node:
             address = self._address_of(segment.assignee, live)
             if address is None:
                 continue
+            self._assignee_addresses[segment.segment_index] = address
             for message in build_assignment_parts(self.node_id,
                                                   self.cycle_id, segment):
                 self._send(now, address, message)
@@ -1086,7 +1076,8 @@ class Node:
         self._arm("reduce", now + self.config.reduce_window_ms)
         self._maybe_finish_early(now)
 
-    def _on_reduce_result(self, message: Message, now: float) -> None:
+    def _on_reduce_result(self, message: Message, source: str,
+                          now: float) -> None:
         if not self._is_leader or message.cycle_id != self.cycle_id:
             return
         if self.phase is not NodePhase.MERGING:
@@ -1102,10 +1093,14 @@ class Node:
                            f"segment={index}")
             return
         try:
-            # Room mode counts one per pair, so an honest partial's room
-            # counts add up to its pair count.
-            if sum(parsed["room"].values()) != parsed["count"]:
-                raise ValueError("room counts do not add up")
+            # Only the segment's assignee answers, from the address it
+            # was dispatched to, and an honest partial counts every pair
+            # of its segment; room mode counts one per pair, so its room
+            # counts add up to the same count.
+            if not (self._assignee_addresses.get(index) == source
+                    and parsed["count"] == len(matching[0].pairs)
+                    == sum(parsed["room"].values())):
+                raise ValueError("not the segment's partial")
             partials = tuple(
                 PartialResult(assignee=matching[0].assignee, mode=mode,
                               aggregates=parsed[mode.value],
@@ -1118,53 +1113,26 @@ class Node:
         self._remote_partials[index] = partials
         self._maybe_finish_early(now)
 
+    def _missing_partials(self) -> list[int]:
+        """Indices of the remote segments with no partial stored yet."""
+        return [s.segment_index for s in self._segments
+                if s.assignee != self.node_id
+                and s.segment_index not in self._remote_partials]
+
     def _maybe_finish_early(self, now: float) -> None:
-        needed = {
-            s.segment_index for s in self._segments
-            if s.assignee != self.node_id
-        }
-        if needed <= set(self._remote_partials):
+        if not self._missing_partials():
             self._disarm("reduce")
             self._finish_cycle(now)
 
     def _finish_cycle(self, now: float) -> None:
         if self.phase is not NodePhase.MERGING:
             return
-        visitor_partials: list[PartialResult] = []
-        room_partials: list[PartialResult] = []
-        fallbacks = 0
-        for segment in self._segments:
-            remote = self._remote_partials.get(segment.segment_index)
-            if segment.assignee != self.node_id and remote is not None:
-                visitor, room = remote
-            else:
-                # Local reduction fallback for own or missing segments.
-                if segment.assignee != self.node_id:
-                    fallbacks += 1
-                    self._log(now, "fallback_reduce "
-                                   f"segment={segment.segment_index}")
-                visitor, room = _reduce_both(segment)
-            visitor_partials.append(visitor)
-            room_partials.append(room)
-        for attempt in range(max(1, self.config.retry_limit)):
-            if integrity_check(self._segments, visitor_partials):
-                break
-            # A remote partial claimed a count that does not conserve
-            # pairs: recompute everything locally and re-check.
-            self._log(now, f"integrity_retry attempt={attempt + 1}")
-            visitor_partials = []
-            room_partials = []
-            for segment in self._segments:
-                visitor, room = _reduce_both(segment)
-                visitor_partials.append(visitor)
-                room_partials.append(room)
-        else:
-            self._abort_cycle(now, "integrity")
-            return
+        missing = self._missing_partials()
+        for index in missing:
+            self._log(now, f"fallback_reduce segment={index}")
         try:
-            result = _merge_cycle(self.cycle_id, self._consolidated_count,
-                                  visitor_partials, room_partials,
-                                  self.modes)
+            result = reduce_check_merge(self.cycle_id, self._segments,
+                                        self._remote_partials, self.modes)
         except IntegrityFailure:
             self._abort_cycle(now, "integrity")
             return
@@ -1184,7 +1152,7 @@ class Node:
         self._log(
             now,
             f"commit cycle={self.cycle_id} rows={len(rows)} "
-            f"total={result.total_readings} fallbacks={fallbacks}",
+            f"total={result.total_readings} fallbacks={len(missing)}",
         )
         own_ack = self._new_acks.get(self.node_id)
         if own_ack is not None:
@@ -1321,7 +1289,7 @@ class Node:
         elif kind is MessageKind.SEGMENT_ASSIGN:
             self._on_segment_assign(message, now)
         elif kind is MessageKind.REDUCE_RESULT:
-            self._on_reduce_result(message, now)
+            self._on_reduce_result(message, source, now)
         elif kind is MessageKind.CYCLE_SUCCESS:
             self._on_cycle_success(message, now)
         elif kind is MessageKind.CYCLE_ABORT:

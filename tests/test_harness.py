@@ -141,6 +141,7 @@ def test_parse_scenario_defaults():
     "cycles = 0",
     "window_ms = 5000",
     "loss_rate = 2.0",
+    "retry_limit = 3",
 ])
 def test_parse_scenario_rejects(text):
     with pytest.raises(ConfigError):
@@ -370,6 +371,19 @@ def test_udp_backend_smoke(tmp_path):
     assert report.visitor_totals == TABLE_VISITOR
     assert report.room_totals == TABLE_ROOM
     assert report.reconciliation.conserves()
+
+
+def test_udp_backend_kills_a_node_once(tmp_path):
+    # The second kill_node finds node 1 dead already: no second line.
+    config = ScenarioConfig(
+        fixture="table1", seed=1, backend=TransportMode.UDP,
+        cycle_duration_ms=800, mapreduce_window_ms=300,
+        faults=(parse_fault("kill_node@100:1"),
+                parse_fault("kill_node@300:1")))
+    report = run_scenario(config, str(tmp_path / "store.journal"))
+    killed = [line for line in report.events if line.endswith(" killed")]
+    assert len(killed) == 1 and " node=1 killed" in killed[0]
+    assert report.nodes[1].killed
 
 
 def test_udp_backend_rejects_partitions(tmp_path):

@@ -156,6 +156,9 @@ LYING = {
     MessageKind.SEGMENT_ASSIGN: _fixed(st.builds(
         _assignment, SMALL, st.none(), st.just("0/1"),
         _pairs(KEY, SMALL, min_size=1))),
+    # A leader takes a partial only from its segment's assignee, so
+    # this one comes from node 1's address, the assignee of segment 0
+    # (see SOURCES).
     MessageKind.REDUCE_RESULT: st.builds(
         _partial, st.none(), st.none() | SMALL, _aggregates(TAG, SMALL),
         _aggregates(ROOM, SMALL)),
@@ -178,7 +181,8 @@ MALFORMED = {
         st.builds(lambda o, s: f"{o}:{s}", NUMBER, NUMBER)))),
     MessageKind.CYCLE_ABORT: _fixed(_fields(reason=st.text(max_size=8))),
 }
-SOURCES = {MessageKind.DATA_SUBMIT: "node2:7000"}
+SOURCES = {MessageKind.DATA_SUBMIT: "node2:7000",
+           MessageKind.REDUCE_RESULT: "node1:7000"}
 RAW = _fixed(st.binary(max_size=60).map(lambda b: b.decode("latin-1")))
 
 # Node 1 dies after it got its segment and before it replies, so a

@@ -5,9 +5,11 @@ from a hand count (visitor man=10, woman=21, other=12; room counts
 2/5/5/4) so the pipeline cannot drift without a test noticing.
 """
 
+import dataclasses
+
 import pytest
 
-from crowdmw.domain import CountMode, MiddlewareError, SensorReading, TagCategory
+from crowdmw.domain import CountMode, SensorReading, TagCategory
 from crowdmw.mapreduce import (
     KeyValuePair,
     PartialResult,
@@ -31,6 +33,7 @@ from crowdmw.runtime import (
     _SubmissionParts,
     _parse_entries,
     _parse_fields,
+    _reduce_both,
     build_assignment_parts,
     build_reduce_result,
     build_submission_parts,
@@ -39,6 +42,7 @@ from crowdmw.runtime import (
     leader_cycle,
     parse_reduce_result,
     parse_success_acks,
+    reduce_check_merge,
 )
 from crowdmw.simgen import VisitorModel, dedupe_readings, generate_stream, replay_fixture
 from crowdmw.transport import (MAX_PAYLOAD, Message, MessageKind,
@@ -78,7 +82,6 @@ def test_config_derived_windows():
     dict(mapreduce_window_ms=2000),
     dict(cycle_duration_ms=400, mapreduce_window_ms=500),
     dict(min_responding_nodes=1),
-    dict(retry_limit=-1),
     dict(ping_timeout_ms=0),
     dict(ping_retries=0),
 ])
@@ -457,13 +460,22 @@ def test_driven_nodes_respect_phase_edges(tmp_path):
     assert NodePhase.AWAITING_SEGMENT in observed
 
 
-def test_leader_cycle_integrity_failure_message():
-    # The retry loop recomputes from the same segments, so honest local
-    # reduction can never fail it; the guard exists for the networked
-    # path where remote partials may disagree.  Exercise the error type
-    # directly to pin its contract.
-    with pytest.raises(MiddlewareError):
-        raise IntegrityFailure("pair-count conservation failed")
+def test_reduce_check_merge_refuses_unconserved_partials():
+    # The step the live leader and leader_cycle share: a stored partial
+    # replaces the local reduction of its segment, and one that claims
+    # a pair more than its segment holds fails the conservation check.
+    segments, _ = _segments_and_partials()
+    modes = (CountMode.VISITOR, CountMode.ROOM)
+    local = reduce_check_merge(7, segments, {}, modes)
+    assert local.cycle_id == 7 and local.total_readings == 16
+    visitor, room = _reduce_both(segments[0])
+    assert reduce_check_merge(7, segments, {0: (visitor, room)},
+                              modes) == local
+    lying = tuple(dataclasses.replace(
+        partial, input_pair_count=partial.input_pair_count + 1)
+        for partial in (visitor, room))
+    with pytest.raises(IntegrityFailure):
+        reduce_check_merge(7, segments, {0: lying}, modes)
 
 
 # -- validation survives the pair caches ----------------------------------
@@ -584,6 +596,75 @@ def test_forged_sender_is_refused(tmp_path, sender):
     events = _forged_submission_events(tmp_path, sender=sender,
                                        origin=sender)
     assert f"t=1000.000 node=3 malformed_submit from={sender}" in events
+
+
+def _forged_partial_run(tmp_path, index, source, sender, count, visitor,
+                        room):
+    """Totals and events of a 3-node cycle with one forged partial.
+
+    At t=1700.5 the leader, node 3, waits for the partials of segment
+    0 (node 1's, 30 pairs) and segment 1 (node 2's); segment 2 is its
+    own.  It gets a REDUCE_RESULT from ``source`` for segment ``index``
+    with that segment's checksum and a valid digest; ``count`` and
+    ``room`` may name the segment's pair count, written ``{count}``.
+    """
+    from crowdmw.harness import ScenarioConfig, SimCluster
+    from crowdmw.mapreduce import crc64
+    from crowdmw.store import JournalStore
+
+    store = JournalStore(str(tmp_path / "partial.journal"))
+    try:
+        cluster = SimCluster(
+            ScenarioConfig(nodes=3, cycles=1, seed=5, visitors=30), store)
+        cluster.start()
+        cluster.run(1700.5)
+        leader = cluster.nodes[3]
+        assert leader.phase is NodePhase.MERGING
+        segment = leader._segments[index]
+        assert segment.assignee == index + 1
+        pairs = len(segment.pairs)
+        body = (f"segment={index};count={count.format(count=pairs)};"
+                f"checksum={segment.checksum:016x};visitor={visitor};"
+                f"room={room.format(count=pairs)}")
+        payload = f"{body};digest={crc64(body.encode()):016x}"
+        leader.on_message(
+            Message(kind=MessageKind.REDUCE_RESULT, sender=sender,
+                    cycle_id=0, payload=payload.encode()),
+            source, cluster.clock.now_ms())
+        cluster.run(2000.0)
+        totals = (store.totals("visitor"), store.totals("room"))
+    finally:
+        store.close()
+    return totals, cluster.events
+
+
+HONEST_CYCLE = ({"man": 68, "other": 9, "woman": 141},
+                {"Room1": 23, "Room2": 21, "Room3": 23, "Room4": 21})
+
+
+@pytest.mark.parametrize("index, source, sender, count, visitor, room", [
+    # From an address the segment was not dispatched to, with the
+    # segment's count: kept, it would commit man=1000 and Room1=43.
+    (0, "node9:7000", 9, "{count}", "man:1000", "Room1:{count}"),
+    # From the assignee, one pair more than the segment holds: kept,
+    # it would fail the conservation check after the merge.
+    (0, "node1:7000", 1, "31", "man:31", "Room1:31"),
+    # From the assignee, a room key that is no room number: kept, it
+    # would raise out of the merge.
+    (0, "node1:7000", 1, "{count}", "man:30", "Roomx:{count}"),
+    # For the leader's own segment, which it never dispatched.
+    (2, "node3:7000", 3, "{count}", "man:1000", "Room1:{count}"),
+])
+def test_forged_partial_is_refused_at_ingress(tmp_path, index, source,
+                                              sender, count, visitor, room):
+    totals, events = _forged_partial_run(tmp_path, index, source, sender,
+                                         count, visitor, room)
+    assert f"t=1700.500 node=3 corrupt_partial from={sender}" in events
+    assert not any(" integrity_retry " in line or " fallback_reduce " in line
+                   for line in events)
+    assert ("t=1720.775 node=3 commit cycle=0 rows=10 total=88 fallbacks=0"
+            in events)
+    assert totals == HONEST_CYCLE
 
 
 @pytest.mark.parametrize("pairs", ["Room0=1", "x=1", "man=-1", "man=1,man",
