@@ -79,7 +79,7 @@ def room_key(room: int) -> str:
 
 
 # Valid counting keys: a canonical tag or RoomN (no zero padding).
-_KEY_RE = re.compile(r"^(man|woman|other|Room[1-9][0-9]*)$")
+_KEY_RE = re.compile(r"man|woman|other|Room[1-9][0-9]*")
 
 # Bound of every pair and key cache.  A full cache drops its least
 # recently used entry; whatever is not cached is checked and built
@@ -93,7 +93,7 @@ def _check_key(key: str) -> None:
 
     Only keys that pass are remembered: a raise is never cached.
     """
-    if not _KEY_RE.match(key):
+    if not _KEY_RE.fullmatch(key):
         raise ValueError(f"invalid pair key: {key!r}")
 
 
@@ -115,15 +115,6 @@ class KeyValuePair:
             raise ValueError(f"pair value must be an int, got {self.value!r}")
         if self.value < 0:
             raise ValueError(f"pair value must be >= 0, got {self.value}")
-
-
-def pair_order(a: KeyValuePair, b: KeyValuePair) -> int:
-    """Total order used by every sort stage: -1, 0 or 1."""
-    if (a.key, a.value) < (b.key, b.value):
-        return -1
-    if (a.key, a.value) > (b.key, b.value):
-        return 1
-    return 0
 
 
 @dataclass(frozen=True)

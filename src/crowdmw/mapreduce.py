@@ -217,17 +217,6 @@ def checksum_pairs(pairs: Iterable[KeyValuePair]) -> int:
     return crc64(serialize_pairs(pairs).encode("utf-8"))
 
 
-def verify_pairs_text(text: str, claimed_checksum: int) -> list[KeyValuePair]:
-    """Checksum-then-parse for pair text received off the wire.
-
-    The checksum is computed over the raw text before parsing, so any
-    corrupted byte fails here rather than producing garbage pairs.
-    """
-    if crc64(text.strip().encode("utf-8")) != claimed_checksum:
-        raise ChecksumMismatch("serialized segment does not match checksum")
-    return parse_pairs(text)
-
-
 # ---------------------------------------------------------------------------
 # Pipeline value types.
 # ---------------------------------------------------------------------------

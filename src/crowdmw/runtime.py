@@ -183,7 +183,10 @@ class ClientBuffer:
 
     Each pending visitor pair, as (key, value), keeps its ascending
     sequences, filled once at ingest; the readings themselves are not
-    kept, since only their pairs are ever submitted.
+    kept, since only their pairs are ever submitted.  ``runs()`` is
+    what a node submits, in canonical pair order.  Double reads (same
+    tag, room and timestamp) collapse within one ingest batch, never
+    across batches.
     """
 
     def __init__(self) -> None:
@@ -197,14 +200,49 @@ class ClientBuffer:
 
     def ingest(self, readings: Iterable[SensorReading]
                ) -> list[tuple[int, SensorReading]]:
-        """Append deduplicated readings, assigning dense sequences."""
-        kept = dedupe_readings(readings)
-        start = self.next_seq
-        self.next_seq += len(kept)
-        for seq, key in zip(range(start, self.next_seq),
-                            map(_VISITOR_KEY, kept)):
-            self._seqs[key].append(seq)
-        return list(zip(range(start, self.next_seq), kept))
+        """Append deduplicated readings, assigning dense sequences.
+
+        A double read shares its original's timestamp, so in a batch in
+        time order, as ``ListReadingSource.take_due`` returns it, a
+        reading is compared only with those kept at its timestamp.
+        From a batch's first reading out of time order on, the rest
+        goes through ``dedupe_readings`` after the readings kept so
+        far: any order keeps what deduplicating the whole batch keeps.
+        """
+        seqs = self._seqs
+        added: list[tuple[int, SensorReading]] = []
+        seq = self.next_seq
+        stamp = -1
+        # Visitor keys kept at timestamp ``stamp``.
+        at_stamp: list[tuple[str, int]] = []
+        readings = iter(readings)
+        for reading in readings:
+            key = _VISITOR_KEY(reading)
+            timestamp = reading.timestamp
+            if timestamp == stamp:
+                if key in at_stamp:
+                    continue
+                at_stamp.append(key)
+            elif timestamp > stamp:
+                stamp = timestamp
+                at_stamp = [key]
+            else:
+                readings = itertools.chain((reading,), readings)
+                break
+            seqs[key].append(seq)
+            added.append((seq, reading))
+            seq += 1
+        else:
+            self.next_seq = seq
+            return added
+        kept = [reading for _, reading in added]
+        for reading in dedupe_readings(
+                itertools.chain(kept, readings))[len(kept):]:
+            seqs[_VISITOR_KEY(reading)].append(seq)
+            added.append((seq, reading))
+            seq += 1
+        self.next_seq = seq
+        return added
 
     def runs(self) -> list[Run]:
         """Pending runs in canonical pair order.
@@ -245,6 +283,14 @@ class ListReadingSource:
         self._cursor = 0
 
     def take_due(self, now_ms: float) -> list[SensorReading]:
+        """Readings due by ``now_ms``, in time order.
+
+        Equal times keep their order in the routed list (the sort is
+        stable).  The harness routes each reading at its timestamp, so
+        a batch is in timestamp order: ``ClientBuffer.ingest`` relies
+        on that to compare a reading only with those at its timestamp
+        (any other order gives the same result, more slowly).
+        """
         start = self._cursor
         self._cursor = bisect.bisect_right(self._timed, now_ms, start,
                                            key=_FIRST)
@@ -331,20 +377,21 @@ def _chunk(text: str, budget: int, max_items: Optional[int]) -> list[str]:
 
 
 def build_submission_parts(origin: NodeId, cycle_id: int,
-                           entries: Sequence[tuple[KeyValuePair, int]],
+                           runs: Iterable[Run],
                            max_entries_per_part: Optional[int] = None
                            ) -> list[Message]:
     """Encode a submission, split so every datagram stays legal.
 
-    Neighbouring entries of one pair form a run, written with one join
-    around its ``key=value@`` prefix.
+    Each run is written with one join around its ``key=value@``
+    prefix; a run without sequences writes nothing.
     """
-    runs = []
-    for pair, run in itertools.groupby(entries, _FIRST):
-        prefix = f"{pair.key}={pair.value}@"
-        runs.append(prefix + f",{prefix}".join(map(str, map(_SECOND, run))))
+    texts = []
+    for pair, seqs in runs:
+        if seqs:
+            prefix = f"{pair.key}={pair.value}@"
+            texts.append(prefix + f",{prefix}".join(map(str, seqs)))
     headroom = len(f"origin={origin};part=9999/9999;entries=")
-    chunks = _chunk(",".join(runs), MAX_PAYLOAD - headroom,
+    chunks = _chunk(",".join(texts), MAX_PAYLOAD - headroom,
                     max_entries_per_part)
     messages = []
     for index, chunk in enumerate(chunks):
@@ -987,7 +1034,7 @@ class Node:
 
     def _submit(self, now: float) -> None:
         parts = build_submission_parts(
-            self.node_id, self.cycle_id, self.buffer.entries(),
+            self.node_id, self.cycle_id, self.buffer.runs(),
             self.max_entries_per_part,
         )
         for message in parts:

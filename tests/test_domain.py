@@ -7,7 +7,7 @@ from crowdmw.domain import (
     SensorReading,
     TagCategory,
     UnknownTag,
-    pair_order,
+    _check_key,
     parse_tag,
     room_key,
     validate_room,
@@ -58,15 +58,14 @@ def test_pair_rejects_bad_keys_and_values():
         KeyValuePair("man", True)
 
 
-def test_pair_order_matches_tuple_comparison():
-    a = KeyValuePair("man", 2)
-    b = KeyValuePair("man", 3)
-    c = KeyValuePair("woman", 1)
-    assert pair_order(a, b) == -1
-    assert pair_order(b, a) == 1
-    assert pair_order(a, a) == 0
-    assert pair_order(c, b) == 1
-    assert sorted([c, b, a]) == [a, b, c]
+@pytest.mark.parametrize("key", ["man\n", "Room1\n"])
+def test_pair_rejects_key_with_trailing_newline(key):
+    before = _check_key.cache_info().currsize
+    # Asked twice: a raise is never cached as a pass.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            KeyValuePair(key, 1)
+    assert _check_key.cache_info().currsize == before
 
 
 def test_reading_validation():

@@ -19,7 +19,6 @@ from crowdmw.mapreduce import (
     NoClients,
     PartialResult,
     Segment,
-    checksum_pairs,
     crc64,
     derive_room_segment,
     map_reading,
@@ -30,7 +29,6 @@ from crowdmw.mapreduce import (
     sequential_oracle,
     serialize_pairs,
     sort_pairs,
-    verify_pairs_text,
 )
 
 RAW_STREAM = (
@@ -100,15 +98,6 @@ def test_canonical_parse_round_trips():
     pairs = sort_pairs(stream_pairs())
     assert parse_pairs(serialize_pairs(pairs), canonical=True) == pairs
     assert parse_pairs("", canonical=True) == []
-
-
-def test_verify_pairs_text_flags_corruption():
-    text = serialize_pairs(sort_pairs(stream_pairs()))
-    claimed = checksum_pairs(parse_pairs(text))
-    verify_pairs_text(text, claimed)
-    corrupted = text.replace("man=1", "man=7", 1)
-    with pytest.raises(ChecksumMismatch):
-        verify_pairs_text(corrupted, claimed)
 
 
 # -- crc64 against the byte loop ----------------------------------------

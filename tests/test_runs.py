@@ -8,6 +8,7 @@ input alike (unsorted and repeated sequences, items longer than a
 datagram, text that is not a submission at all).
 """
 
+import dataclasses
 import itertools
 import operator
 import random
@@ -199,7 +200,7 @@ ENTRIES = (
          origin=2)
 @example(entries=[(PAIRS[0], 1), (LONG, 2), (PAIRS[0], 3)], cap=2, origin=2)
 def test_submission_payloads_match_per_entry_build(entries, cap, origin):
-    messages = build_submission_parts(origin, 7, entries, cap)
+    messages = build_submission_parts(origin, 7, as_runs(entries), cap)
     assert [m.payload for m in messages] == \
         old_submission_payloads(origin, entries, cap)
     assert all(m.sender == origin and m.cycle_id == 7 for m in messages)
@@ -314,6 +315,95 @@ def test_buffer_matches_per_reading_buffer(ops):
         assert len(new) == len(old.pending)
         assert (new.next_seq, new.committed_through) == \
             (old.next_seq, old.committed_through)
+
+
+# -- ingest in one pass over a batch -------------------------------------------
+#
+# Batches come in time order, and a double read shares its original's
+# timestamp and follows it; readings of one (tag, room, timestamp) can
+# also sit apart within their timestamp.  Few tags, rooms and times
+# make such repeats common.
+
+TIMESTAMP = operator.attrgetter("timestamp")
+
+
+@st.composite
+def timed_batches(draw, stamps=st.integers(0, 4)):
+    """A batch in time order, some readings read again by the pair."""
+    batch = []
+    for reading in draw(st.lists(
+            st.builds(SensorReading, tag=st.sampled_from(list(TagCategory)),
+                      room=st.integers(1, 3), timestamp=stamps),
+            max_size=20)):
+        batch.append(reading)
+        if draw(st.booleans()):
+            batch.append(dataclasses.replace(reading, reader_id=1))
+    return sorted(batch, key=TIMESTAMP)
+
+
+@st.composite
+def unordered_batches(draw):
+    """A shuffled batch with a later reading before an earlier one."""
+    batch = draw(st.permutations(draw(timed_batches().filter(bool))))
+    late = SensorReading(TagCategory.MAN, 1, max(map(TIMESTAMP, batch)) + 1)
+    batch.insert(draw(st.integers(0, len(batch) - 1)), late)
+    return batch
+
+
+def _ingest_both(batches, as_iterator):
+    """Ingest each batch into both buffers; they must agree throughout."""
+    old, new = OldClientBuffer(), ClientBuffer()
+    for batch in batches:
+        assert new.ingest(iter(batch) if as_iterator else batch) == \
+            old.ingest(batch)
+        assert expand(new.runs()) == new.entries() == old.entries()
+        assert (len(new), new.next_seq) == (len(old.pending), old.next_seq)
+
+
+MAN1 = SensorReading(TagCategory.MAN, 1, 3)
+MAN1_AGAIN = dataclasses.replace(MAN1, reader_id=1)
+WOMAN2 = SensorReading(TagCategory.WOMAN, 2, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches=st.lists(timed_batches() | st.just([]), max_size=4),
+       as_iterator=st.booleans())
+# A double read right after its original, one apart from it at the same
+# timestamp, and an empty batch between.
+@example(batches=[[MAN1, MAN1_AGAIN, WOMAN2,
+                   SensorReading(TagCategory.MAN, 1, 4)],
+                  [], [MAN1, WOMAN2, MAN1_AGAIN]],
+         as_iterator=False)
+def test_ingest_matches_per_reading_buffer_in_time_order(batches,
+                                                         as_iterator):
+    _ingest_both(batches, as_iterator)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=timed_batches(stamps=st.just(7)), as_iterator=st.booleans())
+def test_ingest_matches_on_one_shared_timestamp(batch, as_iterator):
+    _ingest_both([batch], as_iterator)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches=st.lists(unordered_batches() | timed_batches(), max_size=4),
+       as_iterator=st.booleans())
+# Out of order at the third reading, which repeats the first: it is
+# compared with the readings kept before it, not only those after.
+@example(batches=[[MAN1, SensorReading(TagCategory.MAN, 1, 5), MAN1_AGAIN,
+                   WOMAN2, WOMAN2]],
+         as_iterator=True)
+def test_ingest_matches_per_reading_buffer_out_of_order(batches,
+                                                        as_iterator):
+    _ingest_both(batches, as_iterator)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=timed_batches(), cut=st.integers(0, 40))
+@example(batch=[MAN1, MAN1_AGAIN], cut=1)
+def test_ingest_keeps_a_double_read_split_across_batches(batch, cut):
+    """Dedupe is per batch: a repeat in the next batch is kept."""
+    _ingest_both([batch[:cut], batch[cut:]], as_iterator=False)
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,6 +6,8 @@ from a hand count (visitor man=10, woman=21, other=12; room counts
 """
 
 import dataclasses
+import itertools
+import operator
 
 import pytest
 
@@ -14,12 +16,13 @@ from crowdmw.mapreduce import (
     KeyValuePair,
     PartialResult,
     Segment,
+    crc64,
     map_reading,
+    parse_pairs,
     partition,
     reduce_segment,
     sequential_oracle,
     sort_pairs,
-    verify_pairs_text,
 )
 from crowdmw.runtime import (
     ClientBuffer,
@@ -165,6 +168,13 @@ def _expand(runs):
     return [(pair, seq) for pair, seqs in runs for seq in seqs]
 
 
+def _as_runs(entries):
+    """Neighbouring entries of one pair as one run of sequences."""
+    return [(pair, [seq for _, seq in group])
+            for pair, group in itertools.groupby(entries,
+                                                 operator.itemgetter(0))]
+
+
 def _reassemble_submission(messages):
     holder = None
     for message in messages:
@@ -180,7 +190,7 @@ def _reassemble_submission(messages):
 
 def test_submission_roundtrip_single_part():
     entries = _entries(5)
-    messages = build_submission_parts(7, 3, entries)
+    messages = build_submission_parts(7, 3, _as_runs(entries))
     assert len(messages) == 1
     assert messages[0].kind is MessageKind.DATA_SUBMIT
     assert messages[0].sender == 7
@@ -191,14 +201,15 @@ def test_submission_roundtrip_single_part():
 
 def test_submission_split_by_entry_cap():
     entries = _entries(6)
-    messages = build_submission_parts(2, 0, entries, max_entries_per_part=1)
+    messages = build_submission_parts(2, 0, _as_runs(entries),
+                                      max_entries_per_part=1)
     assert len(messages) == 6
     assert _reassemble_submission(messages) == entries
 
 
 def test_submission_split_by_byte_budget():
     entries = _entries(3_000)
-    messages = build_submission_parts(4, 1, entries)
+    messages = build_submission_parts(4, 1, _as_runs(entries))
     assert len(messages) > 1
     for message in messages:
         assert len(message.payload) <= MAX_PAYLOAD
@@ -211,6 +222,14 @@ def test_submission_empty_buffer_still_sends_one_part():
     messages = build_submission_parts(1, 0, [])
     assert len(messages) == 1
     assert _reassemble_submission(messages) == []
+
+
+def test_submission_writes_nothing_for_an_empty_run():
+    man, woman = KeyValuePair("man", 1), KeyValuePair("woman", 2)
+    messages = build_submission_parts(1, 0, [(man, []), (woman, [4, 6]),
+                                             (man, [])])
+    assert [m.payload for m in messages] == [
+        b"origin=1;part=0/1;entries=woman=2@4,woman=2@6"]
 
 
 # -- assignment wire grammar -------------------------------------------------
@@ -233,6 +252,13 @@ def _reassemble_assignment(messages):
     return holder
 
 
+def _checked_pairs(holder):
+    """A reducer's steps on an assignment: CRC-64, then a canonical parse."""
+    text = holder.text()
+    assert crc64(text.encode("utf-8")) == holder.checksum
+    return parse_pairs(text, canonical=True)
+
+
 def test_assignment_roundtrip_and_checksum():
     pairs = sort_pairs(pair for pair, _ in _entries(40))
     segment = Segment.build(assignee=2, pairs=pairs, segment_index=0)
@@ -240,7 +266,7 @@ def test_assignment_roundtrip_and_checksum():
     assert all(m.kind is MessageKind.SEGMENT_ASSIGN for m in messages)
     holder = _reassemble_assignment(messages)
     assert holder.count == len(pairs)
-    recovered = verify_pairs_text(holder.text(), holder.checksum)
+    recovered = _checked_pairs(holder)
     assert tuple(recovered) == segment.pairs
 
 
@@ -252,8 +278,7 @@ def test_assignment_splits_large_segment():
     for message in messages:
         assert len(message.payload) <= MAX_PAYLOAD
     holder = _reassemble_assignment(messages)
-    assert tuple(verify_pairs_text(holder.text(), holder.checksum)) == \
-        segment.pairs
+    assert tuple(_checked_pairs(holder)) == segment.pairs
 
 
 def test_assignment_empty_segment():
@@ -262,7 +287,7 @@ def test_assignment_empty_segment():
     assert len(messages) == 1
     holder = _reassemble_assignment(messages)
     assert holder.text() == ""
-    assert verify_pairs_text(holder.text(), holder.checksum) == []
+    assert _checked_pairs(holder) == []
 
 
 # -- reduce result and success grammar ---------------------------------------
@@ -523,7 +548,7 @@ def _idle_node(events, phase, *, leader):
 def test_malformed_submit_is_logged_after_valid_one(entries):
     events = []
     node = _idle_node(events, NodePhase.COLLECTING, leader=True)
-    valid = build_submission_parts(2, 0, [(KeyValuePair("man", 1), 0)])
+    valid = build_submission_parts(2, 0, [(KeyValuePair("man", 1), [0])])
     node._on_data_submit(valid[0], "node2:7000", 0.0)
     assert _expand(node._submissions[2].runs()) == [
         (KeyValuePair("man", 1), 0)]
@@ -722,7 +747,7 @@ def _consolidating_leader(tmp_path, events):
 
 def _submission(origin, count, parts):
     entries = [(KeyValuePair("man", origin), seq) for seq in range(count)]
-    messages = build_submission_parts(origin, 0, entries,
+    messages = build_submission_parts(origin, 0, _as_runs(entries),
                                       max_entries_per_part=count // parts)
     assert len(messages) == parts
     return messages
