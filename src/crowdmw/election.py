@@ -158,45 +158,3 @@ def pong_for(ping: Message, sender: NodeId) -> Message:
     """Echo a PING's nonce back as a PONG."""
     return Message(kind=MessageKind.PONG, sender=sender,
                    cycle_id=ping.cycle_id, payload=ping.payload)
-
-
-def check_server_available(endpoint, leader_address: str, *,
-                           node_id: NodeId, timeout_ms: float,
-                           retries: int = 2,
-                           cycle_id: int = 0,
-                           rng: Optional[random.Random] = None) -> bool:
-    """PING the leader and wait for the matching PONG.
-
-    Makes at most ``retries`` attempts, each with a fresh nonce and its
-    own timeout.  Unrelated traffic arriving meanwhile is discarded, so
-    this helper is for standalone probes; the node runtime does the
-    same check inside its event loop without dropping messages.
-    """
-    for _ in range(max(1, retries)):
-        nonce = make_nonce(rng)
-        endpoint.send(leader_address, Message(
-            kind=MessageKind.PING, sender=node_id, cycle_id=cycle_id,
-            payload=nonce,
-        ))
-        deadline_left = timeout_ms
-        while deadline_left > 0:
-            before = _endpoint_now(endpoint)
-            received = endpoint.recv(deadline_left)
-            elapsed = _endpoint_now(endpoint) - before
-            deadline_left -= max(elapsed, 0.01)
-            if received is None:
-                break
-            if (received.kind is MessageKind.PONG
-                    and received.payload == nonce):
-                return True
-    return False
-
-
-def _endpoint_now(endpoint) -> float:
-    network = getattr(endpoint, "network", None)
-    clock = getattr(network, "clock", None)
-    if clock is not None:
-        return clock.now_ms()
-    import time
-
-    return time.monotonic() * 1000.0

@@ -7,10 +7,11 @@ text serialization so a reducer can prove it worked on exactly the
 pairs the leader dispatched.
 
 The key space is tiny, so a sorted pair list is a handful of runs of
-equal pairs.  Checksums, serialization, parsing and reduction work per
-run rather than per pair (``crc64`` states the folding identity and
-when it falls back to the byte loop); the bytes and checksums they
-produce are exactly the pair-by-pair ones.
+equal pairs.  Segments hold runs, and their canonical text is run
+text, ``key=value`` for a run of one and ``key=value*k`` for a run of
+k (the combiner of Dean & Ghemawat, MapReduce, OSDI 2004, sec. 4.3):
+serialization, checksums, parsing and reduction cost O(runs), and a
+count read off the wire is never expanded into pairs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence
 
 from crowdmw.domain import (
     INTERN_LIMIT,
@@ -34,7 +35,6 @@ from crowdmw.domain import (
 )
 
 NodeId = int
-T = TypeVar("T")
 
 
 class NoClients(MiddlewareError):
@@ -49,22 +49,12 @@ class ModeMismatch(MiddlewareError):
     """Partial results from different counting modes cannot merge."""
 
 
-def _runs(items: Iterable[T]) -> Iterator[tuple[T, int]]:
-    """(item, count) for each run of equal neighbours, in order."""
-    for item, run in itertools.groupby(items):
-        yield item, len(list(run))
-
-
 # ---------------------------------------------------------------------------
 # CRC-64, ECMA-182 polynomial, most-significant-bit first, zero init.
 # ---------------------------------------------------------------------------
 
 _CRC64_POLY = 0x42F0E1EBA9EA3693
 _MASK64 = (1 << 64) - 1
-_FOLD_MIN_BYTES = 512
-# Below about this many bytes the table loop beats a fold (measured
-# with 6- and 9-byte items on CPython 3.11).
-_FOLD_MIN_RUN_BYTES = 256
 
 
 def _build_crc_table() -> tuple[int, ...]:
@@ -83,103 +73,46 @@ def _build_crc_table() -> tuple[int, ...]:
 _CRC_TABLE = _build_crc_table()
 
 
-def _crc_bytes(crc: int, data: bytes) -> int:
-    """Continue the table loop from state ``crc`` over ``data``."""
-    table, mask = _CRC_TABLE, _MASK64
+def crc64(data: bytes) -> int:
+    """CRC-64 over raw bytes (ECMA polynomial, no reflection).
+
+    A byte-at-a-time table loop.  Segment text is run text, one item
+    per run of equal pairs, so what it checksums stays short.
+    """
+    crc, table, mask = 0, _CRC_TABLE, _MASK64
     for b in data:
         crc = table[(crc >> 56) ^ b] ^ ((crc << 8) & mask)
     return crc
 
 
-@functools.lru_cache(maxsize=256)
-def _shift_table(nbytes: int) -> tuple[int, ...]:
-    """i * x^(8*nbytes) mod P for every 4-bit polynomial i."""
-    if nbytes <= 64:
-        power = _crc_bytes(1, bytes(nbytes))
-    else:
-        half = nbytes // 2
-        power = _shift(_shift_table(nbytes - half)[1], half)
-    table = [0, power]
-    for _ in range(3):
-        power = ((power << 1) ^ (_CRC64_POLY if power >> 63 else 0)) & _MASK64
-        table += [power ^ low for low in table]
-    return tuple(table)
+# ---------------------------------------------------------------------------
+# Run text: the canonical form of a sorted pair list.
+# ---------------------------------------------------------------------------
+
+# A pair and how many times it repeats (>= 1).
+PairRun = tuple[KeyValuePair, int]
 
 
-def _shift(crc: int, nbytes: int) -> int:
-    """crc * x^(8*nbytes) mod P: the state after nbytes zero bytes."""
-    # _CRC_TABLE[t] is t * x^64 mod P: it folds back the four bits t
-    # that each 4-bit step shifts out.
-    table, carry, mask = _shift_table(nbytes), _CRC_TABLE, _MASK64
-    out = 0
-    for bits in range(60, -4, -4):
-        out = (((out << 4) & mask) ^ carry[out >> 60]
-               ^ table[(crc >> bits) & 15])
-    return out
+def pair_runs(pairs: Iterable[KeyValuePair]) -> list[PairRun]:
+    """(pair, count) for each run of equal neighbouring pairs."""
+    return [(pair, len(list(run))) for pair, run in itertools.groupby(pairs)]
 
 
-def _fold_run(crc: int, block: bytes, count: int) -> int:
-    """Continue from state ``crc`` over ``count`` copies of ``block``."""
-    block_crc, size = _crc_bytes(0, block), len(block)
-    while True:
-        if count & 1:
-            crc = _shift(crc, size) ^ block_crc
-        count >>= 1
-        if not count:
-            return crc
-        block_crc ^= _shift(block_crc, size)
-        size *= 2
+def serialize_runs(runs: Iterable[PairRun]) -> str:
+    """Run text: ``key=value`` for a run of one, ``key=value*k`` else.
 
-
-def crc64(data: bytes) -> int:
-    """CRC-64 over raw bytes (ECMA polynomial, no reflection).
-
-    With zero init and no final xor the CRC is linear: for any bytes A
-    and B, crc(A + B) = crc(A) * x^(8|B|) mod P xor crc(B).  Segment
-    text is sorted ``key=value`` items, so it is a handful of runs of
-    one repeated item, and a run of k copies of ``item,`` folds in
-    O(log k) by doubling: crc(u^2m) = crc(u^m) * x^(8m|u|) mod P xor
-    crc(u^m), with x^(8n) mod P from a bounded cache.
-
-    Fallback: inputs under _FOLD_MIN_BYTES, inputs where fewer than a
-    quarter of the items repeat their neighbour, runs under
-    _FOLD_MIN_RUN_BYTES and the last item go through the byte table
-    loop, so text without runs costs what it always did.  Either way
-    the value is the byte loop's, bit for bit.
+    Items are joined by commas.  Runs taken from a sorted pair list
+    with ``pair_runs`` never repeat a pair in neighbouring items, so
+    a pair list has exactly one run text.
     """
-    if len(data) < _FOLD_MIN_BYTES:
-        return _crc_bytes(0, data)
-    blocks = data.split(b",")
-    repeats = sum(map(operator.eq, blocks, itertools.islice(blocks, 1, None)))
-    if repeats * 4 < len(blocks):
-        return _crc_bytes(0, data)
-    # Every block but the last is followed by a comma; the last one and
-    # whatever was not folded go through the table loop.
-    crc = pending = pos = 0
-    for block, count in _runs(itertools.islice(blocks, len(blocks) - 1)):
-        width = len(block) + 1
-        if count > 1 and count * width >= _FOLD_MIN_RUN_BYTES:
-            crc = _crc_bytes(crc, data[pending:pos])
-            crc = _fold_run(crc, data[pos:pos + width], count)
-            pending = pos + count * width
-        pos += count * width
-    return _crc_bytes(crc, data[pending:])
-
-
-# ---------------------------------------------------------------------------
-# Canonical pair serialization: "key=value" joined by commas.
-# ---------------------------------------------------------------------------
+    return ",".join(f"{pair.key}={pair.value}" if count == 1
+                    else f"{pair.key}={pair.value}*{count}"
+                    for pair, count in runs)
 
 
 def serialize_pairs(pairs: Iterable[KeyValuePair]) -> str:
-    """Canonical text form of a pair list, whitespace-free.
-
-    ``key=value`` is formatted once per run of equal pairs.
-    """
-    texts: list[str] = []
-    for pair, count in _runs(pairs):
-        texts += [f"{pair.key}={pair.value}"] * count
-    return ",".join(texts)
+    """Run text of a pair list (see ``serialize_runs``)."""
+    return serialize_runs(pair_runs(pairs))
 
 
 @functools.lru_cache(maxsize=INTERN_LIMIT)
@@ -190,31 +123,56 @@ def _parse_pair(item: str) -> KeyValuePair:
     return KeyValuePair(key.strip(), int(value.strip()))
 
 
-def parse_pairs(text: str, *, canonical: bool = False) -> list[KeyValuePair]:
-    """Inverse of serialize_pairs; tolerates surrounding whitespace.
+def parse_runs(text: str, *, canonical: bool = False) -> list[PairRun]:
+    """Inverse of serialize_runs; tolerates surrounding whitespace.
 
-    With ``canonical`` it tolerates nothing: ``text`` must be exactly
-    ``serialize_pairs`` of the result (no spaces, signs or leading
-    zeros), else ValueError.  Then the checksum of ``text`` is the
-    checksum of the pairs, and a reducer need not compute it again.
-    Equal items share one pair object, parsed once per run.
+    A count ``*k`` is plain ASCII decimal, at least 2, without a
+    leading zero.  With ``canonical`` it tolerates nothing else: items
+    must be strictly ascending in the canonical pair order, with no
+    spaces, signs or leading zeros, so ``text`` is exactly
+    ``serialize_runs`` of the result.  Then the checksum of ``text``
+    is the checksum of the runs, and a reducer need not compute it
+    again.  Counts are never expanded: ``man=1*10**18`` costs one run.
     """
     stripped = text.strip()
     if canonical and stripped != text:
         raise ValueError("pair text has surrounding whitespace")
     if not stripped:
         return []
+    runs: list[PairRun] = []
+    last: tuple[str, int] | None = None
+    for item in stripped.split(","):
+        body, star, reps = item.partition("*")
+        count = 1
+        if star:
+            if not (reps.isascii() and reps.isdigit()
+                    and reps[0] != "0" and reps != "1"):
+                raise ValueError(f"bad run count: {item!r}")
+            count = int(reps)
+        pair = _parse_pair(body)
+        if canonical:
+            if body != f"{pair.key}={pair.value}":
+                raise ValueError(f"non-canonical pair entry: {item!r}")
+            if last is not None and (pair.key, pair.value) <= last:
+                raise ValueError(f"pair text out of order at {item!r}")
+            last = (pair.key, pair.value)
+        runs.append((pair, count))
+    return runs
+
+
+def parse_pairs(text: str, *, canonical: bool = False) -> list[KeyValuePair]:
+    """``parse_runs`` of ``text``, each run expanded to its pairs.
+
+    For fixtures and tests; wire input is reduced on its runs.
+    """
     pairs: list[KeyValuePair] = []
-    for item, count in _runs(stripped.split(",")):
-        pair = _parse_pair(item)
-        if canonical and item != f"{pair.key}={pair.value}":
-            raise ValueError(f"non-canonical pair entry: {item!r}")
+    for pair, count in parse_runs(text, canonical=canonical):
         pairs += [pair] * count
     return pairs
 
 
-def checksum_pairs(pairs: Iterable[KeyValuePair]) -> int:
-    return crc64(serialize_pairs(pairs).encode("utf-8"))
+def checksum_runs(runs: Iterable[PairRun]) -> int:
+    return crc64(serialize_runs(runs).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +182,26 @@ def checksum_pairs(pairs: Iterable[KeyValuePair]) -> int:
 
 @dataclass(frozen=True)
 class Segment:
-    """Contiguous slice of the consolidated pair list for one reducer."""
+    """Contiguous slice of the consolidated pair list for one reducer.
+
+    The slice is held as runs in canonical pair order, no two
+    neighbours the same pair, so its run text is unique: ``checksum``
+    is the CRC-64 of that text, and ``pair_count`` is the sum of the
+    run counts.  Checksum, reduce and room counts cost O(runs).
+    """
 
     assignee: NodeId
-    pairs: tuple[KeyValuePair, ...]
+    runs: tuple[PairRun, ...]
     segment_index: int
     checksum: int
+    pair_count: int
 
     @classmethod
-    def build(cls, assignee: NodeId, pairs: Sequence[KeyValuePair],
+    def build(cls, assignee: NodeId, runs: Iterable[PairRun],
               segment_index: int) -> "Segment":
-        pairs = tuple(pairs)
-        return cls(assignee, pairs, segment_index, checksum_pairs(pairs))
+        runs = tuple(runs)
+        return cls(assignee, runs, segment_index, checksum_runs(runs),
+                   sum(count for _, count in runs))
 
 
 # A canonical room key: two spellings of one room would merge into one
@@ -326,32 +292,37 @@ def sort_pairs(pairs: Iterable[KeyValuePair]) -> list[KeyValuePair]:
     return sorted(pairs, key=operator.attrgetter("key", "value"))
 
 
-def _is_sorted(pairs: Sequence[KeyValuePair]) -> bool:
-    heads = [(p.key, p.value) for p, _ in itertools.groupby(pairs)]
-    return heads == sorted(heads)
-
-
 def partition(pairs: Sequence[KeyValuePair],
               clients: Iterable[NodeId]) -> list[Segment]:
     """Split a sorted pair list into contiguous per-client segments.
 
     Clients are ordered by ascending node id.  Sizes differ by at most
     one, with the remainder going to the lowest ids, so 16 pairs over
-    three clients split 6/5/5.
+    three clients split 6/5/5.  The list is cut as runs: a run that
+    crosses a boundary is split in two.
     """
     client_ids = sorted(set(clients))
     if not client_ids:
         raise NoClients("cannot partition without clients")
-    if not _is_sorted(pairs):
+    runs = pair_runs(pairs)
+    heads = [(pair.key, pair.value) for pair, _ in runs]
+    if heads != sorted(heads):
         raise ValueError("partition input must be sorted")
-    total = len(pairs)
-    base, remainder = divmod(total, len(client_ids))
+    base, remainder = divmod(len(pairs), len(client_ids))
     segments = []
-    start = 0
+    position = used = 0
     for index, client in enumerate(client_ids):
         size = base + (1 if index < remainder else 0)
-        segments.append(Segment.build(client, pairs[start:start + size], index))
-        start += size
+        taken: list[PairRun] = []
+        while size:
+            pair, count = runs[position]
+            take = min(count - used, size)
+            taken.append((pair, take))
+            size -= take
+            used += take
+            if used == count:
+                position, used = position + 1, 0
+        segments.append(Segment.build(client, taken, index))
     return segments
 
 
@@ -363,18 +334,18 @@ def reduce_segment(segment: Segment, mode: CountMode, *,
     match its checksum: built here by ``partition``, or parsed with
     ``canonical`` from text whose checksum was checked.
     """
-    if not verified and checksum_pairs(segment.pairs) != segment.checksum:
+    if not verified and checksum_runs(segment.runs) != segment.checksum:
         raise ChecksumMismatch(
             f"segment {segment.segment_index} failed checksum verification"
         )
     aggregates: dict[str, int] = {}
-    for pair, count in _runs(segment.pairs):
+    for pair, count in segment.runs:
         aggregates[pair.key] = aggregates.get(pair.key, 0) + pair.value * count
     return PartialResult(
         assignee=segment.assignee,
         mode=mode,
         aggregates=aggregates,
-        input_pair_count=len(segment.pairs),
+        input_pair_count=segment.pair_count,
     )
 
 
@@ -394,24 +365,23 @@ def merge_partials(partials: Sequence[PartialResult],
     return merged, total_pairs
 
 
-def room_counts(pairs: Iterable[KeyValuePair]) -> list[tuple[int, int]]:
-    """(room, readings) for visitor pairs, in ``room_key`` order.
+def room_counts(runs: Iterable[PairRun]) -> list[tuple[int, int]]:
+    """(room, readings) for visitor runs, in ``room_key`` order.
 
     A visitor pair (tag, room) carries the full reading, so room counts
-    are derivable locally.  Rooms are counted per run of equal pairs.
+    are derivable locally.
     """
     rooms: dict[int, int] = {}
-    for pair, count in _runs(pairs):
+    for pair, count in runs:
         rooms[pair.value] = rooms.get(pair.value, 0) + count
     return [(room, rooms[room]) for room in sorted(rooms, key=room_key)]
 
 
 def derive_room_segment(segment: Segment) -> Segment:
-    """Re-key a visitor segment by room, one shared pair per reading."""
-    room_pairs: list[KeyValuePair] = []
-    for room, count in room_counts(segment.pairs):
-        room_pairs += [_room_pair(room)] * count
-    return Segment.build(segment.assignee, room_pairs, segment.segment_index)
+    """Re-key a visitor segment by room, one run per room."""
+    runs = [(_room_pair(room), count)
+            for room, count in room_counts(segment.runs)]
+    return Segment.build(segment.assignee, runs, segment.segment_index)
 
 
 def sequential_oracle(readings: Iterable[SensorReading],

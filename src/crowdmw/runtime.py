@@ -50,11 +50,14 @@ from crowdmw.mapreduce import (
     # this module's name.
     derive_room_segment,
     merge_partials,
+    # Unused here; bound for the benchmark's tracer, which wraps it by
+    # this module's name.
     parse_pairs,
+    parse_runs,
     partition,
     reduce_segment,
     room_counts,
-    serialize_pairs,
+    serialize_runs,
     # Unused here; bound for the benchmark's tracer, which wraps it by
     # this module's name.
     sort_pairs,
@@ -260,7 +263,12 @@ class ClientBuffer:
         ))
 
     def prune_through(self, seq: int) -> int:
-        """Drop readings covered by a committed watermark."""
+        """Drop readings covered by a committed watermark.
+
+        A watermark past the highest sequence issued is clamped to it,
+        so a forged ack cannot stop later ones from pruning.
+        """
+        seq = min(seq, self.next_seq - 1)
         if seq <= self.committed_through:
             return 0
         dropped = 0
@@ -406,16 +414,17 @@ def build_submission_parts(origin: NodeId, cycle_id: int,
 
 def build_assignment_parts(sender: NodeId, cycle_id: int,
                            segment: Segment) -> list[Message]:
+    """Encode an assignment: the segment's run text, split at items."""
     headroom = len(
-        f"segment={segment.segment_index};count={len(segment.pairs)};"
+        f"segment={segment.segment_index};count={segment.pair_count};"
         f"checksum={'0' * 16};part=9999/9999;pairs="
     )
-    chunks = _chunk(serialize_pairs(segment.pairs), MAX_PAYLOAD - headroom,
+    chunks = _chunk(serialize_runs(segment.runs), MAX_PAYLOAD - headroom,
                     None)
     messages = []
     for index, chunk in enumerate(chunks):
         payload = (
-            f"segment={segment.segment_index};count={len(segment.pairs)};"
+            f"segment={segment.segment_index};count={segment.pair_count};"
             f"checksum={segment.checksum:016x};part={index}/{len(chunks)};"
             f"pairs={chunk}"
         )
@@ -514,11 +523,11 @@ def integrity_check(segments: Sequence[Segment],
         if segment is None or partial.assignee in seen:
             return False
         seen.add(partial.assignee)
-        if partial.input_pair_count != len(segment.pairs):
+        if partial.input_pair_count != segment.pair_count:
             return False
     if seen != set(by_assignee):
         return False
-    total = sum(len(s.pairs) for s in segments)
+    total = sum(s.pair_count for s in segments)
     return sum(p.input_pair_count for p in partials) == total
 
 
@@ -564,13 +573,13 @@ def _reduce_both(segment: Segment) -> tuple[PartialResult, PartialResult]:
     leader built it, or the follower checked the wire text's checksum
     and parsed it in canonical form.  So it is not checksummed again,
     and room counts, which never leave the node, are derived from the
-    same pairs.
+    same runs.
     """
     visitor = reduce_segment(segment, CountMode.VISITOR, verified=True)
     room = PartialResult(
         assignee=segment.assignee, mode=CountMode.ROOM,
         aggregates={room_key(room): count
-                    for room, count in room_counts(segment.pairs)},
+                    for room, count in room_counts(segment.runs)},
         input_pair_count=visitor.input_pair_count,
     )
     return visitor, room
@@ -610,7 +619,7 @@ def reduce_check_merge(cycle_id: int, segments: Sequence[Segment],
     return CycleResult(cycle_id=cycle_id,
                        visitor_aggregates=visitor_aggregates,
                        room_aggregates=room_aggregates,
-                       total_readings=sum(len(s.pairs) for s in segments))
+                       total_readings=sum(s.pair_count for s in segments))
 
 
 def leader_cycle(submissions: Sequence[tuple[NodeId, Sequence[KeyValuePair]]],
@@ -1145,7 +1154,7 @@ class Node:
             # of its segment; room mode counts one per pair, so its room
             # counts add up to the same count.
             if not (self._assignee_addresses.get(index) == source
-                    and parsed["count"] == len(matching[0].pairs)
+                    and parsed["count"] == matching[0].pair_count
                     == sum(parsed["room"].values())):
                 raise ValueError("not the segment's partial")
             partials = tuple(
@@ -1259,15 +1268,16 @@ class Node:
             self._log(now, f"checksum_mismatch segment={index}")
             return
         try:
-            pairs = tuple(parse_pairs(text, canonical=True))
+            runs = tuple(parse_runs(text, canonical=True))
         except ValueError:
             self._log(now, f"malformed_assignment from={message.sender}")
             return
-        if len(pairs) != assignment.count:
+        if sum(count for _, count in runs) != assignment.count:
             self._log(now, f"short_segment segment={index}")
             return
-        segment = Segment(assignee=self.node_id, pairs=pairs,
-                          segment_index=index, checksum=assignment.checksum)
+        segment = Segment(assignee=self.node_id, runs=runs,
+                          segment_index=index, checksum=assignment.checksum,
+                          pair_count=assignment.count)
         self._transition(now, NodePhase.REDUCING)
         try:
             visitor, room = _reduce_both(segment)

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from crowdmw.clock import VirtualClock
 from crowdmw.domain import MiddlewareError
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 HEADER_LEN = 12
 MAX_DATAGRAM = 8192
 MAX_PAYLOAD = MAX_DATAGRAM - HEADER_LEN

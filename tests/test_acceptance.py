@@ -209,13 +209,13 @@ def test_wire_format_roundtrip_and_header():
         ping = Message(kind=MessageKind.PING, sender=5, cycle_id=0,
                        payload=b"")
         assert encode_message(ping) == bytes(
-            [1, 1, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0])
+            [2, 1, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0])
 
         abort = Message(kind=MessageKind.CYCLE_ABORT, sender=0x01020304,
                         cycle_id=0x0A0B0C0D,
                         payload=b"reason=min_responding")
         frame = encode_message(abort)
-        assert frame[:12] == bytes([1, 8, 0x01, 0x02, 0x03, 0x04,
+        assert frame[:12] == bytes([2, 8, 0x01, 0x02, 0x03, 0x04,
                                     0x0A, 0x0B, 0x0C, 0x0D, 0x00, 0x15])
         assert frame[12:] == b"reason=min_responding"
 

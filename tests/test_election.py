@@ -1,10 +1,14 @@
-"""Registry-arbitrated election and the availability check."""
+"""Registry-arbitrated election and the PING nonce.
+
+The availability check itself runs inside the node runtime; its rules
+(retries, nonce matching, other traffic kept) are tested in
+``test_runtime``.
+"""
 
 import random
 
 import pytest
 
-from crowdmw.clock import VirtualClock
 from crowdmw.election import (
     AddressConflict,
     EmptyRegistry,
@@ -12,7 +16,6 @@ from crowdmw.election import (
     OverrideNotLive,
     RegistrySnapshot,
     Role,
-    check_server_available,
     claim_leadership,
     elect_leader,
     live_records,
@@ -21,12 +24,7 @@ from crowdmw.election import (
     register_node,
 )
 from crowdmw.store import JournalStore
-from crowdmw.transport import (
-    Message,
-    MessageKind,
-    NetConfig,
-    SimulatedNetwork,
-)
+from crowdmw.transport import Message, MessageKind
 
 WINDOW = 4000
 
@@ -135,44 +133,3 @@ def test_nonce_and_pong_echo():
     assert pong.sender == 9
     assert pong.cycle_id == 2
     assert pong.payload == nonce
-
-
-def _sim_pair():
-    clock = VirtualClock()
-    network = SimulatedNetwork(
-        NetConfig(latency_ms=(10.0, 10.0), seed=1), clock
-    )
-    return network.open("probe:1"), network.open("leader:1")
-
-
-def test_check_server_available_responsive_leader():
-    probe, leader = _sim_pair()
-    leader.set_handler(
-        lambda message, src: leader.send(src, pong_for(message, 9))
-    )
-    assert check_server_available(probe, "leader:1", node_id=1,
-                                  timeout_ms=250,
-                                  rng=random.Random(0)) is True
-
-
-def test_check_server_available_dead_leader():
-    probe, leader = _sim_pair()
-    leader.close()
-    assert check_server_available(probe, "leader:1", node_id=1,
-                                  timeout_ms=100, retries=2,
-                                  rng=random.Random(0)) is False
-
-
-def test_check_server_available_ignores_unrelated_traffic():
-    probe, leader = _sim_pair()
-
-    def reply(message, src):
-        # Noise first, then the genuine echo.
-        leader.send(src, Message(kind=MessageKind.CYCLE_ABORT, sender=9,
-                                 cycle_id=0, payload=b"reason=noise"))
-        leader.send(src, pong_for(message, 9))
-
-    leader.set_handler(reply)
-    assert check_server_available(probe, "leader:1", node_id=1,
-                                  timeout_ms=250,
-                                  rng=random.Random(0)) is True

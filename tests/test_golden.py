@@ -1,4 +1,4 @@
-"""Pinned seeded artifacts: wire format v1 and the journal layout.
+"""Pinned seeded artifacts: wire format v2 and the journal layout.
 
 The rerun test in ``test_acceptance`` proves a seed reproduces itself
 within one build.  These hashes prove more: a change to the pipeline,
@@ -18,7 +18,7 @@ GOLDEN = {
     # Volume path: many readings per datagram, sorted runs, 8 KB frames.
     "crowd": (
         dict(nodes=5, cycles=4, visitors=2000, seed=11),
-        "6805ccd709646a0c36c0e09ae52bc769db8c769fd2922c2a2a084829bec54425",
+        "c9c5bcf9b4b21d7c6d3bce2cbae4696e5002bc5e6e18d1ce4bbd80c8f071a4c5",
         "8065b5f9c86981dc7e7a0e4b77d03a56787b23f81b18846658f6f413d1ac73fb",
     ),
     # One entry per datagram under loss: aborts, a fallback reduce and
@@ -26,8 +26,8 @@ GOLDEN = {
     "one-per-part-lossy": (
         dict(nodes=4, cycles=8, visitors=200, seed=23, entries_per_part=1,
              loss_rate=0.05, transmission_us_per_byte=15.0),
-        "66246bcc9df1c6497643bbe01962801517a2d8e0d20303c051e3503f50898a2c",
-        "743b15ce9c14326f78a840893be83108b8322c8480b77c91c610f5a99c5043f8",
+        "2e794ce0856fe249786163fe40eec6b70f8485d1d7c54ee62281fa0969e3101b",
+        "a1c3f1432918bc8e6f1bed86fc90b00f660d6cc6e64bb5314e87b51336fb0940",
     ),
     # Eight nodes under loss with two leader kills, a partition and two
     # loss changes: kills and deliveries reschedule node timers mid-run.
@@ -37,7 +37,7 @@ GOLDEN = {
                  "kill_leader@4100", "partition@9000+3000:1,2,3",
                  "set_loss@12500:0.1", "kill_leader@16100",
                  "set_loss@20000:0.02"))),
-        "7a98babe30915e6315b0d495f2df373185eb28663d6476c699d5d3406933e22a",
+        "934123447b12cdd02975ea3bc9b88f4bc208918265abf559549e31814ff4e8e1",
         "e5a52ae22cca5584a0e8b61459bbf96cb8e906c336c0f0f239a1e18be72ec42d",
     ),
 }

@@ -22,6 +22,7 @@ from crowdmw.mapreduce import crc64
 from crowdmw.store import JournalStore
 from crowdmw.transport import (
     HEADER_LEN,
+    WIRE_VERSION,
     Malformed,
     Message,
     MessageKind,
@@ -52,7 +53,7 @@ def test_decode_of_near_valid_headers(version, kind, sender, cycle, payload,
     data = (bytes([version, kind]) + sender.to_bytes(4, "big")
             + cycle.to_bytes(4, "big") + length.to_bytes(2, "big") + payload)
     assert len(data) == HEADER_LEN + len(payload)
-    valid = (version == 1 and kind in {k.value for k in MessageKind}
+    valid = (version == WIRE_VERSION and kind in {k.value for k in MessageKind}
              and length == len(payload))
     try:
         message = decode_message(data)
@@ -86,8 +87,33 @@ def _joined(item, min_size=0):
     return st.lists(item, min_size=min_size, max_size=6).map(",".join)
 
 
-def _pairs(key, value, min_size=0):
-    return _joined(st.builds(lambda k, v: f"{k}={v}", key, value), min_size)
+def _run_item(key, value, count):
+    return f"{key}={value}" if count == 1 else f"{key}={value}*{count}"
+
+
+def _canonical_runs(key, value, count):
+    """Run text in canonical form, with its pair count.
+
+    Items are distinct pairs in ascending order, so the text parses;
+    only its content (room keys, room 0, huge counts) can lie.
+    """
+    def render(items):
+        runs = {}
+        for k, v, c in items:
+            runs.setdefault((k, int(v)), c)
+        ordered = sorted(runs.items())
+        return (",".join(_run_item(k, v, c) for (k, v), c in ordered),
+                sum(runs.values()))
+    return st.lists(st.tuples(key, value, count), min_size=1,
+                    max_size=6).map(render)
+
+
+def _any_runs(key, value, count):
+    """Run text that may break any rule, counted one pair per item."""
+    items = st.builds(lambda k, v, c: f"{k}={v}{c}", key, value,
+                      st.just("") | count.map(lambda c: f"*{c}"))
+    return _joined(items).map(
+        lambda text: (text, len(text.split(",")) if text else 0))
 
 
 def _entries(key, value, seq, min_size=0):
@@ -109,10 +135,14 @@ def _fixed(strategy):
 PART = st.builds(lambda i, t: f"{i}/{t}", NUMBER, NUMBER) | NUMBER
 
 
-def _assignment(index, count, part, pairs):
-    """A checksummed assignment; ``count=None`` counts the pairs."""
+def _assignment(index, count, part, runs):
+    """A checksummed assignment of ``runs``, (run text, pair count).
+
+    ``count=None`` sends the runs' own pair count.
+    """
+    pairs, total = runs
     if count is None:
-        count = len(pairs.split(",")) if pairs else 0
+        count = total
     return (f"segment={index};count={count};"
             f"checksum={crc64(pairs.encode()):016x};part={part};"
             f"pairs={pairs}")
@@ -135,7 +165,7 @@ def _partial(index, count, visitor, room):
                 segment_index = segment.segment_index
                 checksum = f"{segment.checksum:016x}"
                 if count is None:
-                    pairs = len(segment.pairs)
+                    pairs = segment.pair_count
         body = (f"segment={segment_index};count={pairs};"
                 f"checksum={checksum};visitor={visitor};room={room}")
         return f"{body};digest={crc64(body.encode()):016x}"
@@ -155,7 +185,8 @@ LYING = {
         entries=_entries(KEY, SMALL, SMALL, min_size=1))),
     MessageKind.SEGMENT_ASSIGN: _fixed(st.builds(
         _assignment, SMALL, st.none(), st.just("0/1"),
-        _pairs(KEY, SMALL, min_size=1))),
+        _canonical_runs(KEY, SMALL,
+                        st.integers(1, 3) | st.just(10 ** 18)))),
     # A leader takes a partial only from its segment's assignee, so
     # this one comes from node 1's address, the assignee of segment 0
     # (see SOURCES).
@@ -173,7 +204,7 @@ MALFORMED = {
         origin=NUMBER, part=PART, entries=_entries(ANY_KEY, NUMBER, NUMBER))),
     MessageKind.SEGMENT_ASSIGN: _fixed(st.builds(
         _assignment, NUMBER, st.none() | NUMBER, PART,
-        _pairs(ANY_KEY, NUMBER))),
+        _any_runs(ANY_KEY, NUMBER, NUMBER))),
     MessageKind.REDUCE_RESULT: st.builds(
         _partial, st.none() | NUMBER, st.none() | NUMBER,
         _aggregates(ANY_KEY, NUMBER), _aggregates(ANY_KEY, NUMBER)),

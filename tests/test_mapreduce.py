@@ -6,6 +6,7 @@ are {Room1: 2, Room2: 5, Room3: 5, Room4: 4}; both were computed by
 hand from the raw pairs before any pipeline code existed.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -20,14 +21,17 @@ from crowdmw.mapreduce import (
     PartialResult,
     Segment,
     crc64,
+    pair_runs,
     derive_room_segment,
     map_reading,
     merge_partials,
     parse_pairs,
+    parse_runs,
     partition,
     reduce_segment,
     sequential_oracle,
     serialize_pairs,
+    serialize_runs,
     sort_pairs,
 )
 
@@ -36,9 +40,10 @@ RAW_STREAM = (
     "woman=1,woman=4,woman=2,woman=2,woman=3,woman=2,woman=4"
 )
 
+# The sorted stream as run text: a run of k equal pairs is one item.
 SORTED_STREAM = (
-    "man=1,man=2,man=3,man=4,other=2,other=3,other=3,other=4,"
-    "woman=1,woman=2,woman=2,woman=2,woman=3,woman=3,woman=4,woman=4"
+    "man=1,man=2,man=3,man=4,other=2,other=3*2,other=4,"
+    "woman=1,woman=2*3,woman=3*2,woman=4*2"
 )
 
 VISITOR_TOTALS = {"man": 10, "other": 12, "woman": 21}
@@ -98,12 +103,35 @@ def test_canonical_parse_round_trips():
     pairs = sort_pairs(stream_pairs())
     assert parse_pairs(serialize_pairs(pairs), canonical=True) == pairs
     assert parse_pairs("", canonical=True) == []
+    runs = pair_runs(pairs)
+    assert parse_runs(SORTED_STREAM, canonical=True) == runs
+    assert serialize_runs(runs) == SORTED_STREAM
+
+
+@pytest.mark.parametrize("text", [
+    # Counts: plain ASCII decimal >= 2, no sign, space or leading zero.
+    "man=1*1", "man=1*01", "man=1*+2", "man=1* 2", "man=1*\u0663",
+    "man=1*-1", "man=1*2*3", "man=1*", "man=1*0",
+    # Neighbours are distinct pairs in ascending order.
+    "man=1,man=1", "man=1*2,man=1", "man=2,man=1", "woman=1,man=1",
+    "man=10,man=9", "Room2=1,Room10=1",
+])
+def test_canonical_parse_refuses_non_canonical_runs(text):
+    with pytest.raises(ValueError):
+        parse_runs(text, canonical=True)
+
+
+def test_run_counts_are_never_expanded():
+    text = "man=1*1000000000000000000,woman=4*3"
+    runs = parse_runs(text, canonical=True)
+    assert runs == [(KeyValuePair("man", 1), 10 ** 18),
+                    (KeyValuePair("woman", 4), 3)]
+    assert serialize_runs(runs) == text
 
 
 # -- crc64 against the byte loop ----------------------------------------
 #
-# crc64 folds runs of repeated comma-separated blocks; the plain
-# one-byte-at-a-time table loop below is the oracle.
+# The plain one-byte-at-a-time table loop below is the oracle.
 
 _POLY = 0x42F0E1EBA9EA3693
 _MASK = (1 << 64) - 1
@@ -296,16 +324,22 @@ def test_sort_pairs_orders_key_then_value():
 
 def test_partition_sixteen_pairs_three_clients():
     segments = partition(sort_pairs(stream_pairs()), [9, 2, 5])
-    assert [len(s.pairs) for s in segments] == [6, 5, 5]
+    assert [s.pair_count for s in segments] == [6, 5, 5]
     assert [s.assignee for s in segments] == [2, 5, 9]
-    rebuilt = [p for s in segments for p in s.pairs]
+    rebuilt = [p for s in segments for p, k in s.runs for _ in range(k)]
     assert serialize_pairs(rebuilt) == SORTED_STREAM
+    # The other=3 run crosses the 6/5 boundary and is cut in two.
+    assert segments[0].runs[-1] == (KeyValuePair("other", 3), 1)
+    assert segments[1].runs[0] == (KeyValuePair("other", 3), 1)
+    for segment in segments:
+        assert segment.checksum == crc64(
+            serialize_runs(segment.runs).encode())
 
 
 def test_partition_fewer_pairs_than_clients():
     pairs = sort_pairs(stream_pairs()[:2])
     segments = partition(pairs, [3, 1, 2])
-    assert [len(s.pairs) for s in segments] == [1, 1, 0]
+    assert [s.pair_count for s in segments] == [1, 1, 0]
     assert [s.assignee for s in segments] == [1, 2, 3]
 
 
@@ -327,7 +361,7 @@ def test_partition_rejects_unsorted_and_empty_clients():
 def test_partition_sizes_differ_by_at_most_one(raw, clients):
     pairs = sort_pairs(KeyValuePair(k, v) for k, v in raw)
     segments = partition(pairs, list(range(1, clients + 1)))
-    sizes = [len(s.pairs) for s in segments]
+    sizes = [s.pair_count for s in segments]
     assert sum(sizes) == len(pairs)
     assert max(sizes) - min(sizes) <= 1
     assert sizes == sorted(sizes, reverse=True)
@@ -337,7 +371,7 @@ def test_partition_sizes_differ_by_at_most_one(raw, clients):
 
 def test_reduce_segment_sums_by_key():
     segment = Segment.build(assignee=1,
-                            pairs=tuple(sort_pairs(stream_pairs())),
+                            runs=pair_runs(sort_pairs(stream_pairs())),
                             segment_index=0)
     partial = reduce_segment(segment, CountMode.VISITOR)
     assert dict(partial.aggregates) == VISITOR_TOTALS
@@ -345,10 +379,10 @@ def test_reduce_segment_sums_by_key():
 
 
 def test_reduce_segment_rejects_tampered_checksum():
-    good = Segment.build(assignee=1, pairs=tuple(sort_pairs(stream_pairs())),
+    good = Segment.build(assignee=1,
+                         runs=pair_runs(sort_pairs(stream_pairs())),
                          segment_index=0)
-    bad = Segment(assignee=1, pairs=good.pairs, segment_index=0,
-                  checksum=good.checksum ^ 1)
+    bad = dataclasses.replace(good, checksum=good.checksum ^ 1)
     with pytest.raises(ChecksumMismatch):
         reduce_segment(bad, CountMode.VISITOR)
     # A caller that proved the pairs itself skips the checksum pass.
@@ -359,16 +393,18 @@ def test_reduce_segment_rejects_tampered_checksum():
 def test_derive_room_segment_matches_per_pair_derivation():
     pairs = sort_pairs(KeyValuePair(tag, room) for tag in ("man", "woman")
                        for room in (1, 2, 10, 11, 3) for _ in range(room))
-    segment = Segment.build(assignee=4, pairs=pairs, segment_index=2)
-    expected = Segment.build(4, sort_pairs(
-        KeyValuePair(f"Room{p.value}", 1) for p in pairs), 2)
+    segment = Segment.build(assignee=4, runs=pair_runs(pairs),
+                            segment_index=2)
+    expected = Segment.build(4, pair_runs(sort_pairs(
+        KeyValuePair(f"Room{p.value}", 1) for p in pairs)), 2)
     assert derive_room_segment(segment) == expected
-    assert serialize_pairs(expected.pairs).startswith("Room1=1,Room1=1,Room10")
+    assert serialize_runs(expected.runs) == (
+        "Room1=1*2,Room10=1*20,Room11=1*22,Room2=1*4,Room3=1*6")
 
 
 def test_derive_room_segment_counts_rooms():
     segment = Segment.build(assignee=1,
-                            pairs=tuple(sort_pairs(stream_pairs())),
+                            runs=pair_runs(sort_pairs(stream_pairs())),
                             segment_index=0)
     room_partial = reduce_segment(derive_room_segment(segment),
                                   CountMode.ROOM)

@@ -68,6 +68,8 @@ class OldClientBuffer:
         return mapped
 
     def prune_through(self, seq):
+        # Clamped to the highest sequence issued, as the buffer is now.
+        seq = min(seq, self.next_seq - 1)
         if seq <= self.committed_through:
             return 0
         before = len(self.pending)

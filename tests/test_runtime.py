@@ -18,7 +18,8 @@ from crowdmw.mapreduce import (
     Segment,
     crc64,
     map_reading,
-    parse_pairs,
+    pair_runs,
+    parse_runs,
     partition,
     reduce_segment,
     sequential_oracle,
@@ -252,42 +253,57 @@ def _reassemble_assignment(messages):
     return holder
 
 
-def _checked_pairs(holder):
+def _checked_runs(holder):
     """A reducer's steps on an assignment: CRC-64, then a canonical parse."""
     text = holder.text()
     assert crc64(text.encode("utf-8")) == holder.checksum
-    return parse_pairs(text, canonical=True)
+    runs = parse_runs(text, canonical=True)
+    assert sum(count for _, count in runs) == holder.count
+    return runs
 
 
 def test_assignment_roundtrip_and_checksum():
     pairs = sort_pairs(pair for pair, _ in _entries(40))
-    segment = Segment.build(assignee=2, pairs=pairs, segment_index=0)
+    segment = Segment.build(assignee=2, runs=pair_runs(pairs),
+                            segment_index=0)
     messages = build_assignment_parts(9, 5, segment)
     assert all(m.kind is MessageKind.SEGMENT_ASSIGN for m in messages)
     holder = _reassemble_assignment(messages)
     assert holder.count == len(pairs)
-    recovered = _checked_pairs(holder)
-    assert tuple(recovered) == segment.pairs
+    assert tuple(_checked_runs(holder)) == segment.runs
+
+
+def test_assignment_carries_runs():
+    man, woman = KeyValuePair("man", 3), KeyValuePair("woman", 1)
+    segment = Segment.build(assignee=2, runs=[(man, 57), (woman, 1)],
+                            segment_index=1)
+    (message,) = build_assignment_parts(9, 5, segment)
+    assert message.payload == (
+        f"segment=1;count=58;checksum={segment.checksum:016x};"
+        f"part=0/1;pairs=man=3*57,woman=1").encode()
+    assert segment.checksum == crc64(b"man=3*57,woman=1")
 
 
 def test_assignment_splits_large_segment():
-    pairs = sort_pairs(pair for pair, _ in _entries(2_500))
-    segment = Segment.build(assignee=1, pairs=pairs, segment_index=2)
+    # Distinct pairs, so the run text is long enough to cross datagrams.
+    pairs = sort_pairs(KeyValuePair(f"Room{i}", 1) for i in range(1, 2_001))
+    segment = Segment.build(assignee=1, runs=pair_runs(pairs),
+                            segment_index=2)
     messages = build_assignment_parts(3, 0, segment)
     assert len(messages) > 1
     for message in messages:
         assert len(message.payload) <= MAX_PAYLOAD
     holder = _reassemble_assignment(messages)
-    assert tuple(_checked_pairs(holder)) == segment.pairs
+    assert tuple(_checked_runs(holder)) == segment.runs
 
 
 def test_assignment_empty_segment():
-    segment = Segment.build(assignee=4, pairs=(), segment_index=1)
+    segment = Segment.build(assignee=4, runs=(), segment_index=1)
     messages = build_assignment_parts(3, 0, segment)
     assert len(messages) == 1
     holder = _reassemble_assignment(messages)
     assert holder.text() == ""
-    assert _checked_pairs(holder) == []
+    assert _checked_runs(holder) == []
 
 
 # -- reduce result and success grammar ---------------------------------------
@@ -387,7 +403,8 @@ def test_integrity_rejects_unknown_assignee():
 
 def test_integrity_rejects_colliding_segments():
     pairs = sort_pairs(pair for pair, _ in _entries(4))
-    colliding = [Segment.build(1, pairs[:2], 0), Segment.build(1, pairs[2:], 1)]
+    colliding = [Segment.build(1, pair_runs(pairs[:2]), 0),
+                 Segment.build(1, pair_runs(pairs[2:]), 1)]
     partials = [reduce_segment(s, CountMode.VISITOR) for s in colliding]
     assert not integrity_check(colliding, partials)
 
@@ -647,7 +664,7 @@ def _forged_partial_run(tmp_path, index, source, sender, count, visitor,
         assert leader.phase is NodePhase.MERGING
         segment = leader._segments[index]
         assert segment.assignee == index + 1
-        pairs = len(segment.pairs)
+        pairs = segment.pair_count
         body = (f"segment={index};count={count.format(count=pairs)};"
                 f"checksum={segment.checksum:016x};visitor={visitor};"
                 f"room={room.format(count=pairs)}")
@@ -692,16 +709,26 @@ def test_forged_partial_is_refused_at_ingress(tmp_path, index, source,
     assert totals == HONEST_CYCLE
 
 
-@pytest.mark.parametrize("pairs", ["Room0=1", "x=1", "man=-1", "man=1,man",
-                                   "man =1", " man=1", "man=01", "man=+1"])
-def test_malformed_assignment_is_logged(pairs):
+# (pair text, the pair count it would carry if it were valid)
+MALFORMED_ASSIGNMENTS = [
+    ("Room0=1", 1), ("x=1", 1), ("man=-1", 1), ("man=1,man", 2),
+    ("man =1", 1), (" man=1", 1), ("man=01", 1), ("man=+1", 1),
+    ("man=1*1", 1), ("man=1*01", 1), ("man=1,man=1*2", 3),
+    ("woman=1,man=1", 2)]
+
+
+@pytest.mark.parametrize("pairs, count", MALFORMED_ASSIGNMENTS,
+                         ids=[pairs for pairs, _ in MALFORMED_ASSIGNMENTS])
+def test_malformed_assignment_is_logged(pairs, count):
     from crowdmw.mapreduce import crc64
 
     events = []
     node = _idle_node(events, NodePhase.AWAITING_SEGMENT, leader=False)
-    # The checksum matches, so only pair validation can catch these:
-    # the reducer trusts a checksum-valid text only in canonical form.
-    payload = (f"segment=0;count=1;checksum={crc64(pairs.encode()):016x};"
+    # The checksum matches, and so does the count where the text
+    # parses, so only run validation can catch these: the reducer
+    # trusts a checksum-valid text only in canonical form.
+    payload = (f"segment=0;count={count};"
+               f"checksum={crc64(pairs.encode()):016x};"
                f"part=0/1;pairs={pairs}")
     for _ in range(2):
         node._assignments.clear()
@@ -715,7 +742,7 @@ def test_malformed_assignment_is_logged(pairs):
                                 b"pairs=man=1")
     node._on_segment_assign(bad_field, 2.0)
     assert events[-1] == "t=2.000 node=1 malformed_assignment from=2"
-    segment = Segment.build(1, [KeyValuePair("man", 1)], 0)
+    segment = Segment.build(1, [(KeyValuePair("man", 1), 1)], 0)
     node._assignments.clear()
     for message in build_assignment_parts(2, 0, segment):
         node._on_segment_assign(message, 3.0)
@@ -821,4 +848,183 @@ def test_consolidation_timer_still_fires_without_every_origin(tmp_path):
     assert _deliver_until_consolidated(node, _submission(1, 2, 2)) is None
     node.advance(1500.0 + CycleConfig().submit_window_ms)
     assert node.phase is NodePhase.MERGING
+    store.close()
+
+
+# -- run counts off the wire -------------------------------------------------
+
+
+class _Outbox:
+    """An endpoint that keeps what a node sends."""
+
+    address = "node1:7000"
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, dest, message):
+        self.sent.append((dest, message))
+
+
+def test_huge_run_count_is_reduced_without_expanding():
+    import time
+    import tracemalloc
+
+    events = []
+    node = _idle_node(events, NodePhase.AWAITING_SEGMENT, leader=False)
+    node.endpoint = _Outbox()
+    node._leader_address = "node3:7000"
+    count = 10 ** 18
+    pairs = f"man=1*{count}"
+    payload = (f"segment=0;count={count};"
+               f"checksum={crc64(pairs.encode()):016x};part=0/1;"
+               f"pairs={pairs}")
+    message = Message(kind=MessageKind.SEGMENT_ASSIGN, sender=3, cycle_id=0,
+                      payload=payload.encode())
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        node._on_segment_assign(message, 1.0)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 1_000_000
+    assert node.phase is NodePhase.AWAITING_RESULT
+    (dest, reply), = node.endpoint.sent
+    parsed = parse_reduce_result(reply)
+    assert dest == "node3:7000"
+    assert (parsed["count"], parsed["visitor"], parsed["room"]) == (
+        count, {"man": count}, {"Room1": count})
+
+
+def test_assignment_count_must_match_the_runs():
+    events = []
+    node = _idle_node(events, NodePhase.AWAITING_SEGMENT, leader=False)
+    pairs = "man=1*3,woman=2"
+    payload = (f"segment=0;count=3;checksum={crc64(pairs.encode()):016x};"
+               f"part=0/1;pairs={pairs}")
+    node._on_segment_assign(
+        Message(kind=MessageKind.SEGMENT_ASSIGN, sender=2, cycle_id=0,
+                payload=payload.encode()), 1.0)
+    assert events[-1] == "t=1.000 node=1 short_segment segment=0"
+    assert node.phase is NodePhase.AWAITING_SEGMENT
+
+
+# -- acks never run past the sequences a node issued -------------------------
+
+
+def test_buffer_prune_clamps_to_issued_sequences():
+    buffer = ClientBuffer()
+    buffer.ingest([_reading(TagCategory.MAN, 1, t) for t in range(3)])
+    assert buffer.prune_through(10 ** 6) == 3
+    assert buffer.committed_through == 2
+    buffer.ingest([_reading(TagCategory.WOMAN, 2, t) for t in range(3, 6)])
+    # A later honest ack still prunes what it covers.
+    assert buffer.prune_through(4) == 2
+    assert buffer.committed_through == 4
+    assert [seq for _, seq in buffer.entries()] == [5]
+
+
+def test_forged_ack_does_not_stop_later_pruning(tmp_path):
+    from crowdmw.harness import ScenarioConfig, SimCluster
+    from crowdmw.store import JournalStore
+
+    store = JournalStore(str(tmp_path / "ack.journal"))
+    try:
+        cluster = SimCluster(
+            ScenarioConfig(nodes=3, cycles=3, seed=5, visitors=30), store)
+        cluster.start()
+        cluster.run(3000.0)
+        node = cluster.nodes[1]
+        node.on_message(
+            Message(kind=MessageKind.CYCLE_SUCCESS, sender=9,
+                    cycle_id=node.cycle_id, payload=b"acks=1:1000000"),
+            "node9:7000", cluster.clock.now_ms())
+        cluster.run(6000.0)
+        watermark = store.ack_watermarks()[1]
+    finally:
+        store.close()
+    held = [seq for _, seqs in node.buffer.runs() for seq in seqs
+            if seq <= watermark]
+    assert watermark > 0
+    assert held == []
+    assert node.buffer.committed_through == watermark
+
+
+# -- the leader check: PING retries, nonce, other traffic --------------------
+
+
+def _checking_follower(tmp_path, events):
+    """Node 1 at slot 0, checking node 2 (the highest live id) by PING."""
+    from crowdmw import election
+    from crowdmw.runtime import Node
+    from crowdmw.store import JournalStore
+
+    config = CycleConfig()
+    store = JournalStore(str(tmp_path / "check.journal"))
+    election.register_node(store, 2, "node2:7000", 0,
+                           config.liveness_window_ms)
+    node = Node(1, config, _Outbox(), store, event_sink=events.append)
+    node.start(0.0)
+    assert node.phase is NodePhase.CHECKING_SERVER
+    return node, store
+
+
+def _pings(node):
+    return [message for dest, message in node.endpoint.sent
+            if message.kind is MessageKind.PING and dest == "node2:7000"]
+
+
+def test_leader_check_retries_then_gives_up(tmp_path):
+    events = []
+    node, store = _checking_follower(tmp_path, events)
+    timeout = node.config.ping_timeout_ms
+    for attempt in range(1, node.config.ping_retries):
+        node.advance(attempt * timeout)
+        assert len(_pings(node)) == attempt + 1
+        assert node.phase is NodePhase.CHECKING_SERVER
+    nonces = {ping.payload for ping in _pings(node)}
+    assert len(nonces) == node.config.ping_retries
+    node.advance(node.config.ping_retries * timeout)
+    assert len(_pings(node)) == node.config.ping_retries
+    assert f"t={node.config.ping_retries * timeout:.3f} node=1 " \
+           f"unreachable node=2 cycle=0" in events
+    assert node._is_leader
+    store.close()
+
+
+def test_leader_check_ignores_a_wrong_nonce(tmp_path):
+    events = []
+    node, store = _checking_follower(tmp_path, events)
+    (ping,) = _pings(node)
+    wrong = bytes(reversed(ping.payload))
+    assert wrong != ping.payload
+    for sender, payload in ((2, wrong), (3, ping.payload)):
+        node.on_message(Message(kind=MessageKind.PONG, sender=sender,
+                                cycle_id=0, payload=payload),
+                        "node2:7000", 10.0)
+        assert node.phase is NodePhase.CHECKING_SERVER
+    node.on_message(Message(kind=MessageKind.PONG, sender=2, cycle_id=0,
+                            payload=ping.payload), "node2:7000", 20.0)
+    assert node.phase is NodePhase.COLLECTING
+    assert node._leader_id == 2
+    store.close()
+
+
+def test_leader_check_keeps_other_traffic(tmp_path):
+    events = []
+    node, store = _checking_follower(tmp_path, events)
+    (ping,) = _pings(node)
+    node.on_message(Message(kind=MessageKind.CYCLE_ABORT, sender=2,
+                            cycle_id=0, payload=b"reason=noise"),
+                    "node2:7000", 10.0)
+    # Handled, not dropped, and the check still waits for its PONG.
+    assert events[-1] == "t=10.000 node=1 outcome cycle=0 kind=abort"
+    assert node.phase is NodePhase.CHECKING_SERVER
+    node.on_message(Message(kind=MessageKind.PONG, sender=2, cycle_id=0,
+                            payload=ping.payload), "node2:7000", 20.0)
+    assert node.phase is NodePhase.COLLECTING
+    assert node._leader_address == "node2:7000"
     store.close()

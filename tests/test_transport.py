@@ -22,17 +22,17 @@ from crowdmw.transport import (
 
 
 def test_hand_assembled_ping_frame():
-    # version 1, kind PING, sender 5, cycle 0, empty payload.
+    # version 2, kind PING, sender 5, cycle 0, empty payload.
     frame = encode_message(Message(kind=MessageKind.PING, sender=5,
                                    cycle_id=0))
-    assert frame == bytes([1, 1, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0])
+    assert frame == bytes([2, 1, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0])
     assert len(frame) == HEADER_LEN
 
 
 def test_hand_assembled_frame_with_payload():
     frame = encode_message(Message(kind=MessageKind.CYCLE_ABORT, sender=7,
                                    cycle_id=3, payload=b"reason=x"))
-    expected = bytes([1, 8, 0, 0, 0, 7, 0, 0, 0, 3, 0, 8]) + b"reason=x"
+    expected = bytes([2, 8, 0, 0, 0, 7, 0, 0, 0, 3, 0, 8]) + b"reason=x"
     assert frame == expected
     parsed = decode_message(expected)
     assert parsed.kind is MessageKind.CYCLE_ABORT
@@ -73,7 +73,9 @@ def test_decode_rejects_garbage():
     with pytest.raises(Malformed):
         decode_message(bytes([9]) + good[1:])  # unknown version
     with pytest.raises(Malformed):
-        decode_message(bytes([1, 200]) + good[2:])  # unknown kind
+        decode_message(bytes([1]) + good[1:])  # a v1 frame
+    with pytest.raises(Malformed):
+        decode_message(bytes([2, 200]) + good[2:])  # unknown kind
 
 
 def _network(loss=0.0, seed=0, latency=(40.0, 90.0), tx=0.0):
