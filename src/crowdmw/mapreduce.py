@@ -92,6 +92,10 @@ def crc64(data: bytes) -> int:
 # A pair and how many times it repeats (>= 1).
 PairRun = tuple[KeyValuePair, int]
 
+# The most pairs a run or a segment may count: a signed 64-bit count,
+# far beyond any cycle, so a count read off the wire stays short.
+MAX_PAIR_COUNT = 2 ** 63 - 1
+
 
 def pair_runs(pairs: Iterable[KeyValuePair]) -> list[PairRun]:
     """(pair, count) for each run of equal neighbouring pairs."""
@@ -126,10 +130,10 @@ def _parse_pair(item: str) -> KeyValuePair:
 def parse_runs(text: str, *, canonical: bool = False) -> list[PairRun]:
     """Inverse of serialize_runs; tolerates surrounding whitespace.
 
-    A count ``*k`` is plain ASCII decimal, at least 2, without a
-    leading zero.  With ``canonical`` it tolerates nothing else: items
-    must be strictly ascending in the canonical pair order, with no
-    spaces, signs or leading zeros, so ``text`` is exactly
+    A count ``*k`` is plain ASCII decimal from 2 to MAX_PAIR_COUNT,
+    without a leading zero.  With ``canonical`` it tolerates nothing
+    else: items must be strictly ascending in the canonical pair order,
+    with no spaces, signs or leading zeros, so ``text`` is exactly
     ``serialize_runs`` of the result.  Then the checksum of ``text``
     is the checksum of the runs, and a reducer need not compute it
     again.  Counts are never expanded: ``man=1*10**18`` costs one run.
@@ -149,6 +153,8 @@ def parse_runs(text: str, *, canonical: bool = False) -> list[PairRun]:
                     and reps[0] != "0" and reps != "1"):
                 raise ValueError(f"bad run count: {item!r}")
             count = int(reps)
+            if count > MAX_PAIR_COUNT:
+                raise ValueError(f"run count too large: {item!r}")
         pair = _parse_pair(body)
         if canonical:
             if body != f"{pair.key}={pair.value}":

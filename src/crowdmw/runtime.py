@@ -42,6 +42,7 @@ from crowdmw.domain import (
 )
 from crowdmw.election import Role
 from crowdmw.mapreduce import (
+    MAX_PAIR_COUNT,
     CycleResult,
     PartialResult,
     Segment,
@@ -1247,6 +1248,8 @@ class Node:
             fields = _parse_fields(message.payload)
             index = int(fields["segment"])
             count = int(fields["count"])
+            if count > MAX_PAIR_COUNT:
+                raise ValueError(f"pair count too large: {count}")
             checksum = int(fields["checksum"], 16)
             part_index_str, part_total_str = fields["part"].split("/")
             part_index, part_total = int(part_index_str), int(part_total_str)
@@ -1281,16 +1284,19 @@ class Node:
         self._transition(now, NodePhase.REDUCING)
         try:
             visitor, room = _reduce_both(segment)
+            reply = build_reduce_result(
+                self.node_id, self.cycle_id, index, assignment.checksum,
+                dict(visitor.aggregates), dict(room.aggregates),
+                visitor.input_pair_count,
+            )
+            if len(reply.payload) > MAX_PAYLOAD:
+                raise ValueError("partial does not fit one datagram")
         except ValueError:
-            # Valid pairs that are not visitor pairs (a room key, room 0).
+            # Valid pairs a reducer cannot answer for: not visitor pairs
+            # (a room key, room 0), or totals too long to print or send.
             self._log(now, f"malformed_assignment from={message.sender}")
             self._transition(now, NodePhase.AWAITING_RESULT)
             return
-        reply = build_reduce_result(
-            self.node_id, self.cycle_id, index, assignment.checksum,
-            dict(visitor.aggregates), dict(room.aggregates),
-            visitor.input_pair_count,
-        )
         if self._leader_address is not None:
             self._send(now, self._leader_address, reply)
         self._transition(now, NodePhase.AWAITING_RESULT)

@@ -95,7 +95,7 @@ def _canonical_runs(key, value, count):
     """Run text in canonical form, with its pair count.
 
     Items are distinct pairs in ascending order, so the text parses;
-    only its content (room keys, room 0, huge counts) can lie.
+    only its content (room keys, room 0, huge rooms or counts) can lie.
     """
     def render(items):
         runs = {}
@@ -185,8 +185,9 @@ LYING = {
         entries=_entries(KEY, SMALL, SMALL, min_size=1))),
     MessageKind.SEGMENT_ASSIGN: _fixed(st.builds(
         _assignment, SMALL, st.none(), st.just("0/1"),
-        _canonical_runs(KEY, SMALL,
-                        st.integers(1, 3) | st.just(10 ** 18)))),
+        _canonical_runs(KEY, SMALL | st.just("9" * 4290),
+                        st.integers(1, 3) | st.sampled_from(
+                            [10 ** 18, 2 ** 63, 10 ** 3000])))),
     # A leader takes a partial only from its segment's assignee, so
     # this one comes from node 1's address, the assignee of segment 0
     # (see SOURCES).

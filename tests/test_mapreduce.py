@@ -112,6 +112,10 @@ def test_canonical_parse_round_trips():
     # Counts: plain ASCII decimal >= 2, no sign, space or leading zero.
     "man=1*1", "man=1*01", "man=1*+2", "man=1* 2", "man=1*\u0663",
     "man=1*-1", "man=1*2*3", "man=1*", "man=1*0",
+    # Counts stay below 2**63, however many digits they are sent with.
+    f"man=1*{2 ** 63}",
+    pytest.param("man=1*" + "9" * 3000, id="man=1*<3000 digits>"),
+    pytest.param("man=1*" + "9" * 5000, id="man=1*<5000 digits>"),
     # Neighbours are distinct pairs in ascending order.
     "man=1,man=1", "man=1*2,man=1", "man=2,man=1", "woman=1,man=1",
     "man=10,man=9", "Room2=1,Room10=1",

@@ -866,21 +866,31 @@ class _Outbox:
         self.sent.append((dest, message))
 
 
+def _replying_follower(events):
+    node = _idle_node(events, NodePhase.AWAITING_SEGMENT, leader=False)
+    node.endpoint = _Outbox()
+    node._leader_address = "node3:7000"
+    return node
+
+
+def _assign(pairs, count, part="0/1", whole=None):
+    """A SEGMENT_ASSIGN part; its checksum covers ``whole`` or ``pairs``."""
+    checked = pairs if whole is None else whole
+    payload = (f"segment=0;count={count};"
+               f"checksum={crc64(checked.encode()):016x};part={part};"
+               f"pairs={pairs}")
+    return Message(kind=MessageKind.SEGMENT_ASSIGN, sender=3, cycle_id=0,
+                   payload=payload.encode())
+
+
 def test_huge_run_count_is_reduced_without_expanding():
     import time
     import tracemalloc
 
     events = []
-    node = _idle_node(events, NodePhase.AWAITING_SEGMENT, leader=False)
-    node.endpoint = _Outbox()
-    node._leader_address = "node3:7000"
+    node = _replying_follower(events)
     count = 10 ** 18
-    pairs = f"man=1*{count}"
-    payload = (f"segment=0;count={count};"
-               f"checksum={crc64(pairs.encode()):016x};part=0/1;"
-               f"pairs={pairs}")
-    message = Message(kind=MessageKind.SEGMENT_ASSIGN, sender=3, cycle_id=0,
-                      payload=payload.encode())
+    message = _assign(f"man=1*{count}", count)
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -897,6 +907,35 @@ def test_huge_run_count_is_reduced_without_expanding():
     assert dest == "node3:7000"
     assert (parsed["count"], parsed["visitor"], parsed["room"]) == (
         count, {"man": count}, {"Room1": count})
+
+
+def _distinct_rooms(first, last):
+    return ",".join(f"man={room}" for room in range(first, last))
+
+
+@pytest.mark.parametrize("texts,count", [
+    # Counts of 2**63 and more are refused where they are parsed.
+    ([f"man=1*{2 ** 63}"], 2 ** 63),
+    (["man=1*" + "9" * 3000], int("9" * 3000)),
+    (["man=1*2"], 2 ** 63),
+    (["man=1"], int("9" * 3000)),
+    # A room number times its count is too long to print.
+    ([f"man={'9' * 4290}*{10 ** 18}"], 10 ** 18),
+    # Totals that fit no datagram: a long room number, and more
+    # distinct rooms than one reply can list.
+    ([f"man={'9' * 4100}"], 1),
+    ([_distinct_rooms(1, 700), _distinct_rooms(700, 1400)], 1399),
+], ids=["run-count-2**63", "run-count-3000-digits", "count-2**63",
+        "count-3000-digits", "total-over-4300-digits", "room-4100-digits",
+        "1399-rooms-in-2-parts"])
+def test_hostile_assignment_is_refused_without_raising(texts, count):
+    events = []
+    node = _replying_follower(events)
+    for index, text in enumerate(texts):
+        node._on_segment_assign(_assign(text, count, f"{index}/{len(texts)}",
+                                        ",".join(texts)), 1.0)
+    assert "t=1.000 node=1 malformed_assignment from=3" in events
+    assert node.endpoint.sent == []
 
 
 def test_assignment_count_must_match_the_runs():
