@@ -40,6 +40,17 @@ GOLDEN = {
         "934123447b12cdd02975ea3bc9b88f4bc208918265abf559549e31814ff4e8e1",
         "e5a52ae22cca5584a0e8b61459bbf96cb8e906c336c0f0f239a1e18be72ec42d",
     ),
+    # A manual override under loss, then the override is killed: every
+    # slot checks node 2 first, and after the kill finds it unreachable
+    # and elects the highest live id instead.
+    "override-kill": (
+        dict(nodes=5, cycles=8, visitors=200, seed=5, override_leader=2,
+             loss_rate=0.05,
+             faults=tuple(parse_fault(text) for text in (
+                 "kill_leader@4100", "set_loss@9000:0.0"))),
+        "eb72e055f443d197e91a6fe9906711a906852b8b783c012b1407ad04b3ade99a",
+        "0ed94b61ef8e099c5e2c4219c1aa9b5f077fb48d2ac55872f5dfe65ba992df30",
+    ),
 }
 
 
