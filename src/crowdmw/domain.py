@@ -62,15 +62,6 @@ def parse_tag(token: str) -> TagCategory:
     raise UnknownTag(f"unknown tag category: {token!r}")
 
 
-def validate_room(room: int, room_count: int = DEFAULT_ROOM_COUNT) -> int:
-    """Check a room number against the configured room count."""
-    if not isinstance(room, int) or isinstance(room, bool):
-        raise ValueError(f"room number must be an int, got {room!r}")
-    if not 1 <= room <= room_count:
-        raise ValueError(f"room number {room} outside 1..{room_count}")
-    return room
-
-
 def room_key(room: int) -> str:
     """Serialize a room number as a counting key, e.g. 3 -> 'Room3'."""
     if room < 1:

@@ -3,9 +3,10 @@
 Nodes register themselves in the shared store and refresh a last-seen
 timestamp.  A record counts as live while its last-seen is within the
 liveness window (twice the availability-check interval by default).
-Election is a pure function of the registry snapshot plus an optional
-manual override; availability of a live-looking winner is verified
-separately with a PING round trip.
+Election is a pure function of the set of live ids a node counts plus
+an optional manual override: the override if it is in the set, else
+the highest id.  Availability of the winner is verified separately
+with a PING round trip.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Collection, Optional
 
 from crowdmw.domain import MiddlewareError
 from crowdmw.transport import Message, MessageKind
@@ -23,14 +24,6 @@ NodeId = int
 
 class AddressConflict(MiddlewareError):
     """A live registration already claims this node id elsewhere."""
-
-
-class EmptyRegistry(MiddlewareError):
-    """No live records to elect from."""
-
-
-class OverrideNotLive(MiddlewareError):
-    """Manual override names a node without a live registration."""
 
 
 class Role(enum.Enum):
@@ -120,19 +113,10 @@ def register_node(store, node_id: NodeId, address: str, now: int,
     return record
 
 
-def elect_leader(snapshot: RegistrySnapshot,
-                 override: Optional[NodeId] = None, *,
-                 liveness_window_ms: int,
-                 now: Optional[int] = None) -> NodeId:
-    """Pick the leader: the override if live, else the maximum live id."""
-    live = live_records(snapshot, liveness_window_ms, now)
-    if override is not None:
-        if any(r.node_id == override for r in live):
-            return override
-        raise OverrideNotLive(f"override node {override} has no live record")
-    if not live:
-        raise EmptyRegistry("no live records to elect from")
-    return max(r.node_id for r in live)
+def elect_leader(live_ids: Collection[NodeId],
+                 override: Optional[NodeId] = None) -> NodeId:
+    """Pick the leader: the override if it is live, else the maximum id."""
+    return override if override in live_ids else max(live_ids)
 
 
 def claim_leadership(store, node_id: NodeId, address: str, now: int) -> None:

@@ -40,7 +40,6 @@ from crowdmw.domain import (
     TagCategory,
     room_key,
 )
-from crowdmw.election import Role
 from crowdmw.mapreduce import (
     MAX_PAIR_COUNT,
     CycleResult,
@@ -385,6 +384,22 @@ def _chunk(text: str, budget: int, max_items: Optional[int]) -> list[str]:
     return parts
 
 
+def _parts(kind: MessageKind, sender: NodeId, cycle_id: int, head: str,
+           field: str, text: str, max_items: Optional[int] = None
+           ) -> list[Message]:
+    """``text`` split at items into ``{head}part=i/n;{field}=...`` datagrams.
+
+    The headroom reserves four digits each for i and n, so every part
+    fits ``MAX_PAYLOAD`` once its header is written.
+    """
+    headroom = len(f"{head}part=9999/9999;{field}=")
+    chunks = _chunk(text, MAX_PAYLOAD - headroom, max_items)
+    return [Message(kind=kind, sender=sender, cycle_id=cycle_id,
+                    payload=(f"{head}part={index}/{len(chunks)};"
+                             f"{field}={chunk}").encode("utf-8"))
+            for index, chunk in enumerate(chunks)]
+
+
 def build_submission_parts(origin: NodeId, cycle_id: int,
                            runs: Iterable[Run],
                            max_entries_per_part: Optional[int] = None
@@ -399,40 +414,19 @@ def build_submission_parts(origin: NodeId, cycle_id: int,
         if seqs:
             prefix = f"{pair.key}={pair.value}@"
             texts.append(prefix + f",{prefix}".join(map(str, seqs)))
-    headroom = len(f"origin={origin};part=9999/9999;entries=")
-    chunks = _chunk(",".join(texts), MAX_PAYLOAD - headroom,
-                    max_entries_per_part)
-    messages = []
-    for index, chunk in enumerate(chunks):
-        payload = (
-            f"origin={origin};part={index}/{len(chunks)};entries={chunk}"
-        )
-        messages.append(Message(kind=MessageKind.DATA_SUBMIT, sender=origin,
-                                cycle_id=cycle_id,
-                                payload=payload.encode("utf-8")))
-    return messages
+    return _parts(MessageKind.DATA_SUBMIT, origin, cycle_id,
+                  f"origin={origin};", "entries", ",".join(texts),
+                  max_entries_per_part)
 
 
 def build_assignment_parts(sender: NodeId, cycle_id: int,
                            segment: Segment) -> list[Message]:
     """Encode an assignment: the segment's run text, split at items."""
-    headroom = len(
-        f"segment={segment.segment_index};count={segment.pair_count};"
-        f"checksum={'0' * 16};part=9999/9999;pairs="
-    )
-    chunks = _chunk(serialize_runs(segment.runs), MAX_PAYLOAD - headroom,
-                    None)
-    messages = []
-    for index, chunk in enumerate(chunks):
-        payload = (
-            f"segment={segment.segment_index};count={segment.pair_count};"
-            f"checksum={segment.checksum:016x};part={index}/{len(chunks)};"
-            f"pairs={chunk}"
-        )
-        messages.append(Message(kind=MessageKind.SEGMENT_ASSIGN,
-                                sender=sender, cycle_id=cycle_id,
-                                payload=payload.encode("utf-8")))
-    return messages
+    return _parts(MessageKind.SEGMENT_ASSIGN, sender, cycle_id,
+                  f"segment={segment.segment_index};"
+                  f"count={segment.pair_count};"
+                  f"checksum={segment.checksum:016x};", "pairs",
+                  serialize_runs(segment.runs))
 
 
 def _serialize_aggregates(aggregates: dict[str, int]) -> str:
@@ -660,6 +654,10 @@ _TIMER_PRIORITY = {"ping": 0, "slot": 1, "collect": 2, "consolidate": 3,
 # Event-line names, so logging a datagram skips the enum descriptors.
 _KIND_NAMES = {kind: kind.name.lower() for kind in MessageKind}
 
+# Kinds a node acts on only from its confirmed leader's address.
+_FROM_LEADER = frozenset({MessageKind.SEGMENT_ASSIGN,
+                          MessageKind.CYCLE_SUCCESS, MessageKind.CYCLE_ABORT})
+
 
 @dataclass
 class _SubmissionParts:
@@ -730,7 +728,6 @@ class Node:
         self.slots_entered = 0
         self.commits = 0
         self.aborts = 0
-        self.elections_won = 0
         self.dedupe_dropped = 0
         self.ingest_listener: Optional[Callable[
             [NodeId, list[tuple[int, SensorReading]]], None]] = None
@@ -802,43 +799,21 @@ class Node:
         if hasattr(self.endpoint, "close"):
             self.endpoint.close()
 
-    # -- registry helpers -------------------------------------------------
+    # -- membership --------------------------------------------------------
 
-    def _live_snapshot(self, now: float):
-        snapshot = self.store.snapshot_nodes(int(now))
-        live = election.live_records(snapshot,
-                                     self.config.liveness_window_ms,
-                                     int(now))
-        return snapshot, live
+    def _live(self, now: float) -> dict[NodeId, str]:
+        """Live registrations as {node id: address}, in node-id order."""
+        records = election.live_records(self.store.snapshot_nodes(int(now)),
+                                        self.config.liveness_window_ms,
+                                        int(now))
+        return {record.node_id: record.address for record in records}
 
-    def _expected_leader(self, live) -> Optional[NodeId]:
-        candidates = [r for r in live if r.node_id not in self._excluded]
-        if not candidates:
-            return None
-        snapshot = election.RegistrySnapshot(
-            records=tuple(
-                election.NodeRecord(r.node_id, r.address, Role.FOLLOWER,
-                                    r.last_seen)
-                for r in sorted(candidates, key=lambda r: r.node_id)
-            ),
-            taken_at=max(r.last_seen for r in candidates),
-        )
-        override = self.override
-        if override is not None and (
-            override in self._excluded
-            or all(r.node_id != override for r in candidates)
-        ):
-            override = None
-        return election.elect_leader(
-            snapshot, override,
-            liveness_window_ms=self.config.liveness_window_ms,
-        )
-
-    def _address_of(self, node_id: NodeId, live) -> Optional[str]:
-        for record in live:
-            if record.node_id == node_id:
-                return record.address
-        return None
+    def _broadcast(self, now: float, message: Message,
+                   live: Mapping[NodeId, str]) -> None:
+        """Send ``message`` to every other node in ``live``, in its order."""
+        for node_id, address in live.items():
+            if node_id != self.node_id:
+                self._send(now, address, message)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -916,17 +891,18 @@ class Node:
         self._resolve_leadership(now)
 
     def _resolve_leadership(self, now: float) -> None:
-        """Work out who should lead and verify or claim accordingly."""
-        snapshot, live = self._live_snapshot(now)
-        expected = self._expected_leader(live)
-        if expected is None or expected == self.node_id:
-            self._claim(now, electing=expected is None)
+        """Elect among the live ids not excluded; verify or claim.
+
+        This node registered at the slot start and is never excluded,
+        so there is always a candidate.
+        """
+        live = self._live(now)
+        expected = election.elect_leader(live.keys() - self._excluded,
+                                         self.override)
+        if expected == self.node_id:
+            self._claim(now, live)
             return
-        address = self._address_of(expected, live)
-        if address is None:
-            self._claim(now, electing=True)
-            return
-        self._check_target = (expected, address)
+        self._check_target = (expected, live[expected])
         self._check_attempts = 0
         self._send_ping(now)
 
@@ -954,23 +930,10 @@ class Node:
         self._log(now, f"unreachable node={target_id} cycle={self.cycle_id}")
         if self.phase is not NodePhase.ELECTING:
             self._transition(now, NodePhase.ELECTING)
-        snapshot, live = self._live_snapshot(now)
-        expected = self._expected_leader(live)
-        if expected is None or expected == self.node_id:
-            self._claim(now, electing=False)
-            return
-        address = self._address_of(expected, live)
-        if address is None:
-            self._claim(now, electing=False)
-            return
-        self._check_target = (expected, address)
-        self._check_attempts = 0
-        self._send_ping(now)
+        self._resolve_leadership(now)
 
-    def _claim(self, now: float, electing: bool) -> None:
-        """Become leader for this slot and announce it."""
-        if electing and self.phase is not NodePhase.ELECTING:
-            self._transition(now, NodePhase.ELECTING)
+    def _claim(self, now: float, live: dict[NodeId, str]) -> None:
+        """Become leader for this slot and announce it to ``live``."""
         if self.phase is NodePhase.CHECKING_SERVER:
             self._transition(now, NodePhase.ELECTING)
         election.claim_leadership(self.store, self.node_id,
@@ -978,23 +941,19 @@ class Node:
         self._is_leader = True
         self._leader_id = self.node_id
         self._leader_address = self.endpoint.address
-        self.elections_won += 1
         self._watermarks.update({
             origin: max(seq, self._watermarks.get(origin, -1))
             for origin, seq in self.store.ack_watermarks().items()
         })
         self._log(now, f"leader_claimed cycle={self.cycle_id}")
-        snapshot, live = self._live_snapshot(now)
-        self._origin_addresses = {r.node_id: r.address for r in live}
+        self._origin_addresses = live
         announcement = (
             f"leader={self.node_id};addr={self.endpoint.address}"
         ).encode("utf-8")
-        for record in live:
-            if record.node_id != self.node_id:
-                self._send(now, record.address, Message(
-                    kind=MessageKind.REGISTER_ACK, sender=self.node_id,
-                    cycle_id=max(self.cycle_id, 0), payload=announcement,
-                ))
+        self._broadcast(now, Message(
+            kind=MessageKind.REGISTER_ACK, sender=self.node_id,
+            cycle_id=max(self.cycle_id, 0), payload=announcement,
+        ), live)
         self._transition(now, NodePhase.COLLECTING)
 
     def _confirm_leader(self, now: float, leader_id: NodeId,
@@ -1031,8 +990,7 @@ class Node:
             submission = _SubmissionParts(total=1,
                                           parts={0: self.buffer.runs()})
             self._submissions[self.node_id] = submission
-            snapshot, live = self._live_snapshot(now)
-            self._origin_addresses = {r.node_id: r.address for r in live}
+            self._origin_addresses = self._live(now)
             self._expected_origins = set(self._origin_addresses)
             self._transition(now, NodePhase.CONSOLIDATING)
             self._arm("consolidate", now + self.config.submit_window_ms)
@@ -1118,11 +1076,11 @@ class Node:
         self._assignee_addresses = {}
         self._remote_partials = {}
         self._transition(now, NodePhase.DISPATCHING)
-        snapshot, live = self._live_snapshot(now)
+        live = self._live(now)
         for segment in self._segments:
             if segment.assignee == self.node_id:
                 continue
-            address = self._address_of(segment.assignee, live)
+            address = live.get(segment.assignee)
             if address is None:
                 continue
             self._assignee_addresses[segment.segment_index] = address
@@ -1215,24 +1173,18 @@ class Node:
         if own_ack is not None:
             self.buffer.prune_through(own_ack)
         self._transition(now, NodePhase.BROADCASTING)
-        snapshot, live = self._live_snapshot(now)
-        success = build_success(self.node_id, self.cycle_id, self._new_acks)
-        for record in live:
-            if record.node_id != self.node_id:
-                self._send(now, record.address, success)
+        self._broadcast(now, build_success(self.node_id, self.cycle_id,
+                                           self._new_acks), self._live(now))
         self._slot_done = True
 
     def _abort_cycle(self, now: float, reason: str) -> None:
         self.aborts += 1
         self._log(now, f"abort cycle={self.cycle_id} reason={reason}")
         self._transition(now, NodePhase.BROADCASTING)
-        snapshot, live = self._live_snapshot(now)
-        message = Message(kind=MessageKind.CYCLE_ABORT, sender=self.node_id,
-                          cycle_id=max(self.cycle_id, 0),
-                          payload=f"reason={reason}".encode("utf-8"))
-        for record in live:
-            if record.node_id != self.node_id:
-                self._send(now, record.address, message)
+        self._broadcast(now, Message(
+            kind=MessageKind.CYCLE_ABORT, sender=self.node_id,
+            cycle_id=max(self.cycle_id, 0),
+            payload=f"reason={reason}".encode("utf-8")), self._live(now))
         self._slot_done = True
         self._disarm("consolidate")
         self._disarm("reduce")
@@ -1346,6 +1298,10 @@ class Node:
                 return
             if leader_id != self.node_id:
                 self._confirm_leader(now, leader_id, address)
+            return
+        if kind in _FROM_LEADER and source != self._leader_address:
+            self._log(now, f"not_leader kind={_KIND_NAMES[kind]} "
+                           f"from={message.sender}")
             return
         if kind is MessageKind.DATA_SUBMIT:
             self._on_data_submit(message, source, now)

@@ -184,10 +184,6 @@ class SimulatedNetwork:
             raise ValueError(f"loss_rate {rate} outside [0, 1]")
         self._loss_rate = rate
 
-    @property
-    def loss_rate(self) -> float:
-        return self._loss_rate
-
     def add_partition(self, addresses: frozenset[str], start_ms: float,
                       end_ms: float) -> None:
         """Drop traffic crossing the given address set during [start, end)."""
@@ -279,10 +275,6 @@ class SimEndpoint:
                 return None
             self.network.dispatch_next()
 
-    def recv(self, timeout_ms: float) -> Optional[Message]:
-        received = self.recv_from(timeout_ms)
-        return received[0] if received else None
-
     def poll(self) -> Optional[tuple[Message, str]]:
         """Non-blocking: next already-delivered message, if any."""
         if self.inbox:
@@ -365,10 +357,6 @@ class UdpEndpoint:
         except Malformed:
             return None
         return message, f"{peer[0]}:{peer[1]}"
-
-    def recv(self, timeout_ms: float) -> Optional[Message]:
-        received = self.recv_from(timeout_ms)
-        return received[0] if received else None
 
     def close(self) -> None:
         self.closed = True

@@ -10,7 +10,6 @@ from crowdmw.domain import (
     _check_key,
     parse_tag,
     room_key,
-    validate_room,
 )
 
 
@@ -37,12 +36,8 @@ def test_canonical_tag_order_is_lexicographic():
 def test_room_key_and_validation():
     assert room_key(1) == "Room1"
     assert room_key(4) == "Room4"
-    validate_room(4)
     with pytest.raises(ValueError):
-        validate_room(0)
-    with pytest.raises(ValueError):
-        validate_room(5)
-    validate_room(7, room_count=8)
+        room_key(0)
 
 
 def test_pair_rejects_bad_keys_and_values():

@@ -11,9 +11,7 @@ import pytest
 
 from crowdmw.election import (
     AddressConflict,
-    EmptyRegistry,
     NodeRecord,
-    OverrideNotLive,
     RegistrySnapshot,
     Role,
     claim_leadership,
@@ -83,26 +81,21 @@ def test_live_records_filters_by_window():
 
 
 def test_elect_leader_picks_max_live_id():
-    snapshot = _snapshot(_record(1), _record(7), _record(4))
-    assert elect_leader(snapshot, liveness_window_ms=WINDOW) == 7
+    assert elect_leader({1, 7, 4}) == 7
 
 
 def test_elect_leader_ignores_stale_max():
+    # A node elects among the ids ``live_records`` keeps.
     snapshot = _snapshot(_record(1, last_seen=1000), _record(9, last_seen=0),
                          taken_at=1000)
-    assert elect_leader(snapshot, liveness_window_ms=500) == 1
+    live = live_records(snapshot, liveness_window_ms=500)
+    assert elect_leader({r.node_id for r in live}) == 1
 
 
 def test_elect_leader_override():
-    snapshot = _snapshot(_record(1), _record(7), _record(4))
-    assert elect_leader(snapshot, 4, liveness_window_ms=WINDOW) == 4
-    with pytest.raises(OverrideNotLive):
-        elect_leader(snapshot, 5, liveness_window_ms=WINDOW)
-
-
-def test_elect_leader_empty_registry():
-    with pytest.raises(EmptyRegistry):
-        elect_leader(_snapshot(), liveness_window_ms=WINDOW)
+    assert elect_leader({1, 7, 4}, 4) == 4
+    # An override that is not live falls back to the maximum id.
+    assert elect_leader({1, 7, 4}, 5) == 7
 
 
 def test_claim_leadership_demotes_previous(store):

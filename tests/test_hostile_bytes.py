@@ -213,8 +213,13 @@ MALFORMED = {
         st.builds(lambda o, s: f"{o}:{s}", NUMBER, NUMBER)))),
     MessageKind.CYCLE_ABORT: _fixed(_fields(reason=st.text(max_size=8))),
 }
+# A node acts on an assignment or an outcome only from its confirmed
+# leader's address, so those come from node 3's, the leader's.
 SOURCES = {MessageKind.DATA_SUBMIT: "node2:7000",
-           MessageKind.REDUCE_RESULT: "node1:7000"}
+           MessageKind.REDUCE_RESULT: "node1:7000",
+           MessageKind.SEGMENT_ASSIGN: "node3:7000",
+           MessageKind.CYCLE_SUCCESS: "node3:7000",
+           MessageKind.CYCLE_ABORT: "node3:7000"}
 RAW = _fixed(st.binary(max_size=60).map(lambda b: b.decode("latin-1")))
 
 # Node 1 dies after it got its segment and before it replies, so a

@@ -548,14 +548,32 @@ def test_parse_entries_many_distinct_keys_stay_bounded():
     assert info.maxsize == INTERN_LIMIT and info.currsize <= info.maxsize
 
 
+class _Outbox:
+    """An endpoint that keeps what a node sends."""
+
+    address = "node1:7000"
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, dest, message):
+        self.sent.append((dest, message))
+
+
+# The leader node 1 follows in the idle-node tests.
+LEADER = "node3:7000"
+
+
 def _idle_node(events, phase, *, leader):
+    """Node 1 in slot 0: the leader, or a follower of node 3."""
     from crowdmw.runtime import Node
 
-    node = Node(1, CycleConfig(), endpoint=None, store=None,
+    node = Node(1, CycleConfig(), endpoint=_Outbox(), store=None,
                 event_sink=events.append)
     node.cycle_id = 0
     node.phase = phase
     node._is_leader = leader
+    node._leader_address = "node1:7000" if leader else LEADER
     node._origin_addresses = {n: f"node{n}:7000" for n in (1, 2, 3)}
     return node
 
@@ -732,20 +750,20 @@ def test_malformed_assignment_is_logged(pairs, count):
                f"part=0/1;pairs={pairs}")
     for _ in range(2):
         node._assignments.clear()
-        node._on_segment_assign(
-            Message(kind=MessageKind.SEGMENT_ASSIGN, sender=2, cycle_id=0,
-                    payload=payload.encode()), 1.0)
-        assert events[-1] == "t=1.000 node=1 malformed_assignment from=2"
+        node.on_message(
+            Message(kind=MessageKind.SEGMENT_ASSIGN, sender=3, cycle_id=0,
+                    payload=payload.encode()), LEADER, 1.0)
+        assert events[-1] == "t=1.000 node=1 malformed_assignment from=3"
         assert node.phase is NodePhase.AWAITING_SEGMENT
-    bad_field = Message(kind=MessageKind.SEGMENT_ASSIGN, sender=2, cycle_id=0,
+    bad_field = Message(kind=MessageKind.SEGMENT_ASSIGN, sender=3, cycle_id=0,
                         payload=b"segment=0;count=x;checksum=0;part=0/1;"
                                 b"pairs=man=1")
-    node._on_segment_assign(bad_field, 2.0)
-    assert events[-1] == "t=2.000 node=1 malformed_assignment from=2"
+    node.on_message(bad_field, LEADER, 2.0)
+    assert events[-1] == "t=2.000 node=1 malformed_assignment from=3"
     segment = Segment.build(1, [(KeyValuePair("man", 1), 1)], 0)
     node._assignments.clear()
-    for message in build_assignment_parts(2, 0, segment):
-        node._on_segment_assign(message, 3.0)
+    for message in build_assignment_parts(3, 0, segment):
+        node.on_message(message, LEADER, 3.0)
     assert node.phase is NodePhase.AWAITING_RESULT
 
 
@@ -854,25 +872,6 @@ def test_consolidation_timer_still_fires_without_every_origin(tmp_path):
 # -- run counts off the wire -------------------------------------------------
 
 
-class _Outbox:
-    """An endpoint that keeps what a node sends."""
-
-    address = "node1:7000"
-
-    def __init__(self):
-        self.sent = []
-
-    def send(self, dest, message):
-        self.sent.append((dest, message))
-
-
-def _replying_follower(events):
-    node = _idle_node(events, NodePhase.AWAITING_SEGMENT, leader=False)
-    node.endpoint = _Outbox()
-    node._leader_address = "node3:7000"
-    return node
-
-
 def _assign(pairs, count, part="0/1", whole=None):
     """A SEGMENT_ASSIGN part; its checksum covers ``whole`` or ``pairs``."""
     checked = pairs if whole is None else whole
@@ -888,13 +887,13 @@ def test_huge_run_count_is_reduced_without_expanding():
     import tracemalloc
 
     events = []
-    node = _replying_follower(events)
+    node = _idle_node(events, NodePhase.AWAITING_SEGMENT, leader=False)
     count = 10 ** 18
     message = _assign(f"man=1*{count}", count)
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        node._on_segment_assign(message, 1.0)
+        node.on_message(message, LEADER, 1.0)
         elapsed = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -904,7 +903,7 @@ def test_huge_run_count_is_reduced_without_expanding():
     assert node.phase is NodePhase.AWAITING_RESULT
     (dest, reply), = node.endpoint.sent
     parsed = parse_reduce_result(reply)
-    assert dest == "node3:7000"
+    assert dest == LEADER
     assert (parsed["count"], parsed["visitor"], parsed["room"]) == (
         count, {"man": count}, {"Room1": count})
 
@@ -930,10 +929,10 @@ def _distinct_rooms(first, last):
         "1399-rooms-in-2-parts"])
 def test_hostile_assignment_is_refused_without_raising(texts, count):
     events = []
-    node = _replying_follower(events)
+    node = _idle_node(events, NodePhase.AWAITING_SEGMENT, leader=False)
     for index, text in enumerate(texts):
-        node._on_segment_assign(_assign(text, count, f"{index}/{len(texts)}",
-                                        ",".join(texts)), 1.0)
+        node.on_message(_assign(text, count, f"{index}/{len(texts)}",
+                                ",".join(texts)), LEADER, 1.0)
     assert "t=1.000 node=1 malformed_assignment from=3" in events
     assert node.endpoint.sent == []
 
@@ -944,9 +943,9 @@ def test_assignment_count_must_match_the_runs():
     pairs = "man=1*3,woman=2"
     payload = (f"segment=0;count=3;checksum={crc64(pairs.encode()):016x};"
                f"part=0/1;pairs={pairs}")
-    node._on_segment_assign(
-        Message(kind=MessageKind.SEGMENT_ASSIGN, sender=2, cycle_id=0,
-                payload=payload.encode()), 1.0)
+    node.on_message(
+        Message(kind=MessageKind.SEGMENT_ASSIGN, sender=3, cycle_id=0,
+                payload=payload.encode()), LEADER, 1.0)
     assert events[-1] == "t=1.000 node=1 short_segment segment=0"
     assert node.phase is NodePhase.AWAITING_SEGMENT
 
@@ -987,9 +986,48 @@ def test_forged_ack_does_not_stop_later_pruning(tmp_path):
         store.close()
     held = [seq for _, seqs in node.buffer.runs() for seq in seqs
             if seq <= watermark]
+    assert ("t=3000.000 node=1 not_leader kind=cycle_success from=9"
+            in cluster.events)
     assert watermark > 0
     assert held == []
     assert node.buffer.committed_through == watermark
+
+
+# -- leader-only messages count only from the confirmed leader ---------------
+
+
+def test_forged_outcome_from_a_non_leader_is_dropped():
+    events = []
+    node = _idle_node(events, NodePhase.AWAITING_RESULT, leader=False)
+    node.buffer.ingest([_reading(TagCategory.MAN, 1, t) for t in range(3)])
+    success = build_success(3, 0, {1: 2})
+    abort = Message(kind=MessageKind.CYCLE_ABORT, sender=3, cycle_id=0,
+                    payload=b"reason=min_responding")
+    # The header names the leader; the source address does not.
+    node.on_message(success, "node9:7000", 1.0)
+    assert events[-1] == "t=1.000 node=1 not_leader kind=cycle_success from=3"
+    assert (len(node.buffer), node.buffer.committed_through) == (3, -1)
+    node.on_message(abort, "node9:7000", 2.0)
+    assert events[-1] == "t=2.000 node=1 not_leader kind=cycle_abort from=3"
+    node.on_message(abort, LEADER, 3.0)
+    assert events[-1] == "t=3.000 node=1 outcome cycle=0 kind=abort"
+    node.on_message(success, LEADER, 4.0)
+    assert events[-1] == "t=4.000 node=1 outcome cycle=0 kind=success pruned=3"
+
+
+def test_assignment_from_a_non_leader_is_not_reduced():
+    events = []
+    node = _idle_node(events, NodePhase.AWAITING_SEGMENT, leader=False)
+    segment = Segment.build(1, [(KeyValuePair("man", 1), 1)], 0)
+    (message,) = build_assignment_parts(3, 0, segment)
+    node.on_message(message, "node2:7000", 1.0)
+    assert events[-1] == ("t=1.000 node=1 not_leader kind=segment_assign "
+                          "from=3")
+    assert node.phase is NodePhase.AWAITING_SEGMENT
+    assert node._assignments == {} and node.endpoint.sent == []
+    node.on_message(message, LEADER, 2.0)
+    assert node.phase is NodePhase.AWAITING_RESULT
+    assert [dest for dest, _ in node.endpoint.sent] == [LEADER]
 
 
 # -- the leader check: PING retries, nonce, other traffic --------------------
@@ -1055,15 +1093,45 @@ def test_leader_check_ignores_a_wrong_nonce(tmp_path):
 def test_leader_check_keeps_other_traffic(tmp_path):
     events = []
     node, store = _checking_follower(tmp_path, events)
+    # Node 2 answers in slot 0, so node 1 follows it into slot 1.
     (ping,) = _pings(node)
-    node.on_message(Message(kind=MessageKind.CYCLE_ABORT, sender=2,
-                            cycle_id=0, payload=b"reason=noise"),
-                    "node2:7000", 10.0)
-    # Handled, not dropped, and the check still waits for its PONG.
-    assert events[-1] == "t=10.000 node=1 outcome cycle=0 kind=abort"
-    assert node.phase is NodePhase.CHECKING_SERVER
     node.on_message(Message(kind=MessageKind.PONG, sender=2, cycle_id=0,
                             payload=ping.payload), "node2:7000", 20.0)
+    node.advance(2000.0)
+    assert node.phase is NodePhase.CHECKING_SERVER
+    ping = _pings(node)[-1]
+    node.on_message(Message(kind=MessageKind.CYCLE_ABORT, sender=2,
+                            cycle_id=0, payload=b"reason=noise"),
+                    "node2:7000", 2010.0)
+    # Handled, not dropped, and the check still waits for its PONG.
+    assert events[-1] == "t=2010.000 node=1 outcome cycle=0 kind=abort"
+    assert node.phase is NodePhase.CHECKING_SERVER
+    node.on_message(Message(kind=MessageKind.PONG, sender=2, cycle_id=1,
+                            payload=ping.payload), "node2:7000", 2020.0)
     assert node.phase is NodePhase.COLLECTING
     assert node._leader_address == "node2:7000"
+    store.close()
+
+
+def test_live_override_is_checked_whatever_later_registrations_say(tmp_path):
+    # Node 9 registered later than node 1's clock reads (nodes on
+    # threads over one store).  At t=4000 node 1 counts node 2 as live
+    # (0 + 4000 >= 4000); re-checking liveness at node 9's 4100 instead
+    # dropped node 2 and raised because the override was not live.
+    from crowdmw import election
+    from crowdmw.runtime import Node
+    from crowdmw.store import JournalStore
+
+    config = CycleConfig()
+    assert config.liveness_window_ms == 4000
+    store = JournalStore(str(tmp_path / "override.journal"))
+    election.register_node(store, 2, "node2:7000", 0,
+                           config.liveness_window_ms)
+    election.register_node(store, 9, "node9:7000", 4100,
+                           config.liveness_window_ms)
+    node = Node(1, config, _Outbox(), store, override=2)
+    node.start(4000.0)
+    assert node.phase is NodePhase.CHECKING_SERVER
+    assert [(dest, message.kind) for dest, message in node.endpoint.sent] == [
+        ("node2:7000", MessageKind.PING)]
     store.close()
