@@ -26,9 +26,6 @@ class VirtualClock:
         if t_ms > self._now:
             self._now = float(t_ms)
 
-    def advance_by(self, delta_ms: float) -> None:
-        self.advance_to(self._now + float(delta_ms))
-
 
 class WallClock:
     """Monotonic wall clock, zeroed at construction."""

@@ -1,8 +1,10 @@
 """Registry-backed leader election: highest live node id wins.
 
 Nodes register themselves in the shared store and refresh a last-seen
-timestamp.  A record counts as live while its last-seen is within the
-liveness window (twice the availability-check interval by default).
+timestamp in the store, which owns the node table and its one-leader
+rule.  A record counts as live while its last-seen is within the
+liveness window (twice the availability-check interval by default) of
+the time the caller passes in.
 Election is a pure function of the set of live ids a node counts plus
 an optional manual override: the override if it is in the set, else
 the highest id.  Availability of the winner is verified separately
@@ -14,7 +16,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Collection, Optional
+from typing import Collection, Iterable, Optional
 
 from crowdmw.domain import MiddlewareError
 from crowdmw.transport import Message, MessageKind
@@ -49,41 +51,10 @@ class NodeRecord:
             raise ValueError("last_seen must be >= 0")
 
 
-@dataclass(frozen=True)
-class RegistrySnapshot:
-    """Point-in-time view of the node table, sorted by node id."""
-
-    records: tuple[NodeRecord, ...]
-    taken_at: int
-
-    def __post_init__(self) -> None:
-        ids = [r.node_id for r in self.records]
-        if len(ids) != len(set(ids)):
-            raise ValueError("duplicate node ids in snapshot")
-        leaders = [r for r in self.records if r.role is Role.LEADER]
-        if len(leaders) > 1:
-            raise ValueError("snapshot holds more than one leader")
-
-    def record_for(self, node_id: NodeId) -> Optional[NodeRecord]:
-        for record in self.records:
-            if record.node_id == node_id:
-                return record
-        return None
-
-    def leader_record(self) -> Optional[NodeRecord]:
-        for record in self.records:
-            if record.role is Role.LEADER:
-                return record
-        return None
-
-
-def live_records(snapshot: RegistrySnapshot, liveness_window_ms: int,
-                 now: Optional[int] = None) -> list[NodeRecord]:
-    """Records whose last-seen falls within the liveness window."""
-    at = snapshot.taken_at if now is None else now
-    return [
-        r for r in snapshot.records if r.last_seen + liveness_window_ms >= at
-    ]
+def live_records(records: Iterable[NodeRecord], liveness_window_ms: int,
+                 now: int) -> list[NodeRecord]:
+    """Records whose last-seen falls within the liveness window at ``now``."""
+    return [r for r in records if r.last_seen + liveness_window_ms >= now]
 
 
 def register_node(store, node_id: NodeId, address: str, now: int,
@@ -95,8 +66,7 @@ def register_node(store, node_id: NodeId, address: str, now: int,
     raises AddressConflict; a stale one is treated as a reboot and
     overwritten.
     """
-    snapshot = store.snapshot_nodes()
-    existing = snapshot.record_for(node_id)
+    existing = store.node(node_id)
     role = Role.FOLLOWER
     if existing is not None:
         if (existing.address != address
@@ -120,16 +90,8 @@ def elect_leader(live_ids: Collection[NodeId],
 
 
 def claim_leadership(store, node_id: NodeId, address: str, now: int) -> None:
-    """Atomically mark this node LEADER and demote any other leader row."""
-    snapshot = store.snapshot_nodes()
-    updates = [NodeRecord(node_id, address, Role.LEADER, now)]
-    for record in snapshot.records:
-        if record.node_id != node_id and record.role is Role.LEADER:
-            updates.append(
-                NodeRecord(record.node_id, record.address, Role.FOLLOWER,
-                           record.last_seen)
-            )
-    store.upsert_nodes(updates)
+    """Mark this node LEADER; the store demotes any other leader row."""
+    store.upsert_nodes([NodeRecord(node_id, address, Role.LEADER, now)])
 
 
 def make_nonce(rng: Optional[random.Random] = None) -> bytes:

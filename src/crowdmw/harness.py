@@ -389,13 +389,20 @@ def build_nodes(config: ScenarioConfig, store: JournalStore,
     return nodes, sources, ledger
 
 
-def _current_leader(nodes: dict[int, Node], store: JournalStore,
-                    now: float) -> Optional[int]:
+def _leader_id(store: JournalStore) -> Optional[int]:
+    """The registry's leader row, if any."""
+    for record in store.snapshot_nodes():
+        if record.role is election.Role.LEADER:
+            return record.node_id
+    return None
+
+
+def _current_leader(nodes: dict[int, Node],
+                    store: JournalStore) -> Optional[int]:
     """The registry's live leader, else the highest live node id."""
-    leader = store.snapshot_nodes(int(now)).leader_record()
-    if (leader is not None and leader.node_id in nodes
-            and not nodes[leader.node_id].killed):
-        return leader.node_id
+    leader = _leader_id(store)
+    if leader in nodes and not nodes[leader].killed:
+        return leader
     live = [node_id for node_id, node in nodes.items() if not node.killed]
     return max(live) if live else None
 
@@ -410,7 +417,7 @@ def apply_fault(fault: FaultSpec, now: float, nodes: dict[int, Node],
     """
     target = None
     if fault.kind == "kill_leader":
-        target = _current_leader(nodes, store, now)
+        target = _current_leader(nodes, store)
     elif fault.kind == "kill_node":
         target = fault.node_id
     elif fault.kind == "set_loss":
@@ -801,14 +808,6 @@ def run_scenario(config: ScenarioConfig, store_path: str) -> ScenarioReport:
     return _run_udp(config, store_path)
 
 
-def _final_leader(store: JournalStore) -> Optional[int]:
-    snapshot = store.snapshot_nodes()
-    leader = snapshot.leader_record()
-    if leader is not None:
-        return leader.node_id
-    return None
-
-
 def _build_report(config: ScenarioConfig, store: JournalStore,
                   events: list[str], nodes: dict[int, Node],
                   sources: dict[int, ListReadingSource],
@@ -822,7 +821,7 @@ def _build_report(config: ScenarioConfig, store: JournalStore,
         visitor_totals=store.totals("visitor"),
         room_totals=store.totals("room"),
         committed_cycles=store.committed_cycles(),
-        leader_id=_final_leader(store),
+        leader_id=_leader_id(store),
         commits=sum(node.commits for node in nodes.values()),
         aborts=sum(node.aborts for node in nodes.values()),
         reconciliation=_reconcile(config, store, nodes, sources, ingested),
@@ -928,7 +927,7 @@ def emit_report(report: ScenarioReport, out_dir: str) -> list[str]:
 SWEEP_HEADER = "requests,mean_response_ms,rtt_ms,ttfb_ms"
 
 
-def _sweep_workload(count: int, node_ids: Sequence[int], rooms: int,
+def _sweep_workload(count: int, rooms: int,
                     window_ms: float, seed: int) -> list[SensorReading]:
     """Synthetic single-cycle workload: ``count`` one-entry requests."""
     rng = random.Random(seed)
@@ -977,7 +976,7 @@ def sweep_load(request_counts: Sequence[int], *, seed: int = 0,
             try:
                 cluster = SimCluster(config, store)
                 readings = _sweep_workload(
-                    count, config.node_ids(), config.rooms,
+                    count, config.rooms,
                     config.cycle_duration_ms - config.mapreduce_window_ms,
                     seed,
                 )

@@ -755,7 +755,6 @@ class Node:
             int, tuple[PartialResult, PartialResult]] = {}
         self._new_acks: dict[NodeId, int] = {}
         self._watermarks: dict[NodeId, int] = {}
-        self._slot_done = False
 
         # Follower-side per-slot state.
         self._assignments: dict[int, _AssignmentParts] = {}
@@ -803,7 +802,7 @@ class Node:
 
     def _live(self, now: float) -> dict[NodeId, str]:
         """Live registrations as {node id: address}, in node-id order."""
-        records = election.live_records(self.store.snapshot_nodes(int(now)),
+        records = election.live_records(self.store.snapshot_nodes(),
                                         self.config.liveness_window_ms,
                                         int(now))
         return {record.node_id: record.address for record in records}
@@ -879,7 +878,6 @@ class Node:
         self._remote_partials = {}
         self._new_acks = {}
         self._assignments = {}
-        self._slot_done = False
         self._is_leader = False
         self._check_target = None
         self._pending_nonce = None
@@ -1160,7 +1158,6 @@ class Node:
             # Another leader won this cycle; our data stays buffered.
             self._log(now, f"commit_conflict cycle={self.cycle_id}")
             self._transition(now, NodePhase.BROADCASTING)
-            self._slot_done = True
             return
         self.commits += 1
         self._watermarks.update(self._new_acks)
@@ -1175,7 +1172,6 @@ class Node:
         self._transition(now, NodePhase.BROADCASTING)
         self._broadcast(now, build_success(self.node_id, self.cycle_id,
                                            self._new_acks), self._live(now))
-        self._slot_done = True
 
     def _abort_cycle(self, now: float, reason: str) -> None:
         self.aborts += 1
@@ -1185,7 +1181,6 @@ class Node:
             kind=MessageKind.CYCLE_ABORT, sender=self.node_id,
             cycle_id=max(self.cycle_id, 0),
             payload=f"reason={reason}".encode("utf-8")), self._live(now))
-        self._slot_done = True
         self._disarm("consolidate")
         self._disarm("reduce")
 
@@ -1296,8 +1291,18 @@ class Node:
                 address = fields["addr"]
             except (ValueError, KeyError):
                 return
-            if leader_id != self.node_id:
-                self._confirm_leader(now, leader_id, address)
+            if leader_id == self.node_id:
+                return
+            # Only the announced leader may announce itself, from the
+            # address the registry holds for it; its role is not checked,
+            # since a claimant demoted later in the slot is still honest.
+            record = self.store.node(leader_id)
+            if (address != source or record is None
+                    or record.address != address):
+                self._log(now, f"not_leader kind={_KIND_NAMES[kind]} "
+                               f"from={message.sender}")
+                return
+            self._confirm_leader(now, leader_id, address)
             return
         if kind in _FROM_LEADER and source != self._leader_address:
             self._log(now, f"not_leader kind={_KIND_NAMES[kind]} "

@@ -7,6 +7,12 @@ commit marker lands, so a crash mid-commit leaves either zero or all
 rows of that cycle.  A periodic compaction rewrites the journal to the
 current table contents.
 
+The store owns the node table: callers read one row with ``node`` or
+all rows with ``snapshot_nodes``.  It also owns the one-leader rule: a
+LEADER row demotes any other leader, the demotion rows are journaled
+ahead of the claim in the same append, and replay applies the same
+rule to every node row, so the table never shows two leaders.
+
 Two logical tables mirror the deployment database: ``nodes`` holds
 (node_id, network_props) where network_props packs
 ``host:port;role;last_seen_ms``, and ``results`` holds
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from crowdmw.domain import MiddlewareError, room_key
-from crowdmw.election import NodeRecord, RegistrySnapshot, Role
+from crowdmw.election import NodeRecord, Role
 from crowdmw.mapreduce import CycleResult
 
 RESULT_MODES = ("visitor", "room", "ack")
@@ -37,28 +43,6 @@ class StorageFailure(MiddlewareError):
 
 class ConflictingCommit(MiddlewareError):
     """A cycle id was committed twice with different contents."""
-
-
-@dataclass(frozen=True)
-class NodeTableRow:
-    """Raw node table row as persisted."""
-
-    node_id: int
-    network_props: str
-
-    @classmethod
-    def from_record(cls, record: NodeRecord) -> "NodeTableRow":
-        props = f"{record.address};{record.role.value};{record.last_seen}"
-        return cls(node_id=record.node_id, network_props=props)
-
-    def to_record(self) -> NodeRecord:
-        address, role, last_seen = self.network_props.rsplit(";", 2)
-        return NodeRecord(
-            node_id=self.node_id,
-            address=address,
-            role=Role(role),
-            last_seen=int(last_seen),
-        )
 
 
 @dataclass(frozen=True)
@@ -178,8 +162,9 @@ class JournalStore:
             raise ValueError(f"record without table: {body!r}")
         if table == "nodes":
             node_id, props = fields.split(",", 1)
-            record = NodeTableRow(int(node_id), props).to_record()
-            self._apply_node(record)
+            address, role, last_seen = props.rsplit(";", 2)
+            self._apply_node(NodeRecord(int(node_id), address, Role(role),
+                                        int(last_seen)))
         elif table == "results":
             cycle, mode, key, count, committed_at = fields.split(",")
             row = ResultTableRow(int(cycle), mode, key, int(count),
@@ -206,51 +191,57 @@ class JournalStore:
             if seq > self._acks.get(origin, -1):
                 self._acks[origin] = seq
 
+    def _demotions(self, record: NodeRecord) -> list[NodeRecord]:
+        """The rows a LEADER record demotes: every other leader row."""
+        if record.role is not Role.LEADER:
+            return []
+        return [NodeRecord(other.node_id, other.address, Role.FOLLOWER,
+                           other.last_seen)
+                for other in self._nodes.values()
+                if other.role is Role.LEADER
+                and other.node_id != record.node_id]
+
     def _apply_node(self, record: NodeRecord) -> None:
-        # Registry arbitration: a new leader claim demotes any other
-        # leader row, so a snapshot never shows two leaders.
-        if record.role is Role.LEADER:
-            for other_id, other in list(self._nodes.items()):
-                if other_id != record.node_id and other.role is Role.LEADER:
-                    self._nodes[other_id] = NodeRecord(
-                        other.node_id, other.address, Role.FOLLOWER,
-                        other.last_seen,
-                    )
-        self._nodes[record.node_id] = record
+        # The same rule on write and on replay, so the table holds one
+        # leader even where the journal holds two consecutive claims.
+        for row in self._demotions(record) + [record]:
+            self._nodes[row.node_id] = row
 
     # -- node table ---------------------------------------------------------
 
+    def node(self, node_id: int) -> Optional[NodeRecord]:
+        """One registry row, or None if the id never registered."""
+        with self._lock:
+            return self._nodes.get(node_id)
+
     def upsert_node(self, record: NodeRecord) -> None:
         """Insert or update one registry row; durable before return."""
-        with self._lock:
-            self._append([self._node_body(record)])
-            self._apply_node(record)
-            self._maybe_compact()
+        self._write_nodes([record])
 
     def upsert_nodes(self, records: Iterable[NodeRecord]) -> None:
-        """Atomic batch upsert; demotions are journaled before claims."""
-        ordered = sorted(records, key=lambda r: r.role is Role.LEADER)
+        """Atomic batch upsert; durable before return."""
+        self._write_nodes(records)
+
+    def _write_nodes(self, records: Iterable[NodeRecord]) -> None:
+        # Demotions are journaled before the claim in the same append,
+        # so a torn claim still leaves no leader behind.
         with self._lock:
-            self._append([self._node_body(r) for r in ordered])
-            for record in ordered:
-                self._apply_node(record)
+            rows = [row for record in records
+                    for row in self._demotions(record) + [record]]
+            self._append([self._node_body(row) for row in rows])
+            for row in rows:
+                self._apply_node(row)
             self._maybe_compact()
 
     @staticmethod
     def _node_body(record: NodeRecord) -> str:
-        row = NodeTableRow.from_record(record)
-        return f"nodes|{row.node_id},{row.network_props}"
+        return (f"nodes|{record.node_id},{record.address};"
+                f"{record.role.value};{record.last_seen}")
 
-    def snapshot_nodes(self, now: Optional[int] = None) -> RegistrySnapshot:
-        """Point-in-time registry view, sorted by node id."""
+    def snapshot_nodes(self) -> tuple[NodeRecord, ...]:
+        """Every registry row, sorted by node id."""
         with self._lock:
-            records = tuple(
-                self._nodes[i] for i in sorted(self._nodes)
-            )
-            taken_at = now
-            if taken_at is None:
-                taken_at = max((r.last_seen for r in records), default=0)
-            return RegistrySnapshot(records=records, taken_at=taken_at)
+            return tuple(self._nodes[i] for i in sorted(self._nodes))
 
     # -- results table ------------------------------------------------------
 

@@ -149,7 +149,7 @@ def test_leader_takeover_safety(tmp_path):
             registry = JournalStore(store_path)
             try:
                 leaders = [record.node_id
-                           for record in registry.snapshot_nodes().records
+                           for record in registry.snapshot_nodes()
                            if record.role is Role.LEADER]
             finally:
                 registry.close()

@@ -12,7 +12,6 @@ import pytest
 from crowdmw.election import (
     AddressConflict,
     NodeRecord,
-    RegistrySnapshot,
     Role,
     claim_leadership,
     elect_leader,
@@ -34,13 +33,6 @@ def store(tmp_path):
     journal.close()
 
 
-def _snapshot(*records, taken_at=None):
-    at = taken_at if taken_at is not None else max(
-        (r.last_seen for r in records), default=0
-    )
-    return RegistrySnapshot(records=tuple(records), taken_at=at)
-
-
 def _record(node_id, last_seen=0, role=Role.FOLLOWER):
     return NodeRecord(node_id=node_id, address=f"node{node_id}:7000",
                       role=role, last_seen=last_seen)
@@ -49,16 +41,16 @@ def _record(node_id, last_seen=0, role=Role.FOLLOWER):
 def test_register_and_snapshot(store):
     register_node(store, 3, "node3:7000", 100, WINDOW)
     register_node(store, 1, "node1:7000", 120, WINDOW)
-    snapshot = store.snapshot_nodes(120)
-    assert [r.node_id for r in snapshot.records] == [1, 3]
-    assert all(r.role is Role.FOLLOWER for r in snapshot.records)
+    records = store.snapshot_nodes()
+    assert [r.node_id for r in records] == [1, 3]
+    assert all(r.role is Role.FOLLOWER for r in records)
 
 
 def test_reregister_same_address_refreshes(store):
     register_node(store, 2, "node2:7000", 0, WINDOW)
     claim_leadership(store, 2, "node2:7000", 5)
     register_node(store, 2, "node2:7000", 50, WINDOW)
-    record = store.snapshot_nodes(50).record_for(2)
+    record = store.node(2)
     assert record.last_seen == 50
     assert record.role is Role.LEADER  # refresh keeps the role
 
@@ -72,11 +64,10 @@ def test_register_conflicting_address_rejected(store):
 
 
 def test_live_records_filters_by_window():
-    snapshot = _snapshot(_record(1, last_seen=0), _record(2, last_seen=900),
-                         taken_at=1000)
-    live = live_records(snapshot, liveness_window_ms=500)
+    records = (_record(1, last_seen=0), _record(2, last_seen=900))
+    live = live_records(records, liveness_window_ms=500, now=1000)
     assert [r.node_id for r in live] == [2]
-    live = live_records(snapshot, liveness_window_ms=2000)
+    live = live_records(records, liveness_window_ms=2000, now=1000)
     assert [r.node_id for r in live] == [1, 2]
 
 
@@ -86,9 +77,8 @@ def test_elect_leader_picks_max_live_id():
 
 def test_elect_leader_ignores_stale_max():
     # A node elects among the ids ``live_records`` keeps.
-    snapshot = _snapshot(_record(1, last_seen=1000), _record(9, last_seen=0),
-                         taken_at=1000)
-    live = live_records(snapshot, liveness_window_ms=500)
+    records = (_record(1, last_seen=1000), _record(9, last_seen=0))
+    live = live_records(records, liveness_window_ms=500, now=1000)
     assert elect_leader({r.node_id for r in live}) == 1
 
 
@@ -103,15 +93,8 @@ def test_claim_leadership_demotes_previous(store):
     register_node(store, 2, "node2:7000", 0, WINDOW)
     claim_leadership(store, 1, "node1:7000", 10)
     claim_leadership(store, 2, "node2:7000", 20)
-    snapshot = store.snapshot_nodes(20)
-    roles = {r.node_id: r.role for r in snapshot.records}
+    roles = {r.node_id: r.role for r in store.snapshot_nodes()}
     assert roles == {1: Role.FOLLOWER, 2: Role.LEADER}
-
-
-def test_snapshot_rejects_two_leaders():
-    with pytest.raises(ValueError):
-        _snapshot(_record(1, role=Role.LEADER),
-                  _record(2, role=Role.LEADER))
 
 
 def test_nonce_and_pong_echo():

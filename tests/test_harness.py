@@ -6,6 +6,7 @@ byte-stable artifacts for the same seed.
 """
 
 import os
+import pathlib
 
 import pytest
 
@@ -331,10 +332,10 @@ def test_emit_report_reemit_identical(tmp_path):
     config = ScenarioConfig(fixture="table1", seed=1)
     report = run_scenario(config, str(tmp_path / "store.journal"))
     first = emit_report(report, str(tmp_path / "out"))
-    before = [open(path, "rb").read() for path in first]
+    before = [pathlib.Path(path).read_bytes() for path in first]
     second = emit_report(report, str(tmp_path / "out"))
     assert first == second
-    assert [open(path, "rb").read() for path in second] == before
+    assert [pathlib.Path(path).read_bytes() for path in second] == before
 
 
 def test_dead_cluster_trips_deadlock_guard(tmp_path):

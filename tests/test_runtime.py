@@ -993,6 +993,43 @@ def test_forged_ack_does_not_stop_later_pruning(tmp_path):
     assert node.buffer.committed_through == watermark
 
 
+@pytest.mark.parametrize("sender, payload", [
+    (9, b"leader=9;addr=node9:7000"),  # an id the registry does not hold
+    (3, b"leader=3;addr=node3:7000"),  # the leader's address, sent elsewhere
+    (3, b"leader=3;addr=node9:7000"),  # not the leader's registry address
+])
+def test_forged_announcement_does_not_redirect_a_follower(tmp_path, sender,
+                                                          payload):
+    # Taken at its word, the announcement made node9:7000 node 1's
+    # leader, and a forged outcome from there was then handled.
+    from crowdmw.harness import ScenarioConfig, SimCluster
+    from crowdmw.store import JournalStore
+
+    store = JournalStore(str(tmp_path / "announce.journal"))
+    try:
+        cluster = SimCluster(
+            ScenarioConfig(nodes=3, cycles=3, seed=5, visitors=30), store)
+        cluster.start()
+        cluster.run(3000.0)
+        node = cluster.nodes[1]
+        assert node._leader_address == LEADER
+        for message in (
+                Message(kind=MessageKind.REGISTER_ACK, sender=sender,
+                        cycle_id=node.cycle_id, payload=payload),
+                build_success(sender, node.cycle_id, {1: 1000000})):
+            node.on_message(message, "node9:7000", cluster.clock.now_ms())
+    finally:
+        store.close()
+    forged = [line for line in cluster.events
+              if line.startswith("t=3000.000 node=1 ")
+              and " recv " not in line]
+    assert forged[-2:] == [
+        f"t=3000.000 node=1 not_leader kind=register_ack from={sender}",
+        f"t=3000.000 node=1 not_leader kind=cycle_success from={sender}",
+    ]
+    assert node._leader_address == LEADER
+
+
 # -- leader-only messages count only from the confirmed leader ---------------
 
 

@@ -1,12 +1,13 @@
 """Journal store durability, atomicity and arbitration."""
 
 import os
+import sys
 import threading
 
 import pytest
 
 from crowdmw.domain import TagCategory
-from crowdmw.election import NodeRecord, Role
+from crowdmw.election import NodeRecord, Role, claim_leadership, register_node
 from crowdmw.mapreduce import CycleResult
 from crowdmw.store import (
     ConflictingCommit,
@@ -19,6 +20,11 @@ from crowdmw.store import (
 def _row(node_id, address, role, last_seen):
     return NodeRecord(node_id=node_id, address=address, role=role,
                       last_seen=last_seen)
+
+
+def _leaders(store):
+    return [r.node_id for r in store.snapshot_nodes()
+            if r.role is Role.LEADER]
 
 
 def _result(cycle_id=0, man=10, woman=21, other=12):
@@ -41,7 +47,7 @@ def test_node_rows_survive_reopen(path):
     store.upsert_node(_row(2, "node2:7000", Role.FOLLOWER, 30))
     store.close()
     reopened = JournalStore(path)
-    record = reopened.snapshot_nodes(30).record_for(2)
+    record = reopened.node(2)
     assert record.address == "node2:7000"
     assert record.last_seen == 30
     reopened.close()
@@ -95,13 +101,13 @@ def test_torn_tail_truncated_on_recovery(path):
 
     reopened = JournalStore(path)
     assert reopened.committed_cycles() == [0]
-    assert reopened.snapshot_nodes(0).record_for(1) is not None
+    assert reopened.node(1) is not None
     # Recovery rewrites nothing, but the next append lands after the
     # last intact record; reopening again must still work.
     reopened.upsert_node(_row(2, "node2:7000", Role.FOLLOWER, 5))
     reopened.close()
     final = JournalStore(path)
-    assert final.snapshot_nodes(5).record_for(2) is not None
+    assert final.node(2) is not None
     final.close()
 
 
@@ -144,11 +150,75 @@ def test_leader_claim_is_exclusive_in_memory_and_on_disk(path):
         store.upsert_node(_row(node_id, f"node{node_id}:7000", Role.FOLLOWER, 0))
     store.upsert_node(_row(3, "node3:7000", Role.LEADER, 1))
     store.upsert_node(_row(2, "node2:7000", Role.LEADER, 2))
-    snapshot = store.snapshot_nodes(2)
-    assert snapshot.leader_record().node_id == 2
+    assert _leaders(store) == [2]
     store.close()
     reopened = JournalStore(path)
-    assert reopened.snapshot_nodes(2).leader_record().node_id == 2
+    assert _leaders(reopened) == [2]
+    reopened.close()
+
+
+def test_torn_claim_leaves_the_old_leader_demoted(path):
+    store = JournalStore(path)
+    for node_id in (1, 2):
+        register_node(store, node_id, f"node{node_id}:7000", 0, 4000)
+    claim_leadership(store, 1, "node1:7000", 10)
+    claim_leadership(store, 2, "node2:7000", 20)
+    store.close()
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    last = raw.rstrip(b"\n").rfind(b"\n") + 1
+    assert raw[last:] == b"28|nodes|2,node2:7000;leader;20\n"
+    with open(path, "wb") as handle:
+        handle.write(raw[:last])  # the crash tore off node 2's claim
+    reopened = JournalStore(path)
+    assert _leaders(reopened) == []
+    assert reopened.node(1).role is Role.FOLLOWER
+    reopened.close()
+
+
+def test_replay_keeps_one_leader_of_two_consecutive_claims(path):
+    # A journal with no demotion row between two claims still replays
+    # to the later claimant alone.
+    with open(path, "wb") as handle:
+        for body in (b"nodes|1,node1:7000;leader;10",
+                     b"nodes|2,node2:7000;leader;20"):
+            handle.write(b"%d|%s\n" % (len(body), body))
+    store = JournalStore(path)
+    assert _leaders(store) == [2]
+    assert store.node(1) == _row(1, "node1:7000", Role.FOLLOWER, 10)
+    store.close()
+
+
+def test_concurrent_claims_leave_one_leader(path):
+    store = JournalStore(path)
+    node_ids = range(1, 9)
+    for node_id in node_ids:
+        register_node(store, node_id, f"node{node_id}:7000", 0, 4000)
+    errors = []
+
+    def claim(node_id):
+        try:
+            for i in range(50):
+                claim_leadership(store, node_id, f"node{node_id}:7000", i)
+        except Exception as exc:  # noqa: BLE001 - record and fail below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=claim, args=(n,)) for n in node_ids]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    (leader,) = _leaders(store)
+    store.close()
+    reopened = JournalStore(path)
+    assert _leaders(reopened) == [leader]
     reopened.close()
 
 
@@ -160,7 +230,7 @@ def test_compaction_preserves_content(path):
         store.upsert_node(_row(1, "node1:7000", Role.FOLLOWER, i))
     store.compact()
     assert store.committed_cycles() == [0, 1, 2, 3]
-    assert store.snapshot_nodes(399).record_for(1).last_seen == 399
+    assert store.node(1).last_seen == 399
     store.close()
     reopened = JournalStore(path)
     assert reopened.committed_cycles() == [0, 1, 2, 3]
@@ -186,12 +256,12 @@ def test_concurrent_upserts_from_many_threads(path):
     for thread in threads:
         thread.join()
     assert errors == []
-    snapshot = store.snapshot_nodes(99)
-    assert len(snapshot.records) == 8
-    assert all(r.last_seen == 99 for r in snapshot.records)
+    records = store.snapshot_nodes()
+    assert len(records) == 8
+    assert all(r.last_seen == 99 for r in records)
     store.close()
     reopened = JournalStore(path)
-    assert len(reopened.snapshot_nodes(99).records) == 8
+    assert len(reopened.snapshot_nodes()) == 8
     reopened.close()
 
 
