@@ -26,7 +26,7 @@ from crowdmw.mapreduce import (
     merge_partials,
     sequential_oracle,
 )
-from crowdmw.runtime import CycleConfig, Node, NodePhase, run_node
+from crowdmw.runtime import CycleConfig, Node, NodePhase
 
 __all__ = [
     "CountMode",
@@ -45,7 +45,6 @@ __all__ = [
     "parse_tag",
     "partition",
     "reduce_segment",
-    "run_node",
     "sequential_oracle",
     "sort_pairs",
 ]

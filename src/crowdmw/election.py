@@ -94,9 +94,9 @@ def claim_leadership(store, node_id: NodeId, address: str, now: int) -> None:
     store.upsert_nodes([NodeRecord(node_id, address, Role.LEADER, now)])
 
 
-def make_nonce(rng: Optional[random.Random] = None) -> bytes:
+def make_nonce(rng: random.Random) -> bytes:
     """Random 64-bit nonce as 16 hex bytes, the PING/PONG payload."""
-    value = (rng or random).getrandbits(64)
+    value = rng.getrandbits(64)
     return f"{value:016x}".encode("ascii")
 
 

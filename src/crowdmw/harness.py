@@ -2,15 +2,18 @@
 
 A scenario is a plain-text file of ``key=value`` lines describing the
 cluster (size, cycle timing, network behaviour, workload) plus any
-number of ``fault=`` lines injecting failures at given times.  The
-simulated backend executes the whole cluster on one virtual clock, so
-a run is a pure function of the scenario and seed: the same inputs
-produce byte-identical event logs and CSV reports.  The UDP backend
-runs the same nodes as threads over loopback sockets; it exists to
-show the protocol works on a real transport, and makes no determinism
-promise.  One builder (``build_nodes``) wires the nodes and one
-applier (``apply_fault``) injects the faults for both backends; each
-takes the network to work on.
+number of ``fault=`` lines injecting failures at given times.  Each
+backend has one driver.  On the simulated backend ``SimCluster``
+executes the whole cluster on one virtual clock and receives every
+datagram through the handler it sets on each endpoint, so a run is a
+pure function of the scenario and seed: the same inputs produce
+byte-identical event logs and CSV reports.  On the UDP backend each
+node runs ``runtime.drive_node`` in its own thread over a loopback
+socket, and one lock lets one node handler or one fault run at a time;
+it exists to show the protocol works on a real transport, and makes
+no determinism promise.  One builder (``build_nodes``) wires the nodes
+and one applier (``apply_fault``) injects the faults for both
+backends; each takes the network to work on.
 """
 
 from __future__ import annotations
@@ -200,7 +203,6 @@ class ScenarioConfig:
             loss_rate=self.loss_rate,
             latency_ms=self.latency_ms,
             seed=self.seed,
-            mode=self.backend,
             transmission_us_per_byte=self.transmission_us_per_byte,
         )
 
@@ -462,13 +464,12 @@ class SimCluster:
 
     DEADLOCK_FACTOR = 10
 
-    def __init__(self, config: ScenarioConfig, store: JournalStore,
-                 *, out_events: Optional[list[str]] = None) -> None:
+    def __init__(self, config: ScenarioConfig, store: JournalStore) -> None:
         self.config = config
         self.store = store
         self.clock = VirtualClock()
         self.network = SimulatedNetwork(config.net_config(), self.clock)
-        self.events: list[str] = out_events if out_events is not None else []
+        self.events: list[str] = []
         self.ingested: dict[int, list[tuple[int, SensorReading]]] = {
             node_id: [] for node_id in config.node_ids()
         }
@@ -481,7 +482,7 @@ class SimCluster:
             config, store, self.network, address="node{node_id}:7000",
             event_sink=self._sink, ingest_listener=self._on_ingest)
         for node in self.nodes.values():
-            node.endpoint.set_handler(
+            node.endpoint.handler = (
                 lambda message, src, bound=node: self._deliver(
                     bound, message, src
                 )
@@ -854,29 +855,29 @@ def _run_udp(config: ScenarioConfig, store_path: str) -> ScenarioReport:
     ingested: dict[int, list[tuple[int, SensorReading]]] = {
         node_id: [] for node_id in config.node_ids()
     }
-    lock = threading.Lock()
-
-    def sink(line: str) -> None:
-        with lock:
-            events.append(line)
 
     def on_ingest(node_id: int,
                   added: list[tuple[int, SensorReading]]) -> None:
-        with lock:
-            ingested[node_id].extend(added)
+        ingested[node_id].extend(added)
 
     nodes, sources, ledger = build_nodes(
-        config, store, network, address="127.0.0.1:0", event_sink=sink,
-        ingest_listener=on_ingest)
+        config, store, network, address="127.0.0.1:0",
+        event_sink=events.append, ingest_listener=on_ingest)
+    # One node handler or one fault runs at a time, and every event
+    # line and ingest is written under this lock.
+    lock = threading.Lock()
     stop = threading.Event()
     threads = [
         threading.Thread(target=drive_node, args=(node,),
-                         kwargs={"clock": clock, "stop": stop}, daemon=True)
+                         kwargs={"clock": clock, "stop": stop, "lock": lock},
+                         daemon=True)
         for node in nodes.values()
     ]
 
     def fire(fault: FaultSpec) -> None:
-        apply_fault(fault, clock.now_ms(), nodes, store, network, sink)
+        with lock:
+            apply_fault(fault, clock.now_ms(), nodes, store, network,
+                        events.append)
 
     timers = [threading.Timer(fault.at_ms / 1000.0, fire, args=(fault,))
               for fault in config.faults]
@@ -947,8 +948,7 @@ def _sweep_workload(count: int, rooms: int,
 
 
 def sweep_load(request_counts: Sequence[int], *, seed: int = 0,
-               store_dir: str, backend: TransportMode =
-               TransportMode.SIMULATED) -> list[dict[str, float]]:
+               store_dir: str) -> list[dict[str, float]]:
     """Measure latency at increasing request volume, one run per count.
 
     Each request is one single-entry submission datagram.  Sender-side
@@ -963,38 +963,29 @@ def sweep_load(request_counts: Sequence[int], *, seed: int = 0,
             nodes=3,
             cycles=1,
             seed=seed,
-            backend=backend,
             cycle_duration_ms=6000,
             mapreduce_window_ms=2500,
             transmission_us_per_byte=15.0,
             entries_per_part=1,
             inject_ms=1750.0,
         )
-        store_path = os.path.join(store_dir, f"sweep_{count}.journal")
-        if config.backend is TransportMode.SIMULATED:
-            store = JournalStore(store_path)
-            try:
-                cluster = SimCluster(config, store)
-                readings = _sweep_workload(
-                    count, config.rooms,
-                    config.cycle_duration_ms - config.mapreduce_window_ms,
-                    seed,
-                )
-                routed = route_readings(readings, config.node_ids())
-                for node_id, timed in routed.items():
-                    cluster.sources[node_id] = ListReadingSource(timed)
-                    cluster.nodes[node_id].source = (
-                        cluster.sources[node_id]
-                    )
-                cluster.start()
-                cluster.run(float(config.cycles
-                                  * config.cycle_duration_ms))
-                metrics = build_metrics(cluster.events,
-                                        config.cycle_duration_ms)
-            finally:
-                store.close()
-        else:
-            raise ConfigError("sweep supports the simulated backend only")
+        store = JournalStore(
+            os.path.join(store_dir, f"sweep_{count}.journal"))
+        try:
+            cluster = SimCluster(config, store)
+            readings = _sweep_workload(
+                count, config.rooms,
+                config.cycle_duration_ms - config.mapreduce_window_ms, seed,
+            )
+            routed = route_readings(readings, config.node_ids())
+            for node_id, timed in routed.items():
+                cluster.sources[node_id] = ListReadingSource(timed)
+                cluster.nodes[node_id].source = cluster.sources[node_id]
+            cluster.start()
+            cluster.run(float(config.cycles * config.cycle_duration_ms))
+            metrics = build_metrics(cluster.events, config.cycle_duration_ms)
+        finally:
+            store.close()
         response = metrics.response_ms
         rtt = metrics.rtt_ms
         ttfb = metrics.ttfb_ms

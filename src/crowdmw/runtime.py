@@ -725,7 +725,6 @@ class Node:
         self.killed = False
         self.cycle_id = -1
         self.slot_start = 0.0
-        self.slots_entered = 0
         self.commits = 0
         self.aborts = 0
         self.dedupe_dropped = 0
@@ -746,7 +745,6 @@ class Node:
         # Registry address per node id, as of the claim and the
         # collection end: a submission counts only from its origin's.
         self._origin_addresses: dict[NodeId, str] = {}
-        self._expected_origins: set[NodeId] = set()
         self._segments: list[Segment] = []
         # Address each remote segment was dispatched to, by index: a
         # partial counts only from its assignee's.
@@ -795,8 +793,7 @@ class Node:
     def kill(self) -> None:
         self.killed = True
         self._timers.clear()
-        if hasattr(self.endpoint, "close"):
-            self.endpoint.close()
+        self.endpoint.close()
 
     # -- membership --------------------------------------------------------
 
@@ -860,7 +857,6 @@ class Node:
         duration = self.config.cycle_duration_ms
         self.cycle_id = int(now // duration)
         self.slot_start = self.cycle_id * float(duration)
-        self.slots_entered += 1
         self._arm("slot", self.slot_start + duration)
         self._disarm("ping")
         self._disarm("consolidate")
@@ -872,7 +868,6 @@ class Node:
         # Per-slot state resets.
         self._excluded = set()
         self._submissions = {}
-        self._expected_origins = set()
         self._segments = []
         self._assignee_addresses = {}
         self._remote_partials = {}
@@ -989,7 +984,6 @@ class Node:
                                           parts={0: self.buffer.runs()})
             self._submissions[self.node_id] = submission
             self._origin_addresses = self._live(now)
-            self._expected_origins = set(self._origin_addresses)
             self._transition(now, NodePhase.CONSOLIDATING)
             self._arm("consolidate", now + self.config.submit_window_ms)
             self._maybe_consolidate_early(now)
@@ -1052,9 +1046,7 @@ class Node:
     def _maybe_consolidate_early(self, now: float) -> None:
         if self.phase is not NodePhase.CONSOLIDATING:
             return
-        if self._expected_origins and (
-            self._expected_origins <= set(self._responding())
-        ):
+        if self._origin_addresses.keys() <= set(self._responding()):
             self._disarm("consolidate")
             self._consolidate(now)
 
@@ -1320,40 +1312,34 @@ class Node:
             self._on_cycle_abort(message, now)
 
 
-def drive_node(node: Node, *, clock, stop=None,
-               max_slots: Optional[int] = None) -> Node:
+def drive_node(node: Node, *, clock, stop, lock) -> Node:
     """Blocking receive-and-fire loop around an already-built node.
 
-    Runs until ``stop`` (a threading.Event) is set, the endpoint
-    closes, or ``max_slots`` slot boundaries have been entered; with
-    none of those it never returns.
+    Runs until ``stop`` (a threading.Event) is set or the node is
+    killed.  ``lock`` is held around every call into the node, and
+    whatever kills the node from another thread holds it too, so a
+    kill never lands inside a handler; only the wait for a datagram
+    runs outside it.
     """
-    node.start(clock.now_ms())
-    while not (stop is not None and stop.is_set()):
-        if max_slots is not None and node.slots_entered >= max_slots:
-            break
-        deadline = node.next_deadline()
+    with lock:
+        if node.killed:
+            return node
+        node.start(clock.now_ms())
+    while not stop.is_set():
+        with lock:
+            if node.killed:
+                break
+            deadline = node.next_deadline()
         now = clock.now_ms()
         timeout = 50.0 if deadline is None else max(deadline - now, 0.0)
         try:
             received = node.endpoint.recv_from(min(timeout, 100.0))
         except MiddlewareError:
             break
-        if received is not None:
-            node.on_message(received[0], received[1], clock.now_ms())
-        node.advance(clock.now_ms())
-        if node.killed:
-            break
+        with lock:
+            if node.killed:
+                break
+            if received is not None:
+                node.on_message(received[0], received[1], clock.now_ms())
+            node.advance(clock.now_ms())
     return node
-
-
-def run_node(config: CycleConfig, node_id: NodeId, endpoint, store,
-             reading_source=None, *, clock, rng=None, override=None,
-             event_sink=None, stop=None, max_slots=None,
-             modes: Sequence[CountMode] = (CountMode.VISITOR,
-                                           CountMode.ROOM)) -> Node:
-    """Build a node and run its blocking event loop (UDP deployments)."""
-    node = Node(node_id, config, endpoint, store, reading_source,
-                rng=rng, override=override, event_sink=event_sink,
-                modes=modes)
-    return drive_node(node, clock=clock, stop=stop, max_slots=max_slots)

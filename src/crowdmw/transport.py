@@ -6,9 +6,11 @@ Wire format, big-endian, 12-byte header::
 
 A whole datagram never exceeds 8192 bytes.  The simulated backend
 delivers through a seeded virtual network (loss, uniform latency,
-reordering, never duplication) on a virtual clock; the UDP backend
-uses real sockets on a wall clock.  Node code sees the same endpoint
-interface either way.
+reordering, never duplication) on a virtual clock, handing each frame
+to its endpoint's handler; the UDP backend uses real sockets on a
+wall clock, and its endpoints are polled with ``recv_from``.  Node
+code uses only ``address``, ``send`` and ``close``, which both
+endpoint types share.
 """
 
 from __future__ import annotations
@@ -128,7 +130,6 @@ class NetConfig:
     loss_rate: float = 0.0
     latency_ms: tuple[float, float] = (40.0, 90.0)
     seed: int = 0
-    mode: TransportMode = TransportMode.SIMULATED
     transmission_us_per_byte: float = 0.0
 
     def __post_init__(self) -> None:
@@ -156,10 +157,9 @@ class SimulatedNetwork:
     unique, so ordering never looks past it.
     """
 
-    def __init__(self, config: NetConfig,
-                 clock: Optional[VirtualClock] = None) -> None:
+    def __init__(self, config: NetConfig, clock: VirtualClock) -> None:
         self.config = config
-        self.clock = clock if clock is not None else VirtualClock()
+        self.clock = clock
         self._rng = random.Random(config.seed)
         self._loss_rate = config.loss_rate
         self._endpoints: dict[str, "SimEndpoint"] = {}
@@ -229,62 +229,32 @@ class SimulatedNetwork:
             # Dead letter: receiver gone, exactly like real UDP.
             self.dropped += 1
             return
-        message = decode_message(frame)
         self.delivered += 1
-        if endpoint.handler is not None:
-            endpoint.handler(message, src)
-        else:
-            endpoint.inbox.append((message, src))
+        endpoint.handler(decode_message(frame), src)
 
 
 class SimEndpoint:
-    """One bound address on the simulated network."""
+    """One bound address on the simulated network.
+
+    The network hands every frame that lands here to ``handler``,
+    which whoever drives the endpoint sets before traffic flows.
+    """
 
     def __init__(self, network: SimulatedNetwork, address: str) -> None:
         self.network = network
         self.address = address
-        self.inbox: list[tuple[Message, str]] = []
         self.closed = False
         self.handler: Optional[Callable[[Message, str], None]] = None
         self.next_free_ms = 0.0
-
-    def set_handler(self, handler: Optional[Callable[[Message, str], None]]) -> None:
-        """Deliver straight into a callback instead of the inbox."""
-        self.handler = handler
 
     def send(self, dest: str, message: Message) -> None:
         if self.closed:
             raise EndpointClosed(f"endpoint {self.address} is closed")
         self.network._send(self, dest, message)
 
-    def recv_from(self, timeout_ms: float) -> Optional[tuple[Message, str]]:
-        """Blocking-style receive that advances the virtual clock.
-
-        Lands in-flight traffic for the whole network in delivery order
-        until something reaches this endpoint or the timeout elapses.
-        """
-        if self.closed:
-            raise EndpointClosed(f"endpoint {self.address} is closed")
-        deadline = self.network.clock.now_ms() + timeout_ms
-        while True:
-            if self.inbox:
-                return self.inbox.pop(0)
-            due = self.network.next_due_ms()
-            if due is None or due > deadline:
-                self.network.clock.advance_to(deadline)
-                return None
-            self.network.dispatch_next()
-
-    def poll(self) -> Optional[tuple[Message, str]]:
-        """Non-blocking: next already-delivered message, if any."""
-        if self.inbox:
-            return self.inbox.pop(0)
-        return None
-
     def close(self) -> None:
         self.closed = True
         self.handler = None
-        self.inbox.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +315,12 @@ class UdpEndpoint:
     def recv_from(self, timeout_ms: float) -> Optional[tuple[Message, str]]:
         if self.closed:
             raise EndpointClosed(f"endpoint {self.address} is closed")
-        self._sock.settimeout(max(timeout_ms, 0.0) / 1000.0 or 0.000001)
         try:
+            # Inside the try: a socket closed under this call raises
+            # OSError (EBADF), which reads as nothing received, as does
+            # a timeout (socket.timeout is an OSError).
+            self._sock.settimeout(max(timeout_ms, 0.0) / 1000.0 or 0.000001)
             data, peer = self._sock.recvfrom(MAX_DATAGRAM * 2)
-        except socket.timeout:
-            return None
         except OSError:
             return None
         try:

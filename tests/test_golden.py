@@ -2,16 +2,23 @@
 
 The rerun test in ``test_acceptance`` proves a seed reproduces itself
 within one build.  These hashes prove more: a change to the pipeline,
-the codec or the journal that alters a single byte of ``events.log``
-or of the journal shows up here, even when both reruns agree.  A
-change that alters either on purpose updates the hashes and says why.
+the codec or the journal that alters a single byte of ``events.log``,
+of the journal or of the load sweep's CSV shows up here, even when
+both reruns agree.  A change that alters any of them on purpose
+updates the hashes and says why.
 """
 
 import hashlib
 
 import pytest
 
-from crowdmw.harness import ScenarioConfig, SimCluster, parse_fault
+from crowdmw.harness import (
+    ScenarioConfig,
+    SimCluster,
+    parse_fault,
+    sweep_csv,
+    sweep_load,
+)
 from crowdmw.store import JournalStore
 
 GOLDEN = {
@@ -68,3 +75,14 @@ def test_seeded_artifacts_match_pinned_hashes(shape, tmp_path):
     events = "".join(line + "\n" for line in cluster.events).encode("utf-8")
     assert hashlib.sha256(events).hexdigest() == events_sha
     assert hashlib.sha256(journal.read_bytes()).hexdigest() == journal_sha
+
+
+# Three volumes of one-entry requests, seed 0; the rows begin
+# ``0,297.794,``, ``40,303.612,`` and ``200,343.309,``.
+SWEEP_SHA = "4a778d42d21bc552088060a257a41192f5aa28732a3f4921deaea3bc01edb623"
+
+
+def test_sweep_csv_matches_pinned_hash(tmp_path):
+    csv = sweep_csv(sweep_load([0, 40, 200], seed=0,
+                               store_dir=str(tmp_path)))
+    assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == SWEEP_SHA

@@ -7,9 +7,13 @@ byte-stable artifacts for the same seed.
 
 import os
 import pathlib
+import random
+import sys
+import threading
 
 import pytest
 
+from crowdmw import harness
 from crowdmw.domain import CountMode, SensorReading, TagCategory
 from crowdmw.harness import (
     ConfigError,
@@ -393,6 +397,109 @@ def test_udp_backend_rejects_partitions(tmp_path):
         faults=(parse_fault("partition@100+200:1,2"),))
     with pytest.raises(ConfigError):
         run_scenario(config, str(tmp_path / "store.journal"))
+
+
+def _udp_run_killing_node_3(tmp_path, monkeypatch, *, hook):
+    """Three UDP nodes for two slots, with a ``kill_node`` fault on node 3
+    that no timer fires: ``fired[0]()`` makes the call its timer would.
+    ``hook(nodes, store, network, sink, fired)`` runs once the nodes are
+    built and returns the event sink to use.  Returns node 3's lines."""
+    fired = []
+
+    class HeldTimer:
+        def __init__(self, interval, function, args):
+            fired.append(lambda: function(*args))
+
+        def start(self):
+            pass
+
+        def cancel(self):
+            pass
+
+    monkeypatch.setattr(threading, "Timer", HeldTimer)
+    real_build = harness.build_nodes
+
+    def build(config, store, network, *, address, event_sink,
+              ingest_listener):
+        sinks = []
+        built = real_build(config, store, network, address=address,
+                           event_sink=lambda line: sinks[0](line),
+                           ingest_listener=ingest_listener)
+        sinks.append(hook(built[0], store, network, event_sink, fired))
+        return built
+
+    monkeypatch.setattr(harness, "build_nodes", build)
+    config = ScenarioConfig(
+        fixture="table1", seed=1, backend=TransportMode.UDP,
+        cycle_duration_ms=800, mapreduce_window_ms=300,
+        faults=(parse_fault("kill_node@60000:3"),))
+    report = run_scenario(config, str(tmp_path / "store.journal"))
+    assert report.nodes[3].killed
+    return [line for line in report.events if line.split()[1] == "node=3"]
+
+
+def test_udp_kill_waits_for_the_handler_it_lands_in(tmp_path, monkeypatch):
+    # Node 3 leads slot 0 and announces itself to nodes 1 and 2 inside
+    # start(). The kill fault fires at the first of those sends and gets
+    # 0.2 s to land; it must wait for start() to return.
+    killers = []
+
+    def hook(nodes, store, network, sink, fired):
+        def kill_at_first_send(line):
+            sink(line)
+            if not killers and line.split()[1:3] == ["node=3", "send"]:
+                killers.append(threading.Thread(target=fired[0]))
+                killers[0].start()
+                killers[0].join(timeout=0.2)
+        return kill_at_first_send
+
+    lines = _udp_run_killing_node_3(tmp_path, monkeypatch, hook=hook)
+    killers[0].join(timeout=5.0)
+    assert not killers[0].is_alive()
+    sends = [line for line in lines if " send kind=register_ack " in line]
+    assert len(sends) == 2
+    assert lines[-1].endswith(" node=3 killed")
+
+
+def test_udp_node_killed_before_its_thread_starts_never_starts(
+        tmp_path, monkeypatch):
+    def hook(nodes, store, network, sink, fired):
+        harness.apply_fault(parse_fault("kill_node@0:3"), 0.0, nodes,
+                            store, network, sink)
+        return sink
+
+    lines = _udp_run_killing_node_3(tmp_path, monkeypatch, hook=hook)
+    assert lines == ["t=0.000 node=3 killed"]
+
+
+def test_udp_kills_at_random_times_land_between_handlers(tmp_path):
+    # Eight node threads, six kills each run at random times in two
+    # 200 ms slots, and a short switch interval for more interleavings:
+    # no node thread dies of an exception (pytest fails the test on
+    # one) and no node logs a line after its ``killed`` line.
+    rng = random.Random(5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for run in range(6):
+            faults = tuple(
+                parse_fault(f"kill_node@{rng.uniform(0, 390):.1f}:"
+                            f"{rng.randint(1, 8)}")
+                for _ in range(6))
+            config = ScenarioConfig(
+                nodes=8, cycles=2, seed=run, visitors=400,
+                backend=TransportMode.UDP, cycle_duration_ms=200,
+                mapreduce_window_ms=80, ping_timeout_ms=20, faults=faults)
+            report = run_scenario(config,
+                                  str(tmp_path / f"run{run}.journal"))
+            dead = set()
+            for line in report.events:
+                node = line.split()[1]
+                assert node not in dead, line
+                if line.endswith(" killed"):
+                    dead.add(node)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- sweep --------------------------------------------------------------------

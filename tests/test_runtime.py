@@ -773,6 +773,7 @@ def test_malformed_assignment_is_logged(pairs, count):
 def _consolidating_leader(tmp_path, events):
     """Node 3 leading slot 0 of three, past collection, own part in."""
     from crowdmw import election
+    from crowdmw.clock import VirtualClock
     from crowdmw.runtime import Node
     from crowdmw.store import JournalStore
     from crowdmw.transport import NetConfig, SimulatedNetwork
@@ -782,7 +783,8 @@ def _consolidating_leader(tmp_path, events):
     for node_id in (1, 2, 3):
         election.register_node(store, node_id, f"node{node_id}:7000", 0,
                                config.liveness_window_ms)
-    endpoint = SimulatedNetwork(NetConfig()).open("node3:7000")
+    endpoint = SimulatedNetwork(NetConfig(), VirtualClock()).open(
+        "node3:7000")
     node = Node(3, config, endpoint, store, event_sink=events.append)
     node.start(0.0)
     node.advance(float(config.collection_ms))
