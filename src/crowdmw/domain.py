@@ -108,7 +108,7 @@ class KeyValuePair:
             raise ValueError(f"pair value must be >= 0, got {self.value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorReading:
     """One badge read at a room entrance.
 

@@ -171,13 +171,14 @@ class ScenarioConfig:
             raise ConfigError("need at least one cycle")
         if self.mode not in ("visitor", "room", "both"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.visitors < 0:
-            raise ConfigError("visitors must be >= 0")
         try:
             self.cycle_config()
             self.net_config()
+            self.visitor_model()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if self.visitors > 0 and self.injection_window_ms() < 1:
+            raise ConfigError("injection window must be >= 1 ms")
 
     def node_ids(self) -> list[int]:
         return list(range(1, self.nodes + 1))
@@ -204,6 +205,14 @@ class ScenarioConfig:
             latency_ms=self.latency_ms,
             seed=self.seed,
             transmission_us_per_byte=self.transmission_us_per_byte,
+        )
+
+    def visitor_model(self) -> simgen.VisitorModel:
+        return simgen.VisitorModel(
+            seed=self.seed,
+            visitor_count=self.visitors,
+            rooms=self.rooms,
+            double_read_rate=self.double_read_rate,
         )
 
     def injection_window_ms(self) -> float:
@@ -300,52 +309,30 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 def route_readings(readings: Iterable[SensorReading],
                    node_ids: Sequence[int]
-                   ) -> dict[int, list[tuple[float, SensorReading]]]:
-    """Assign each reading's room to a node, round-robin by room."""
-    ids = sorted(node_ids)
-    routed: dict[int, list[tuple[float, SensorReading]]] = {
-        node_id: [] for node_id in ids
-    }
+                   ) -> dict[int, list[SensorReading]]:
+    """Assign each reading's room to a node, round-robin, keeping order."""
+    targets: list[list[SensorReading]] = [[] for _ in node_ids]
     for reading in readings:
-        target = ids[(reading.room - 1) % len(ids)]
-        routed[target].append((float(reading.timestamp), reading))
-    return routed
+        targets[(reading.room - 1) % len(targets)].append(reading)
+    return dict(zip(sorted(node_ids), targets))
 
 
 def build_workload(config: ScenarioConfig) -> tuple[
-        dict[int, list[tuple[float, SensorReading]]],
-        Optional[simgen.GenerationLedger]]:
-    """Produce per-node timed readings for the scenario.
+        dict[int, list[SensorReading]], Optional[simgen.GenerationLedger]]:
+    """Each node's readings, due at their timestamps, and the ledger.
 
-    Each node's list is unsorted when it mixes a fixture with generated
-    readings; ``ListReadingSource`` orders it by time.
+    A fixture stream goes first on the lowest-id node, which keeps
+    single-source totals easy to audit; ``ListReadingSource`` sorts.
     """
-    routed: dict[int, list[tuple[float, SensorReading]]] = {
-        node_id: [] for node_id in config.node_ids()
-    }
+    readings: list[SensorReading] = []
     ledger = None
-    if config.fixture is not None:
-        # The whole fixture stream lands on the lowest-id node, which
-        # keeps single-source totals easy to audit.
-        readings = simgen.replay_fixture(config.fixture)
-        first = config.node_ids()[0]
-        routed[first].extend(
-            (float(r.timestamp), r) for r in readings
-        )
     if config.visitors > 0:
-        model = simgen.VisitorModel(
-            seed=config.seed,
-            visitor_count=config.visitors,
-            rooms=config.rooms,
-            double_read_rate=config.double_read_rate,
-        )
         readings, ledger = simgen.generate_stream(
-            model, config.injection_window_ms()
-        )
-        for node_id, timed in route_readings(
-            readings, config.node_ids()
-        ).items():
-            routed[node_id].extend(timed)
+            config.visitor_model(), config.injection_window_ms())
+    routed = route_readings(readings, config.node_ids())
+    if config.fixture is not None:
+        routed[config.node_ids()[0]][:0] = simgen.replay_fixture(
+            config.fixture)
     return routed, ledger
 
 
@@ -978,8 +965,8 @@ def sweep_load(request_counts: Sequence[int], *, seed: int = 0,
                 config.cycle_duration_ms - config.mapreduce_window_ms, seed,
             )
             routed = route_readings(readings, config.node_ids())
-            for node_id, timed in routed.items():
-                cluster.sources[node_id] = ListReadingSource(timed)
+            for node_id, node_readings in routed.items():
+                cluster.sources[node_id] = ListReadingSource(node_readings)
                 cluster.nodes[node_id].source = cluster.sources[node_id]
             cluster.start()
             cluster.run(float(config.cycles * config.cycle_duration_ms))

@@ -75,8 +75,7 @@ NodeId = int
 # One run: a visitor pair and the sequences of its readings.
 Run = tuple[KeyValuePair, list[int]]
 
-_FIRST = operator.itemgetter(0)
-_SECOND = operator.itemgetter(1)
+_TIMESTAMP = operator.attrgetter("timestamp")
 _PAIR_ORDER = operator.attrgetter("key", "value")
 
 
@@ -284,31 +283,30 @@ class ClientBuffer:
 
 
 class ListReadingSource:
-    """Reading source backed by a pre-routed (time, reading) list."""
+    """Reading source backed by routed readings, due at their timestamps."""
 
-    def __init__(self, timed: Iterable[tuple[float, SensorReading]]) -> None:
-        self._timed = sorted(timed, key=_FIRST)
+    def __init__(self, readings: Iterable[SensorReading]) -> None:
+        self._readings = sorted(readings, key=_TIMESTAMP)
         self._cursor = 0
 
     def take_due(self, now_ms: float) -> list[SensorReading]:
-        """Readings due by ``now_ms``, in time order.
+        """Readings due by ``now_ms``, in timestamp order.
 
-        Equal times keep their order in the routed list (the sort is
-        stable).  The harness routes each reading at its timestamp, so
-        a batch is in timestamp order: ``ClientBuffer.ingest`` relies
-        on that to compare a reading only with those at its timestamp
-        (any other order gives the same result, more slowly).
+        Equal timestamps keep their routed order (the sort is stable).
+        ``ClientBuffer.ingest`` relies on timestamp order to compare a
+        reading only with those at its timestamp (any other order gives
+        the same result, more slowly).
         """
         start = self._cursor
-        self._cursor = bisect.bisect_right(self._timed, now_ms, start,
-                                           key=_FIRST)
-        return list(map(_SECOND, self._timed[start:self._cursor]))
+        self._cursor = bisect.bisect_right(self._readings, now_ms, start,
+                                           key=_TIMESTAMP)
+        return self._readings[start:self._cursor]
 
-    def remaining(self) -> list[tuple[float, SensorReading]]:
-        return self._timed[self._cursor:]
+    def remaining(self) -> list[SensorReading]:
+        return self._readings[self._cursor:]
 
     def injected_count(self) -> int:
-        return len(self._timed)
+        return len(self._readings)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,15 @@ always yields one stream.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import functools
 import itertools
 import operator
 import random
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from crowdmw.domain import (
     CountMode,
@@ -128,15 +130,6 @@ class GenerationLedger:
         }
 
 
-def _draw_tag(rng: random.Random, cumulative: Sequence[float]) -> int:
-    """Index into the mix of the category a uniform roll lands in."""
-    roll = rng.random()
-    for index, bound in enumerate(cumulative):
-        if roll < bound:
-            return index
-    return len(_MIX_ORDER) - 1
-
-
 def generate_stream(model: VisitorModel,
                     duration_ms: int) -> tuple[list[SensorReading],
                                                GenerationLedger]:
@@ -156,34 +149,57 @@ def generate_stream(model: VisitorModel,
     the one it takes, so a run of taken slots is crossed once, not once
     per visit that lands on it.  A room has no other room to walk to
     when the museum has one room, so such a walk ends there.
+
+    The stream is ordered by (timestamp, visitor, ordinal).  A reading
+    is filed in its millisecond's bucket as it is drawn, in that order
+    within the millisecond, so the buckets in time order are the stream
+    with no sort.  Rooms and walk lengths are the ``getrandbits`` draws
+    of ``Random.choice`` and ``randint`` (``_randbelow``), inlined.
     """
     if duration_ms < 1:
         raise ValueError("duration_ms must be >= 1")
     rng = random.Random(model.seed)
+    getrandbits = rng.getrandbits
     rooms = model.rooms
     lanes = len(_MIX_ORDER) * (rooms + 1)
-    # Running sums of the mix, one per category, as the roll meets them.
+    # Running sums of the mix: a roll picks the first category whose sum
+    # exceeds it, the last one if rounding leaves the roll past them all.
     cumulative = list(itertools.accumulate(model.tag_mix[:len(_MIX_ORDER)]))
     # choices[r]: the rooms a visitor in room r may walk to (0: outside).
     choices = [tuple(r for r in range(1, rooms + 1) if r != room)
                for room in range(rooms + 1)]
+    walks = 2 * rooms
+    walk_bits = walks.bit_length()
     low, high = model.dwell_ms
     after: dict[int, int] = {}
-    raw: list[tuple[int, int, int, int, int, int, bool]] = []
-    # Tuple layout: (timestamp, visitor, ordinal, tag, room, reader, dup).
+    # by_ms[timestamp] files each reading of that millisecond as the int
+    # ``2 * lane + is_duplicate``, in draw order; kinds maps the int back
+    # to (category, room, reader, is_duplicate).
+    by_ms: dict[int, list[int]] = collections.defaultdict(list)
+    kinds = [(_MIX_ORDER[lane // (rooms + 1)], lane % (rooms + 1),
+              2 * (lane % (rooms + 1)) + duplicate, bool(duplicate))
+             for lane in range(lanes) for duplicate in (0, 1)]
 
-    for visitor in range(model.visitor_count):
-        tag = _draw_tag(rng, cumulative)
+    for _ in range(model.visitor_count):
+        tag = min(bisect.bisect_right(cumulative, rng.random()),
+                  len(_MIX_ORDER) - 1)
         # rng.uniform(a, b) is a + (b - a) * random(): the same draws.
         at = duration_ms * rng.random()
-        walk_length = rng.randint(1, 2 * rooms)
+        steps = getrandbits(walk_bits)
+        while steps >= walks:
+            steps = getrandbits(walk_bits)
         room = 0
-        ordinal = 0
-        for _ in range(walk_length):
-            if at >= duration_ms or not choices[room]:
+        for _ in range(1 + steps):
+            options = choices[room]
+            if at >= duration_ms or not options:
                 break
-            room = rng.choice(choices[room])
-            slot = int(at) * lanes + tag * (rooms + 1) + room
+            count = len(options)
+            draw = getrandbits(count.bit_length())
+            while draw >= count:
+                draw = getrandbits(count.bit_length())
+            room = options[draw]
+            lane = tag * (rooms + 1) + room
+            slot = int(at) * lanes + lane
             passed = []
             while (later := after.get(slot)) is not None:
                 passed.append(slot)
@@ -192,22 +208,20 @@ def generate_stream(model: VisitorModel,
                 after[taken] = slot + lanes
             after[slot] = slot + lanes
             timestamp = slot // lanes
-            reader = 2 * room
-            raw.append((timestamp, visitor, ordinal, tag, room, reader, False))
-            ordinal += 1
+            bucket = by_ms[timestamp]
+            bucket.append(2 * lane)
             if rng.random() < model.double_read_rate:
-                raw.append((timestamp, visitor, ordinal, tag, room,
-                            reader + 1, True))
-                ordinal += 1
+                bucket.append(2 * lane + 1)
             at += low + (high - low) * rng.random()
 
-    # (timestamp, visitor, ordinal) is unique, so the tuples order by it.
-    raw.sort()
-    readings = [SensorReading(_MIX_ORDER[tag], room, timestamp, reader)
-                for timestamp, _, _, tag, room, reader, _ in raw]
-    ledger = GenerationLedger(tuple(readings),
-                              tuple([item[6] for item in raw]))
-    return readings, ledger
+    readings = []
+    duplicates = []
+    for timestamp in sorted(by_ms):
+        for kind in by_ms[timestamp]:
+            category, room, reader, duplicate = kinds[kind]
+            readings.append(SensorReading(category, room, timestamp, reader))
+            duplicates.append(duplicate)
+    return readings, GenerationLedger(tuple(readings), tuple(duplicates))
 
 
 # A reading's dedupe key.  The tag is keyed by ``_value_``, the member's

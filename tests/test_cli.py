@@ -54,6 +54,13 @@ def test_run_bad_scenario_is_config_error(tmp_path, capsys):
     assert "bad value" in capsys.readouterr().err
 
 
+def test_run_bad_workload_scenario_is_config_error(tmp_path, capsys):
+    scenario = tmp_path / "roomless.scenario"
+    scenario.write_text("visitors = 30\nrooms = 0\n", encoding="utf-8")
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert "rooms must be >= 1" in capsys.readouterr().err
+
+
 def test_flag_beats_environment(tmp_path, capsys, monkeypatch):
     scenario = tmp_path / "seeded.scenario"
     scenario.write_text("visitors = 5\nseed = 1\n", encoding="utf-8")

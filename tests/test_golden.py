@@ -58,6 +58,20 @@ GOLDEN = {
         "eb72e055f443d197e91a6fe9906711a906852b8b783c012b1407ad04b3ade99a",
         "0ed94b61ef8e099c5e2c4219c1aa9b5f077fb48d2ac55872f5dfe65ba992df30",
     ),
+    # The benchmark's crowd-peak and trickle workloads at full size,
+    # seed 1: the generator's draws at the scale the benchmark runs
+    # them (66 k readings for crowd-peak).
+    "crowd-peak-full": (
+        dict(nodes=5, cycles=8, visitors=15000, seed=1),
+        "2818303e7ffc0628afa0cb500da7d28c1d04b9d7873410f7469e7fb62803c5fd",
+        "2c044ae0d979ea5b599ef4671233fb570a507088b38acd9db202188c573ac43c",
+    ),
+    "trickle-full": (
+        dict(nodes=5, cycles=24, visitors=1750, seed=1, entries_per_part=1,
+             transmission_us_per_byte=15.0),
+        "984da510d452fdd7020dc59a6c17cd7cda438dd1624641c99a26acc7605979a6",
+        "07782a76d0c3c83afb54aa750277bb40a02a9a631d5abb6c18579697bde2002d",
+    ),
 }
 
 

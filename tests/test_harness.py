@@ -21,6 +21,7 @@ from crowdmw.harness import (
     MetricsReport,
     ScenarioConfig,
     ScenarioDeadlock,
+    SimCluster,
     SWEEP_HEADER,
     _percentile,
     build_metrics,
@@ -34,6 +35,8 @@ from crowdmw.harness import (
     sweep_csv,
     sweep_load,
 )
+from crowdmw.runtime import ListReadingSource
+from crowdmw.store import JournalStore
 from crowdmw.transport import TransportMode
 
 TABLE_VISITOR = {"man": 10, "other": 12, "woman": 21}
@@ -146,6 +149,7 @@ def test_parse_scenario_defaults():
     "cycles = 0",
     "window_ms = 5000",
     "loss_rate = 2.0",
+    "visitors = -1",
     "retry_limit = 3",
 ])
 def test_parse_scenario_rejects(text):
@@ -165,6 +169,16 @@ def test_injection_window_defaults():
     assert ScenarioConfig(inject_ms=250.0).injection_window_ms() == 250.0
 
 
+@pytest.mark.parametrize("setting", [
+    dict(rooms=0),
+    dict(double_read_rate=1.5),
+    dict(inject_ms=0.5),
+])
+def test_bad_workload_setting_is_config_error(setting):
+    with pytest.raises(ConfigError):
+        ScenarioConfig(visitors=30, **setting)
+
+
 # -- workload routing ---------------------------------------------------------
 
 
@@ -172,11 +186,15 @@ def test_route_readings_round_robin_by_room():
     readings = [SensorReading(tag=TagCategory.MAN, room=room, timestamp=room)
                 for room in (1, 2, 3, 4, 5)]
     routed = route_readings(readings, [30, 10, 20])
-    assert [r.room for _, r in routed[10]] == [1, 4]
-    assert [r.room for _, r in routed[20]] == [2, 5]
-    assert [r.room for _, r in routed[30]] == [3]
-    assert all(at == float(r.timestamp) for node in routed.values()
-               for at, r in node)
+    assert [r.room for r in routed[10]] == [1, 4]
+    assert [r.room for r in routed[20]] == [2, 5]
+    assert [r.room for r in routed[30]] == [3]
+    # A source releases each routed reading at its own timestamp.
+    for node in routed.values():
+        for reading in node:
+            source = ListReadingSource(node)
+            assert reading not in source.take_due(reading.timestamp - 0.5)
+            assert reading in source.take_due(float(reading.timestamp))
 
 
 def test_build_workload_fixture_lands_on_lowest_id():
@@ -291,6 +309,58 @@ def test_partition_blocks_then_heals(tmp_path):
     report = run_scenario(config, str(tmp_path / "store.journal"))
     assert report.reconciliation.conserves()
     assert report.commits >= 1
+
+
+def _faulted_config(seed):
+    """3-8 nodes, loss 0-0.2 and two to five random faults."""
+    rng = random.Random(seed)
+    nodes = rng.randint(3, 8)
+    cycles = rng.randint(4, 6)
+    faults = []
+    for _ in range(rng.randint(2, 5)):
+        at = float(rng.randrange(0, cycles * 2000, 50))
+        kind = rng.choice(("kill_node", "kill_leader", "partition",
+                           "set_loss"))
+        if kind == "kill_node":
+            faults.append(FaultSpec(kind, at, node_id=rng.randint(1, nodes)))
+        elif kind == "kill_leader":
+            faults.append(FaultSpec(kind, at))
+        elif kind == "partition":
+            group = tuple(sorted(rng.sample(range(1, nodes + 1),
+                                            rng.randint(1, nodes // 2))))
+            duration_ms = float(rng.randint(1, 6) * 500)
+            faults.append(FaultSpec(kind, at, nodes=group,
+                                    duration_ms=duration_ms))
+        else:
+            faults.append(FaultSpec(kind, at, rate=rng.uniform(0.0, 0.2)))
+    return ScenarioConfig(nodes=nodes, cycles=cycles, seed=seed,
+                          visitors=10 * nodes,
+                          loss_rate=rng.choice((0.0, 0.05, 0.1, 0.2)),
+                          faults=tuple(faults))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_live_buffer_holds_what_was_ingested_above_its_watermark(
+        seed, tmp_path):
+    config = _faulted_config(seed)
+    store = JournalStore(str(tmp_path / "store.journal"))
+    try:
+        cluster = SimCluster(config, store)
+        cluster.start()
+        cluster.run(float(config.cycles * config.cycle_duration_ms))
+    except ScenarioDeadlock:
+        pass
+    finally:
+        store.close()
+    for node_id, node in cluster.nodes.items():
+        if node.killed:
+            continue
+        watermark = node.buffer.committed_through
+        held = sorted((seq, pair.key, pair.value)
+                      for pair, seq in node.buffer.entries())
+        assert held == [(seq, reading.tag.value, reading.room)
+                        for seq, reading in cluster.ingested[node_id]
+                        if seq > watermark]
 
 
 def test_two_node_floor_aborts_without_peer(tmp_path):

@@ -79,8 +79,9 @@ class OldClientBuffer:
 
 
 class OldListReadingSource:
-    def __init__(self, timed):
-        self._timed = sorted(timed, key=operator.itemgetter(0))
+    def __init__(self, readings):
+        self._timed = sorted(((r.timestamp, r) for r in readings),
+                             key=operator.itemgetter(0))
         self._cursor = 0
 
     def take_due(self, now_ms):
@@ -92,7 +93,7 @@ class OldListReadingSource:
         return due
 
     def remaining(self):
-        return list(self._timed[self._cursor:])
+        return [r for _, r in self._timed[self._cursor:]]
 
 
 def old_chunk(items, budget, max_items):
@@ -426,10 +427,12 @@ TIME = st.integers(0, 20).map(float) | st.floats(0, 20, allow_nan=False)
 @given(times=st.lists(TIME, max_size=25),
        nows=st.lists(TIME | st.just(-1.0), max_size=8))
 def test_take_due_matches_per_reading_scan(times, nows):
-    timed = [(t, SensorReading(TagCategory.MAN, 1, index))
-             for index, t in enumerate(times)]
-    old, new = OldListReadingSource(timed), ListReadingSource(timed)
-    assert new.injected_count() == len(timed)
+    # Each reading is due at its timestamp; reader ids tell equal
+    # timestamps apart.
+    readings = [SensorReading(TagCategory.MAN, 1, t, index)
+                for index, t in enumerate(times)]
+    old, new = OldListReadingSource(readings), ListReadingSource(readings)
+    assert new.injected_count() == len(readings)
     for now in nows:
         assert new.take_due(now) == old.take_due(now)
         assert new.remaining() == old.remaining()

@@ -142,9 +142,9 @@ def test_buffer_prune_watermark():
 
 
 def test_reading_source_releases_by_time():
-    stream = [(10.0, _reading(TagCategory.MAN, 1, 0)),
-              (20.0, _reading(TagCategory.WOMAN, 2, 1)),
-              (20.0, _reading(TagCategory.OTHER, 3, 2))]
+    stream = [_reading(TagCategory.MAN, 1, 10),
+              _reading(TagCategory.WOMAN, 2, 20),
+              _reading(TagCategory.OTHER, 3, 20)]
     source = ListReadingSource(stream)
     assert source.injected_count() == 3
     assert source.take_due(9.9) == []
