@@ -18,6 +18,7 @@ backends; each takes the network to work on.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import os
@@ -340,25 +341,31 @@ def build_workload(config: ScenarioConfig) -> tuple[
 # Cluster wiring and faults, shared by both backends.
 # ---------------------------------------------------------------------------
 
+# Each node's ingested readings with their buffer sequences, in order.
+IngestRecord = dict[int, list[tuple[int, SensorReading]]]
+
 
 def build_nodes(config: ScenarioConfig, store: JournalStore,
                 network: SimulatedNetwork | UdpNetwork, *,
-                address: str, event_sink: Callable[[str], None],
-                ingest_listener: Callable[
-                    [int, list[tuple[int, SensorReading]]], None]
+                address: str, event_sink: Callable[[str], None]
                 ) -> tuple[dict[int, Node], dict[int, ListReadingSource],
-                           Optional[simgen.GenerationLedger]]:
+                           IngestRecord, Optional[simgen.GenerationLedger]]:
     """Build the scenario's nodes on ``network``, with their workload.
 
     Each node binds ``address`` formatted with its ``node_id`` and is
     pre-registered at t=0, so the first slot already sees the full
-    membership.  Returns the nodes, their reading sources and the
-    generation ledger.
+    membership.  Returns the nodes, their reading sources, the ingest
+    record every node appends to, and the generation ledger.
     """
     cycle_config = config.cycle_config()
     routed, ledger = build_workload(config)
     nodes: dict[int, Node] = {}
     sources: dict[int, ListReadingSource] = {}
+    ingested: IngestRecord = {node_id: [] for node_id in config.node_ids()}
+
+    def record(node_id: int, added: list[tuple[int, SensorReading]]) -> None:
+        ingested[node_id].extend(added)
+
     for node_id in config.node_ids():
         endpoint = network.open(address.format(node_id=node_id))
         source = ListReadingSource(routed[node_id])
@@ -370,12 +377,12 @@ def build_nodes(config: ScenarioConfig, store: JournalStore,
             max_entries_per_part=config.entries_per_part,
             modes=config.count_modes(),
         )
-        node.ingest_listener = ingest_listener
+        node.ingest_listener = record
         nodes[node_id] = node
         sources[node_id] = source
         election.register_node(store, node_id, endpoint.address, 0,
                                cycle_config.liveness_window_ms)
-    return nodes, sources, ledger
+    return nodes, sources, ingested, ledger
 
 
 def _leader_id(store: JournalStore) -> Optional[int]:
@@ -457,17 +464,14 @@ class SimCluster:
         self.clock = VirtualClock()
         self.network = SimulatedNetwork(config.net_config(), self.clock)
         self.events: list[str] = []
-        self.ingested: dict[int, list[tuple[int, SensorReading]]] = {
-            node_id: [] for node_id in config.node_ids()
-        }
         self._faults = sorted(config.faults, key=lambda f: f.at_ms)
         self._fault_cursor = 0
         self._last_progress_ms = 0.0
         self._timer_heap: list[tuple[float, int]] = []
         self._deadlines: dict[int, Optional[float]] = {}
-        self.nodes, self.sources, self.ledger = build_nodes(
+        self.nodes, self.sources, self.ingested, self.ledger = build_nodes(
             config, store, self.network, address="node{node_id}:7000",
-            event_sink=self._sink, ingest_listener=self._on_ingest)
+            event_sink=self._sink)
         for node in self.nodes.values():
             node.endpoint.handler = (
                 lambda message, src, bound=node: self._deliver(
@@ -480,10 +484,6 @@ class SimCluster:
         if (" commit cycle=" in line or " abort cycle=" in line
                 or " leader_claimed " in line):
             self._last_progress_ms = self.clock.now_ms()
-
-    def _on_ingest(self, node_id: int,
-                   added: list[tuple[int, SensorReading]]) -> None:
-        self.ingested[node_id].extend(added)
 
     def _deliver(self, node: Node, message: Message, src: str) -> None:
         node.on_message(message, src, self.clock.now_ms())
@@ -712,7 +712,12 @@ class Reconciliation:
     store_total: int
 
     def conserves(self) -> bool:
-        """No reading lost or double counted across the categories."""
+        """No reading lost or double counted across the categories.
+
+        ``pending_live`` and ``stranded_killed`` count what the buffers
+        hold above the store's watermarks, so a buffer that dropped a
+        reading no commit covers breaks the second identity.
+        """
         return (
             self.committed == self.store_total
             and self.ingested == (self.committed + self.pending_live
@@ -741,27 +746,23 @@ class ScenarioReport:
 def _reconcile(config: ScenarioConfig, store: JournalStore,
                cluster_nodes: dict[int, Node],
                sources: dict[int, ListReadingSource],
-               ingested: dict[int, list[tuple[int, SensorReading]]],
-               ) -> Reconciliation:
+               ingested: IngestRecord) -> Reconciliation:
     watermarks = store.ack_watermarks()
     injected = sum(source.injected_count() for source in sources.values())
     ingested_count = sum(len(items) for items in ingested.values())
     committed = 0
     pending_live = 0
     stranded = 0
-    undelivered = 0
-    for node_id, items in ingested.items():
+    for node_id, node in cluster_nodes.items():
         watermark = watermarks.get(node_id, -1)
-        node = cluster_nodes[node_id]
-        for seq, _ in items:
-            if seq <= watermark:
-                committed += 1
-            elif node.killed:
-                stranded += 1
-            else:
-                pending_live += 1
-    for node_id, source in sources.items():
-        undelivered += len(source.remaining())
+        committed += sum(seq <= watermark for seq, _ in ingested[node_id])
+        held = sum(len(seqs) - bisect.bisect_right(seqs, watermark)
+                   for _, seqs in node.buffer.runs())
+        if node.killed:
+            stranded += held
+        else:
+            pending_live += held
+    undelivered = sum(len(source.remaining()) for source in sources.values())
     deduplicated = sum(
         node.dedupe_dropped for node in cluster_nodes.values()
     )
@@ -799,8 +800,7 @@ def run_scenario(config: ScenarioConfig, store_path: str) -> ScenarioReport:
 def _build_report(config: ScenarioConfig, store: JournalStore,
                   events: list[str], nodes: dict[int, Node],
                   sources: dict[int, ListReadingSource],
-                  ingested: dict[int, list[tuple[int, SensorReading]]],
-                  ledger) -> ScenarioReport:
+                  ingested: IngestRecord, ledger) -> ScenarioReport:
     metrics = build_metrics(events, config.cycle_duration_ms)
     return ScenarioReport(
         config=config,
@@ -839,17 +839,9 @@ def _run_udp(config: ScenarioConfig, store_path: str) -> ScenarioReport:
     clock = WallClock()
     network = UdpNetwork(config.net_config())
     events: list[str] = []
-    ingested: dict[int, list[tuple[int, SensorReading]]] = {
-        node_id: [] for node_id in config.node_ids()
-    }
-
-    def on_ingest(node_id: int,
-                  added: list[tuple[int, SensorReading]]) -> None:
-        ingested[node_id].extend(added)
-
-    nodes, sources, ledger = build_nodes(
+    nodes, sources, ingested, ledger = build_nodes(
         config, store, network, address="127.0.0.1:0",
-        event_sink=events.append, ingest_listener=on_ingest)
+        event_sink=events.append)
     # One node handler or one fault runs at a time, and every event
     # line and ingest is written under this lock.
     lock = threading.Lock()

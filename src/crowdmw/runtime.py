@@ -658,33 +658,65 @@ _FROM_LEADER = frozenset({MessageKind.SEGMENT_ASSIGN,
 
 
 @dataclass
-class _SubmissionParts:
+class _Parts:
+    """A multi-part message as its parts arrive: ``total`` bodies by index.
+
+    ``header`` is what the set's first part carried besides its body:
+    an assignment's (pair count, checksum).
+    """
+
     total: int
-    parts: dict[int, list[Run]] = field(default_factory=dict)
+    header: tuple[int, ...] = ()
+    parts: dict = field(default_factory=dict)
 
     def complete(self) -> bool:
         return len(self.parts) == self.total
 
-    def runs(self) -> list[Run]:
-        return [run for index in sorted(self.parts)
-                for run in self.parts[index]]
+    def ordered(self) -> list:
+        return [self.parts[index] for index in sorted(self.parts)]
+
+
+def _file_part(sets: dict[int, _Parts], key: int, total: int, index: int,
+               body, header: tuple[int, ...] = ()) -> tuple[_Parts, bool]:
+    """File part ``index`` of ``total`` under ``key``; its set, and if new.
+
+    A part with a new total starts the set over, header included.
+    """
+    parts = sets.get(key)
+    if parts is None or parts.total != total:
+        parts = sets[key] = _Parts(total, header)
+    fresh = index not in parts.parts
+    parts.parts[index] = body
+    return parts, fresh
 
 
 @dataclass
-class _AssignmentParts:
-    segment_index: int
-    count: int
-    checksum: int
-    total: int
-    parts: dict[int, str] = field(default_factory=dict)
+class _Slot:
+    """What a node knows about one slot; each slot boundary replaces it."""
 
-    def complete(self) -> bool:
-        return len(self.parts) == self.total
+    is_leader: bool = False
+    # Ids found unreachable this slot, left out of the election.
+    excluded: set[NodeId] = field(default_factory=set)
+    # The expected leader under PING check as (id, address), the PINGs
+    # sent to it and the nonce its PONG must echo.
+    check_target: Optional[tuple[NodeId, str]] = None
+    check_attempts: int = 0
+    nonce: Optional[bytes] = None
 
-    def text(self) -> str:
-        return ",".join(
-            self.parts[i] for i in sorted(self.parts) if self.parts[i]
-        )
+    # Leader side.  Registry address per node id, as of the claim and
+    # the collection end: a submission counts only from its origin's.
+    origin_addresses: dict[NodeId, str] = field(default_factory=dict)
+    submissions: dict[NodeId, _Parts] = field(default_factory=dict)
+    segments: list[Segment] = field(default_factory=list)
+    # Address each remote segment was dispatched to, by index: a
+    # partial counts only from its assignee's.
+    assignee_addresses: dict[int, str] = field(default_factory=dict)
+    remote_partials: dict[int, tuple[PartialResult, PartialResult]] = field(
+        default_factory=dict)
+    new_acks: dict[NodeId, int] = field(default_factory=dict)
+
+    # Follower side: assignment parts by segment index.
+    assignments: dict[int, _Parts] = field(default_factory=dict)
 
 
 class Node:
@@ -722,7 +754,6 @@ class Node:
         self.buffer = ClientBuffer()
         self.killed = False
         self.cycle_id = -1
-        self.slot_start = 0.0
         self.commits = 0
         self.aborts = 0
         self.dedupe_dropped = 0
@@ -730,30 +761,13 @@ class Node:
             [NodeId, list[tuple[int, SensorReading]]], None]] = None
 
         self._timers: dict[str, float] = {}
-        self._leader_id: Optional[NodeId] = None
+        # The leader this node last confirmed or became; it outlives
+        # the slot, so a late outcome from it is still handled.
         self._leader_address: Optional[str] = None
-        self._is_leader = False
-        self._check_target: Optional[tuple[NodeId, str]] = None
-        self._check_attempts = 0
-        self._pending_nonce: Optional[bytes] = None
-        self._excluded: set[NodeId] = set()
-
-        # Leader-side per-slot state.
-        self._submissions: dict[NodeId, _SubmissionParts] = {}
-        # Registry address per node id, as of the claim and the
-        # collection end: a submission counts only from its origin's.
-        self._origin_addresses: dict[NodeId, str] = {}
-        self._segments: list[Segment] = []
-        # Address each remote segment was dispatched to, by index: a
-        # partial counts only from its assignee's.
-        self._assignee_addresses: dict[int, str] = {}
-        self._remote_partials: dict[
-            int, tuple[PartialResult, PartialResult]] = {}
-        self._new_acks: dict[NodeId, int] = {}
+        # Highest committed sequence per origin, as of this node's last
+        # claim or commit.
         self._watermarks: dict[NodeId, int] = {}
-
-        # Follower-side per-slot state.
-        self._assignments: dict[int, _AssignmentParts] = {}
+        self._slot = _Slot()
 
     # -- plumbing -------------------------------------------------------
 
@@ -776,12 +790,6 @@ class Node:
         self._log(now, f"send kind={_KIND_NAMES[message.kind]} to={dest} "
                        f"cycle={message.cycle_id} "
                        f"bytes={len(message.payload)}")
-
-    def _arm(self, tag: str, due: float) -> None:
-        self._timers[tag] = due
-
-    def _disarm(self, tag: str) -> None:
-        self._timers.pop(tag, None)
 
     def next_deadline(self) -> Optional[float]:
         if self.killed or not self._timers:
@@ -852,29 +860,15 @@ class Node:
     # -- slot boundary -------------------------------------------------
 
     def _enter_slot(self, now: float) -> None:
+        """Start the slot holding ``now`` with fresh slot state and timers."""
         duration = self.config.cycle_duration_ms
         self.cycle_id = int(now // duration)
-        self.slot_start = self.cycle_id * float(duration)
-        self._arm("slot", self.slot_start + duration)
-        self._disarm("ping")
-        self._disarm("consolidate")
-        self._disarm("reduce")
-        collect_at = self.slot_start + self.config.collection_ms
+        start = self.cycle_id * float(duration)
+        self._slot = _Slot()
+        self._timers = {"slot": start + duration}
+        collect_at = start + self.config.collection_ms
         if collect_at > now:
-            self._arm("collect", collect_at)
-
-        # Per-slot state resets.
-        self._excluded = set()
-        self._submissions = {}
-        self._segments = []
-        self._assignee_addresses = {}
-        self._remote_partials = {}
-        self._new_acks = {}
-        self._assignments = {}
-        self._is_leader = False
-        self._check_target = None
-        self._pending_nonce = None
-
+            self._timers["collect"] = collect_at
         self._transition(now, NodePhase.CHECKING_SERVER)
         election.register_node(self.store, self.node_id,
                                self.endpoint.address, int(now),
@@ -888,36 +882,39 @@ class Node:
         so there is always a candidate.
         """
         live = self._live(now)
-        expected = election.elect_leader(live.keys() - self._excluded,
+        slot = self._slot
+        expected = election.elect_leader(live.keys() - slot.excluded,
                                          self.override)
         if expected == self.node_id:
             self._claim(now, live)
             return
-        self._check_target = (expected, live[expected])
-        self._check_attempts = 0
+        slot.check_target = (expected, live[expected])
+        slot.check_attempts = 0
         self._send_ping(now)
 
     def _send_ping(self, now: float) -> None:
-        assert self._check_target is not None
-        target_id, address = self._check_target
-        self._pending_nonce = election.make_nonce(self.rng)
-        self._check_attempts += 1
+        slot = self._slot
+        assert slot.check_target is not None
+        _, address = slot.check_target
+        slot.nonce = election.make_nonce(self.rng)
+        slot.check_attempts += 1
         self._send(now, address, Message(
             kind=MessageKind.PING, sender=self.node_id,
-            cycle_id=max(self.cycle_id, 0), payload=self._pending_nonce,
+            cycle_id=max(self.cycle_id, 0), payload=slot.nonce,
         ))
-        self._arm("ping", now + self.config.ping_timeout_ms)
+        self._timers["ping"] = now + self.config.ping_timeout_ms
 
     def _ping_timeout(self, now: float) -> None:
-        if self._check_target is None:
+        slot = self._slot
+        if slot.check_target is None:
             return
-        if self._check_attempts < self.config.ping_retries:
+        if slot.check_attempts < self.config.ping_retries:
             self._send_ping(now)
             return
         # Target looked live in the registry but does not answer:
         # exclude it and re-elect among the rest.
-        target_id, _ = self._check_target
-        self._excluded.add(target_id)
+        target_id, _ = slot.check_target
+        slot.excluded.add(target_id)
         self._log(now, f"unreachable node={target_id} cycle={self.cycle_id}")
         if self.phase is not NodePhase.ELECTING:
             self._transition(now, NodePhase.ELECTING)
@@ -929,15 +926,14 @@ class Node:
             self._transition(now, NodePhase.ELECTING)
         election.claim_leadership(self.store, self.node_id,
                                   self.endpoint.address, int(now))
-        self._is_leader = True
-        self._leader_id = self.node_id
+        self._slot.is_leader = True
         self._leader_address = self.endpoint.address
         self._watermarks.update({
             origin: max(seq, self._watermarks.get(origin, -1))
             for origin, seq in self.store.ack_watermarks().items()
         })
         self._log(now, f"leader_claimed cycle={self.cycle_id}")
-        self._origin_addresses = live
+        self._slot.origin_addresses = live
         announcement = (
             f"leader={self.node_id};addr={self.endpoint.address}"
         ).encode("utf-8")
@@ -949,12 +945,12 @@ class Node:
 
     def _confirm_leader(self, now: float, leader_id: NodeId,
                         address: str) -> None:
-        self._leader_id = leader_id
         self._leader_address = address
-        self._is_leader = leader_id == self.node_id
-        self._disarm("ping")
-        self._check_target = None
-        self._pending_nonce = None
+        self._timers.pop("ping", None)
+        slot = self._slot
+        slot.is_leader = leader_id == self.node_id
+        slot.check_target = None
+        slot.nonce = None
         if self.phase in (NodePhase.CHECKING_SERVER, NodePhase.ELECTING):
             self._transition(now, NodePhase.COLLECTING)
 
@@ -976,14 +972,15 @@ class Node:
         if self.phase is not NodePhase.COLLECTING:
             # Never confirmed a leader this slot; keep buffering.
             return
-        if self._is_leader:
+        slot = self._slot
+        if slot.is_leader:
             self._transition(now, NodePhase.SUBMITTING)
-            submission = _SubmissionParts(total=1,
-                                          parts={0: self.buffer.runs()})
-            self._submissions[self.node_id] = submission
-            self._origin_addresses = self._live(now)
+            _file_part(slot.submissions, self.node_id, 1, 0,
+                       self.buffer.runs())
+            slot.origin_addresses = self._live(now)
             self._transition(now, NodePhase.CONSOLIDATING)
-            self._arm("consolidate", now + self.config.submit_window_ms)
+            self._timers["consolidate"] = (
+                now + self.config.submit_window_ms)
             self._maybe_consolidate_early(now)
         elif self._leader_address is not None:
             self._transition(now, NodePhase.SUBMITTING)
@@ -1002,7 +999,8 @@ class Node:
 
     def _on_data_submit(self, message: Message, source: str,
                         now: float) -> None:
-        if not self._is_leader or message.cycle_id != self.cycle_id:
+        slot = self._slot
+        if not slot.is_leader or message.cycle_id != self.cycle_id:
             return
         if self.phase not in (NodePhase.COLLECTING, NodePhase.SUBMITTING,
                               NodePhase.CONSOLIDATING):
@@ -1016,7 +1014,7 @@ class Node:
             # A node submits its own readings only, from the address it
             # registered (the header's sender is whatever it claims),
             # and submissions carry visitor pairs: a tag and a room >= 1.
-            if not (self._origin_addresses.get(origin) == source
+            if not (slot.origin_addresses.get(origin) == source
                     and 0 <= index < total and all(
                         pair.key in TAG_KEYS and pair.value > 0
                         for pair, _ in runs)):
@@ -1024,12 +1022,8 @@ class Node:
         except (ValueError, KeyError):
             self._log(now, f"malformed_submit from={message.sender}")
             return
-        submission = self._submissions.get(origin)
-        if submission is None or submission.total != total:
-            submission = _SubmissionParts(total=total)
-            self._submissions[origin] = submission
-        fresh = index not in submission.parts
-        submission.parts[index] = runs
+        submission, fresh = _file_part(slot.submissions, origin, total,
+                                       index, runs)
         # Only a part that completes its submission can complete the
         # expected set; a repeat of a stored part changes nothing.
         if fresh and submission.complete():
@@ -1037,15 +1031,15 @@ class Node:
 
     def _responding(self) -> list[NodeId]:
         return sorted(
-            origin for origin, sub in self._submissions.items()
+            origin for origin, sub in self._slot.submissions.items()
             if sub.complete()
         )
 
     def _maybe_consolidate_early(self, now: float) -> None:
         if self.phase is not NodePhase.CONSOLIDATING:
             return
-        if self._origin_addresses.keys() <= set(self._responding()):
-            self._disarm("consolidate")
+        if self._slot.origin_addresses.keys() <= set(self._responding()):
+            self._timers.pop("consolidate", None)
             self._consolidate(now)
 
     def _consolidate(self, now: float) -> None:
@@ -1055,33 +1049,34 @@ class Node:
         if len(responding) < self.config.min_responding_nodes:
             self._abort_cycle(now, "min_responding")
             return
+        slot = self._slot
         # Watermark dedupe: drop entries already covered by a commit.
-        consolidated, self._new_acks = consolidate_runs(
-            ((origin, self._submissions[origin].runs())
+        consolidated, slot.new_acks = consolidate_runs(
+            ((origin, itertools.chain.from_iterable(
+                slot.submissions[origin].ordered()))
              for origin in responding),
             self._watermarks)
-        self._segments = partition(consolidated, responding)
-        self._assignee_addresses = {}
-        self._remote_partials = {}
+        slot.segments = partition(consolidated, responding)
         self._transition(now, NodePhase.DISPATCHING)
         live = self._live(now)
-        for segment in self._segments:
+        for segment in slot.segments:
             if segment.assignee == self.node_id:
                 continue
             address = live.get(segment.assignee)
             if address is None:
                 continue
-            self._assignee_addresses[segment.segment_index] = address
+            slot.assignee_addresses[segment.segment_index] = address
             for message in build_assignment_parts(self.node_id,
                                                   self.cycle_id, segment):
                 self._send(now, address, message)
         self._transition(now, NodePhase.MERGING)
-        self._arm("reduce", now + self.config.reduce_window_ms)
+        self._timers["reduce"] = now + self.config.reduce_window_ms
         self._maybe_finish_early(now)
 
     def _on_reduce_result(self, message: Message, source: str,
                           now: float) -> None:
-        if not self._is_leader or message.cycle_id != self.cycle_id:
+        slot = self._slot
+        if not slot.is_leader or message.cycle_id != self.cycle_id:
             return
         if self.phase is not NodePhase.MERGING:
             return
@@ -1090,7 +1085,7 @@ class Node:
             self._log(now, f"corrupt_partial from={message.sender}")
             return
         index = parsed["segment"]
-        matching = [s for s in self._segments if s.segment_index == index]
+        matching = [s for s in slot.segments if s.segment_index == index]
         if not matching or matching[0].checksum != parsed["checksum"]:
             self._log(now, f"stale_partial from={message.sender} "
                            f"segment={index}")
@@ -1100,7 +1095,7 @@ class Node:
             # was dispatched to, and an honest partial counts every pair
             # of its segment; room mode counts one per pair, so its room
             # counts add up to the same count.
-            if not (self._assignee_addresses.get(index) == source
+            if not (slot.assignee_addresses.get(index) == source
                     and parsed["count"] == matching[0].pair_count
                     == sum(parsed["room"].values())):
                 raise ValueError("not the segment's partial")
@@ -1113,18 +1108,19 @@ class Node:
         except ValueError:
             self._log(now, f"corrupt_partial from={message.sender}")
             return
-        self._remote_partials[index] = partials
+        slot.remote_partials[index] = partials
         self._maybe_finish_early(now)
 
     def _missing_partials(self) -> list[int]:
         """Indices of the remote segments with no partial stored yet."""
-        return [s.segment_index for s in self._segments
+        slot = self._slot
+        return [s.segment_index for s in slot.segments
                 if s.assignee != self.node_id
-                and s.segment_index not in self._remote_partials]
+                and s.segment_index not in slot.remote_partials]
 
     def _maybe_finish_early(self, now: float) -> None:
         if not self._missing_partials():
-            self._disarm("reduce")
+            self._timers.pop("reduce", None)
             self._finish_cycle(now)
 
     def _finish_cycle(self, now: float) -> None:
@@ -1133,9 +1129,10 @@ class Node:
         missing = self._missing_partials()
         for index in missing:
             self._log(now, f"fallback_reduce segment={index}")
+        slot = self._slot
         try:
-            result = reduce_check_merge(self.cycle_id, self._segments,
-                                        self._remote_partials, self.modes)
+            result = reduce_check_merge(self.cycle_id, slot.segments,
+                                        slot.remote_partials, self.modes)
         except IntegrityFailure:
             self._abort_cycle(now, "integrity")
             return
@@ -1143,25 +1140,25 @@ class Node:
         try:
             rows = self.store.commit_results(result,
                                              committed_at=int(now),
-                                             acks=self._new_acks)
+                                             acks=slot.new_acks)
         except ConflictingCommit:
             # Another leader won this cycle; our data stays buffered.
             self._log(now, f"commit_conflict cycle={self.cycle_id}")
             self._transition(now, NodePhase.BROADCASTING)
             return
         self.commits += 1
-        self._watermarks.update(self._new_acks)
+        self._watermarks.update(slot.new_acks)
         self._log(
             now,
             f"commit cycle={self.cycle_id} rows={len(rows)} "
             f"total={result.total_readings} fallbacks={len(missing)}",
         )
-        own_ack = self._new_acks.get(self.node_id)
+        own_ack = slot.new_acks.get(self.node_id)
         if own_ack is not None:
             self.buffer.prune_through(own_ack)
         self._transition(now, NodePhase.BROADCASTING)
         self._broadcast(now, build_success(self.node_id, self.cycle_id,
-                                           self._new_acks), self._live(now))
+                                           slot.new_acks), self._live(now))
 
     def _abort_cycle(self, now: float, reason: str) -> None:
         self.aborts += 1
@@ -1171,8 +1168,8 @@ class Node:
             kind=MessageKind.CYCLE_ABORT, sender=self.node_id,
             cycle_id=max(self.cycle_id, 0),
             payload=f"reason={reason}".encode("utf-8")), self._live(now))
-        self._disarm("consolidate")
-        self._disarm("reduce")
+        self._timers.pop("consolidate", None)
+        self._timers.pop("reduce", None)
 
     # -- follower path ---------------------------------------------------
 
@@ -1194,17 +1191,15 @@ class Node:
         except (ValueError, KeyError):
             self._log(now, f"malformed_assignment from={message.sender}")
             return
-        assignment = self._assignments.get(index)
-        if assignment is None or assignment.total != part_total:
-            assignment = _AssignmentParts(segment_index=index, count=count,
-                                          checksum=checksum,
-                                          total=part_total)
-            self._assignments[index] = assignment
-        assignment.parts[part_index] = pairs_text
+        assignment, _ = _file_part(self._slot.assignments, index,
+                                   part_total, part_index, pairs_text,
+                                   (count, checksum))
         if not assignment.complete():
             return
-        text = assignment.text()
-        if crc64(text.encode("utf-8")) != assignment.checksum:
+        # The first part of the set fixes the count and checksum.
+        count, checksum = assignment.header
+        text = ",".join(filter(None, assignment.ordered()))
+        if crc64(text.encode("utf-8")) != checksum:
             self._log(now, f"checksum_mismatch segment={index}")
             return
         try:
@@ -1212,17 +1207,17 @@ class Node:
         except ValueError:
             self._log(now, f"malformed_assignment from={message.sender}")
             return
-        if sum(count for _, count in runs) != assignment.count:
+        if sum(run_count for _, run_count in runs) != count:
             self._log(now, f"short_segment segment={index}")
             return
         segment = Segment(assignee=self.node_id, runs=runs,
-                          segment_index=index, checksum=assignment.checksum,
-                          pair_count=assignment.count)
+                          segment_index=index, checksum=checksum,
+                          pair_count=count)
         self._transition(now, NodePhase.REDUCING)
         try:
             visitor, room = _reduce_both(segment)
             reply = build_reduce_result(
-                self.node_id, self.cycle_id, index, assignment.checksum,
+                self.node_id, self.cycle_id, index, checksum,
                 dict(visitor.aggregates), dict(room.aggregates),
                 visitor.input_pair_count,
             )
@@ -1267,12 +1262,11 @@ class Node:
                                                          self.node_id))
             return
         if kind is MessageKind.PONG:
-            if (self._pending_nonce is not None
-                    and message.payload == self._pending_nonce
-                    and self._check_target is not None
-                    and message.sender == self._check_target[0]):
-                target_id, address = self._check_target
-                self._confirm_leader(now, target_id, address)
+            slot = self._slot
+            if (slot.nonce is not None and message.payload == slot.nonce
+                    and slot.check_target is not None
+                    and message.sender == slot.check_target[0]):
+                self._confirm_leader(now, *slot.check_target)
             return
         if kind is MessageKind.REGISTER_ACK:
             try:

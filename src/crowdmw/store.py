@@ -238,6 +238,11 @@ class JournalStore:
         return (f"nodes|{record.node_id},{record.address};"
                 f"{record.role.value};{record.last_seen}")
 
+    @staticmethod
+    def _result_body(row: ResultTableRow) -> str:
+        return (f"results|{row.cycle_id},{row.mode},{row.key},{row.count},"
+                f"{row.committed_at}")
+
     def snapshot_nodes(self) -> tuple[NodeRecord, ...]:
         """Every registry row, sorted by node id."""
         with self._lock:
@@ -264,12 +269,7 @@ class JournalStore:
                     f"cycle {result.cycle_id} already committed with "
                     f"different contents"
                 )
-            bodies = [
-                "results|{},{},{},{},{}".format(
-                    r.cycle_id, r.mode, r.key, r.count, r.committed_at
-                )
-                for r in rows
-            ]
+            bodies = [self._result_body(row) for row in rows]
             bodies.append(f"commit|{result.cycle_id},{len(rows)}")
             self._append(bodies)
             self._apply_results(rows)
@@ -327,13 +327,7 @@ class JournalStore:
             for row in self.snapshot_results():
                 by_cycle.setdefault(row.cycle_id, []).append(row)
             for cycle in sorted(by_cycle):
-                for row in by_cycle[cycle]:
-                    bodies.append(
-                        "results|{},{},{},{},{}".format(
-                            row.cycle_id, row.mode, row.key, row.count,
-                            row.committed_at,
-                        )
-                    )
+                bodies += map(self._result_body, by_cycle[cycle])
                 bodies.append(f"commit|{cycle},{len(by_cycle[cycle])}")
             tmp_path = self.path + ".compact"
             try:

@@ -290,6 +290,34 @@ def test_generated_scenario_matches_ledger(tmp_path):
     assert report.reconciliation.pending_live == 0
 
 
+def test_conservation_counts_what_the_buffers_hold(tmp_path):
+    # At t=1600 every reading ingested at the collection end is pending
+    # on a live node.  An ack the store never recorded then prunes node
+    # 1's buffer: counted from the ingest record, the readings it lost
+    # still looked pending and the run still conserved.
+    config = ScenarioConfig(nodes=3, cycles=1, seed=5, visitors=30)
+    store = JournalStore(str(tmp_path / "store.journal"))
+    try:
+        cluster = SimCluster(config, store)
+        cluster.start()
+        cluster.run(1600.0)
+
+        def reconcile():
+            return harness._reconcile(config, store, cluster.nodes,
+                                      cluster.sources, cluster.ingested)
+
+        before = reconcile()
+        buffer = cluster.nodes[1].buffer
+        assert before.conserves() and before.committed == 0
+        assert before.pending_live == before.ingested and len(buffer) > 0
+        lost = buffer.prune_through(buffer.next_seq - 1)
+        after = reconcile()
+    finally:
+        store.close()
+    assert after.pending_live == before.pending_live - lost
+    assert not after.conserves()
+
+
 def test_lossy_run_with_leader_kill_conserves(tmp_path):
     config = ScenarioConfig(
         nodes=5, visitors=60, cycles=6, seed=13, loss_rate=0.2,
@@ -489,12 +517,10 @@ def _udp_run_killing_node_3(tmp_path, monkeypatch, *, hook):
     monkeypatch.setattr(threading, "Timer", HeldTimer)
     real_build = harness.build_nodes
 
-    def build(config, store, network, *, address, event_sink,
-              ingest_listener):
+    def build(config, store, network, *, address, event_sink):
         sinks = []
         built = real_build(config, store, network, address=address,
-                           event_sink=lambda line: sinks[0](line),
-                           ingest_listener=ingest_listener)
+                           event_sink=lambda line: sinks[0](line))
         sinks.append(hook(built[0], store, network, event_sink, fired))
         return built
 

@@ -158,10 +158,10 @@ def _partial(index, count, visitor, room):
         segment_index, checksum, pairs = index, "0" * 16, count
         if index is None:
             segment_index = 0
-            if node._segments:
+            if node._slot.segments:
                 # Segments go to responders in id order, so the first
                 # is never the leader's own (it has the highest id).
-                segment = node._segments[0]
+                segment = node._slot.segments[0]
                 segment_index = segment.segment_index
                 checksum = f"{segment.checksum:016x}"
                 if count is None:

@@ -33,8 +33,7 @@ from crowdmw.runtime import (
     ListReadingSource,
     NodePhase,
     PHASE_EDGES,
-    _AssignmentParts,
-    _SubmissionParts,
+    _file_part,
     _parse_entries,
     _parse_fields,
     _reduce_both,
@@ -176,17 +175,28 @@ def _as_runs(entries):
                                                  operator.itemgetter(0))]
 
 
-def _reassemble_submission(messages):
-    holder = None
+def _reassemble(messages, body, header=lambda fields: ()):
+    """The node's part set for ``messages``, each filed as one new part.
+
+    Every message lands in the one set it completes, so none started
+    it over.
+    """
+    sets = {}
     for message in messages:
         fields = _parse_fields(message.payload)
         index, _, total = fields["part"].partition("/")
-        if holder is None:
-            holder = _SubmissionParts(total=int(total))
-        assert int(total) == holder.total
-        holder.parts[int(index)] = _parse_entries(fields["entries"])
-    assert holder.complete()
-    return _expand(holder.runs())
+        _, fresh = _file_part(sets, 0, int(total), int(index), body(fields),
+                              header(fields))
+        assert fresh
+    (holder,) = sets.values()
+    assert holder.complete() and holder.total == len(messages)
+    return holder
+
+
+def _reassemble_submission(messages):
+    holder = _reassemble(messages,
+                         lambda fields: _parse_entries(fields["entries"]))
+    return _expand(itertools.chain.from_iterable(holder.ordered()))
 
 
 def test_submission_roundtrip_single_part():
@@ -237,28 +247,19 @@ def test_submission_writes_nothing_for_an_empty_run():
 
 
 def _reassemble_assignment(messages):
-    holder = None
-    for message in messages:
-        fields = _parse_fields(message.payload)
-        index, _, total = fields["part"].partition("/")
-        if holder is None:
-            holder = _AssignmentParts(
-                segment_index=int(fields["segment"]),
-                count=int(fields["count"]),
-                checksum=int(fields["checksum"], 16),
-                total=int(total),
-            )
-        holder.parts[int(index)] = fields["pairs"]
-    assert holder.complete()
-    return holder
+    """An assignment's (count, checksum, pair text), as a node joins it."""
+    holder = _reassemble(
+        messages, operator.itemgetter("pairs"),
+        lambda fields: (int(fields["count"]), int(fields["checksum"], 16)))
+    return (*holder.header, ",".join(filter(None, holder.ordered())))
 
 
-def _checked_runs(holder):
+def _checked_runs(assignment):
     """A reducer's steps on an assignment: CRC-64, then a canonical parse."""
-    text = holder.text()
-    assert crc64(text.encode("utf-8")) == holder.checksum
+    count, checksum, text = assignment
+    assert crc64(text.encode("utf-8")) == checksum
     runs = parse_runs(text, canonical=True)
-    assert sum(count for _, count in runs) == holder.count
+    assert sum(run_count for _, run_count in runs) == count
     return runs
 
 
@@ -268,9 +269,9 @@ def test_assignment_roundtrip_and_checksum():
                             segment_index=0)
     messages = build_assignment_parts(9, 5, segment)
     assert all(m.kind is MessageKind.SEGMENT_ASSIGN for m in messages)
-    holder = _reassemble_assignment(messages)
-    assert holder.count == len(pairs)
-    assert tuple(_checked_runs(holder)) == segment.runs
+    assignment = _reassemble_assignment(messages)
+    assert assignment[0] == len(pairs)
+    assert tuple(_checked_runs(assignment)) == segment.runs
 
 
 def test_assignment_carries_runs():
@@ -293,17 +294,17 @@ def test_assignment_splits_large_segment():
     assert len(messages) > 1
     for message in messages:
         assert len(message.payload) <= MAX_PAYLOAD
-    holder = _reassemble_assignment(messages)
-    assert tuple(_checked_runs(holder)) == segment.runs
+    assert tuple(_checked_runs(_reassemble_assignment(messages))) == (
+        segment.runs)
 
 
 def test_assignment_empty_segment():
     segment = Segment.build(assignee=4, runs=(), segment_index=1)
     messages = build_assignment_parts(3, 0, segment)
     assert len(messages) == 1
-    holder = _reassemble_assignment(messages)
-    assert holder.text() == ""
-    assert _checked_runs(holder) == []
+    assignment = _reassemble_assignment(messages)
+    assert assignment[2] == ""
+    assert _checked_runs(assignment) == []
 
 
 # -- reduce result and success grammar ---------------------------------------
@@ -572,9 +573,9 @@ def _idle_node(events, phase, *, leader):
                 event_sink=events.append)
     node.cycle_id = 0
     node.phase = phase
-    node._is_leader = leader
+    node._slot.is_leader = leader
     node._leader_address = "node1:7000" if leader else LEADER
-    node._origin_addresses = {n: f"node{n}:7000" for n in (1, 2, 3)}
+    node._slot.origin_addresses = {n: f"node{n}:7000" for n in (1, 2, 3)}
     return node
 
 
@@ -585,14 +586,14 @@ def test_malformed_submit_is_logged_after_valid_one(entries):
     node = _idle_node(events, NodePhase.COLLECTING, leader=True)
     valid = build_submission_parts(2, 0, [(KeyValuePair("man", 1), [0])])
     node._on_data_submit(valid[0], "node2:7000", 0.0)
-    assert _expand(node._submissions[2].runs()) == [
-        (KeyValuePair("man", 1), 0)]
+    assert node._slot.submissions[2].ordered() == [
+        [(KeyValuePair("man", 1), [0])]]
     for _ in range(2):
         bad = Message(kind=MessageKind.DATA_SUBMIT, sender=3, cycle_id=0,
                       payload=f"origin=3;part=0/1;entries={entries}".encode())
         node._on_data_submit(bad, "node3:7000", 1.0)
         assert events[-1] == "t=1.000 node=1 malformed_submit from=3"
-    assert 3 not in node._submissions
+    assert 3 not in node._slot.submissions
 
 
 def test_submit_for_another_origin_is_dropped():
@@ -602,7 +603,7 @@ def test_submit_for_another_origin_is_dropped():
                      payload=b"origin=9;part=0/1;entries=man=3@0,man=3@1")
     node._on_data_submit(forged, "node1:7000", 1.0)
     assert events[-1] == "t=1.000 node=1 malformed_submit from=1"
-    assert node._submissions == {}
+    assert node._slot.submissions == {}
 
 
 def _forged_submission_events(tmp_path, sender, origin):
@@ -622,7 +623,7 @@ def _forged_submission_events(tmp_path, sender, origin):
         cluster.start()
         cluster.run(1000.0)
         leader = cluster.nodes[3]
-        assert leader._is_leader and leader.phase is NodePhase.COLLECTING
+        assert leader._slot.is_leader and leader.phase is NodePhase.COLLECTING
         leader.on_message(
             Message(kind=MessageKind.DATA_SUBMIT, sender=sender, cycle_id=0,
                     payload=f"origin={origin};part=0/1;"
@@ -680,7 +681,7 @@ def _forged_partial_run(tmp_path, index, source, sender, count, visitor,
         cluster.run(1700.5)
         leader = cluster.nodes[3]
         assert leader.phase is NodePhase.MERGING
-        segment = leader._segments[index]
+        segment = leader._slot.segments[index]
         assert segment.assignee == index + 1
         pairs = segment.pair_count
         body = (f"segment={index};count={count.format(count=pairs)};"
@@ -749,7 +750,7 @@ def test_malformed_assignment_is_logged(pairs, count):
                f"checksum={crc64(pairs.encode()):016x};"
                f"part=0/1;pairs={pairs}")
     for _ in range(2):
-        node._assignments.clear()
+        node._slot.assignments.clear()
         node.on_message(
             Message(kind=MessageKind.SEGMENT_ASSIGN, sender=3, cycle_id=0,
                     payload=payload.encode()), LEADER, 1.0)
@@ -761,7 +762,7 @@ def test_malformed_assignment_is_logged(pairs, count):
     node.on_message(bad_field, LEADER, 2.0)
     assert events[-1] == "t=2.000 node=1 malformed_assignment from=3"
     segment = Segment.build(1, [(KeyValuePair("man", 1), 1)], 0)
-    node._assignments.clear()
+    node._slot.assignments.clear()
     for message in build_assignment_parts(3, 0, segment):
         node.on_message(message, LEADER, 3.0)
     assert node.phase is NodePhase.AWAITING_RESULT
@@ -792,9 +793,9 @@ def _consolidating_leader(tmp_path, events):
     return node, store
 
 
-def _submission(origin, count, parts):
+def _submission(origin, count, parts, cycle=0):
     entries = [(KeyValuePair("man", origin), seq) for seq in range(count)]
-    messages = build_submission_parts(origin, 0, _as_runs(entries),
+    messages = build_submission_parts(origin, cycle, _as_runs(entries),
                                       max_entries_per_part=count // parts)
     assert len(messages) == parts
     return messages
@@ -862,6 +863,27 @@ def test_restarted_submission_waits_for_its_new_total(tmp_path):
     store.close()
 
 
+def test_submission_parts_do_not_carry_across_a_slot(tmp_path):
+    events = []
+    node, store = _consolidating_leader(tmp_path, events)
+    node.on_message(_submission(1, 4, 2)[0], "node1:7000", 1500.0)
+    for now in (1700.0, 2000.0, 3500.0):
+        node.advance(now)
+    assert (node.cycle_id, node.phase) == (1, NodePhase.CONSOLIDATING)
+    one, two = _submission(1, 4, 2, cycle=1), _submission(2, 3, 1, cycle=1)
+    # Part 1/2 of slot 1 would complete the set begun in slot 0, and
+    # every origin would have responded.
+    for message in (two[0], one[1]):
+        node.on_message(message, f"node{message.sender}:7000", 3501.0)
+    assert node.phase is NodePhase.CONSOLIDATING
+    node.on_message(one[0], "node1:7000", 3502.0)
+    assert node.phase is NodePhase.MERGING
+    node.advance(3999.0)
+    assert "t=3999.000 node=3 commit cycle=1 rows=5 total=7 fallbacks=2" in (
+        events)
+    store.close()
+
+
 def test_consolidation_timer_still_fires_without_every_origin(tmp_path):
     events = []
     node, store = _consolidating_leader(tmp_path, events)
@@ -874,14 +896,14 @@ def test_consolidation_timer_still_fires_without_every_origin(tmp_path):
 # -- run counts off the wire -------------------------------------------------
 
 
-def _assign(pairs, count, part="0/1", whole=None):
+def _assign(pairs, count, part="0/1", whole=None, cycle=0):
     """A SEGMENT_ASSIGN part; its checksum covers ``whole`` or ``pairs``."""
     checked = pairs if whole is None else whole
     payload = (f"segment=0;count={count};"
                f"checksum={crc64(checked.encode()):016x};part={part};"
                f"pairs={pairs}")
-    return Message(kind=MessageKind.SEGMENT_ASSIGN, sender=3, cycle_id=0,
-                   payload=payload.encode())
+    return Message(kind=MessageKind.SEGMENT_ASSIGN, sender=3,
+                   cycle_id=cycle, payload=payload.encode())
 
 
 def test_huge_run_count_is_reduced_without_expanding():
@@ -937,6 +959,46 @@ def test_hostile_assignment_is_refused_without_raising(texts, count):
                                 ",".join(texts)), LEADER, 1.0)
     assert "t=1.000 node=1 malformed_assignment from=3" in events
     assert node.endpoint.sent == []
+
+
+def test_assignment_parts_do_not_carry_across_a_slot(tmp_path):
+    from crowdmw import election
+    from crowdmw.runtime import Node
+    from crowdmw.store import JournalStore
+
+    config = CycleConfig()
+    store = JournalStore(str(tmp_path / "follower.journal"))
+    election.register_node(store, 3, LEADER, 0, config.liveness_window_ms)
+    node = Node(1, config, _Outbox(), store)
+
+    def await_segment(slot_start):
+        # Answer this slot's PING as node 3, then end the collection.
+        _, ping = node.endpoint.sent[-1]
+        assert ping.kind is MessageKind.PING
+        node.on_message(Message(kind=MessageKind.PONG, sender=3,
+                                cycle_id=ping.cycle_id, payload=ping.payload),
+                        LEADER, slot_start + 10.0)
+        node.advance(slot_start + config.collection_ms)
+        assert node.phase is NodePhase.AWAITING_SEGMENT
+
+    whole = "man=1,woman=2"
+    node.start(0.0)
+    await_segment(0.0)
+    node.on_message(_assign("man=1", 2, "0/2", whole), LEADER, 1510.0)
+    node.advance(2000.0)
+    await_segment(2000.0)
+    # Part 1/2 of slot 1 would complete the set begun in slot 0.
+    node.on_message(_assign("woman=2", 2, "1/2", whole, cycle=1), LEADER,
+                    3510.0)
+    assert node.phase is NodePhase.AWAITING_SEGMENT
+    node.on_message(_assign("man=1", 2, "0/2", whole, cycle=1), LEADER,
+                    3520.0)
+    assert node.phase is NodePhase.AWAITING_RESULT
+    dest, reply = node.endpoint.sent[-1]
+    assert (dest, reply.kind, reply.cycle_id) == (
+        LEADER, MessageKind.REDUCE_RESULT, 1)
+    assert parse_reduce_result(reply)["visitor"] == {"man": 1, "woman": 2}
+    store.close()
 
 
 def test_assignment_count_must_match_the_runs():
@@ -1063,7 +1125,7 @@ def test_assignment_from_a_non_leader_is_not_reduced():
     assert events[-1] == ("t=1.000 node=1 not_leader kind=segment_assign "
                           "from=3")
     assert node.phase is NodePhase.AWAITING_SEGMENT
-    assert node._assignments == {} and node.endpoint.sent == []
+    assert node._slot.assignments == {} and node.endpoint.sent == []
     node.on_message(message, LEADER, 2.0)
     assert node.phase is NodePhase.AWAITING_RESULT
     assert [dest for dest, _ in node.endpoint.sent] == [LEADER]
@@ -1107,7 +1169,7 @@ def test_leader_check_retries_then_gives_up(tmp_path):
     assert len(_pings(node)) == node.config.ping_retries
     assert f"t={node.config.ping_retries * timeout:.3f} node=1 " \
            f"unreachable node=2 cycle=0" in events
-    assert node._is_leader
+    assert node._slot.is_leader
     store.close()
 
 
@@ -1125,7 +1187,7 @@ def test_leader_check_ignores_a_wrong_nonce(tmp_path):
     node.on_message(Message(kind=MessageKind.PONG, sender=2, cycle_id=0,
                             payload=ping.payload), "node2:7000", 20.0)
     assert node.phase is NodePhase.COLLECTING
-    assert node._leader_id == 2
+    assert node._leader_address == "node2:7000"
     store.close()
 
 
