@@ -3,12 +3,14 @@
 Every node runs the same loop on an absolute slot grid: cycle k spans
 [k*D, (k+1)*D) where D is the cycle duration.  Collection occupies the
 slot up to D - W (W = the processing window); the remaining W covers
-submission, dispatch, reduction, merge, commit and broadcast.  At each
-slot boundary a node refreshes its registration, checks who should
-lead (manual override if live, else the highest live id), verifies
-that node with a PING round trip, and elects a replacement when the
-check fails.  The leader is a logical client of itself: its own
-readings enter consolidation like anyone else's.
+submission (2W/5), then dispatch, reduction and merge until the slot
+boundary, where the leader reduces any missing segment itself and
+commits or aborts: no cycle outlives its slot.  At each slot boundary
+a node refreshes its registration, checks who should lead (manual
+override if live, else the highest live id), verifies that node with
+a PING round trip, and elects a replacement when the check fails.
+The leader is a logical client of itself: its own readings enter
+consolidation like anyone else's.
 
 Readings buffer locally with a per-node sequence number and leave the
 buffer only when a CYCLE_SUCCESS acknowledges their sequence.  The
@@ -89,7 +91,14 @@ class IntegrityFailure(MiddlewareError):
 
 @dataclass
 class CycleConfig:
-    """Timing and participation knobs for the cycle protocol."""
+    """Timing and participation knobs for the cycle protocol.
+
+    The budget of one slot of D = ``cycle_duration_ms``, with W =
+    ``mapreduce_window_ms``: collection until D - W; submissions for
+    ``submit_window_ms`` (2W/5) after that; partials until the slot
+    boundary, where the leader reduces missing segments locally and
+    the cycle commits or aborts.
+    """
 
     cycle_duration_ms: int = 2000
     mapreduce_window_ms: int = 500
@@ -117,10 +126,6 @@ class CycleConfig:
     @property
     def submit_window_ms(self) -> int:
         return self.mapreduce_window_ms * 2 // 5
-
-    @property
-    def reduce_window_ms(self) -> int:
-        return self.mapreduce_window_ms * 4 // 5
 
     @property
     def liveness_window_ms(self) -> int:
@@ -646,8 +651,7 @@ def leader_cycle(submissions: Sequence[tuple[NodeId, Sequence[KeyValuePair]]],
 # The node actor.
 # ---------------------------------------------------------------------------
 
-_TIMER_PRIORITY = {"ping": 0, "slot": 1, "collect": 2, "consolidate": 3,
-                   "reduce": 4}
+_TIMER_PRIORITY = {"ping": 0, "slot": 1, "collect": 2, "consolidate": 3}
 
 # Event-line names, so logging a datagram skips the enum descriptors.
 _KIND_NAMES = {kind: kind.name.lower() for kind in MessageKind}
@@ -828,25 +832,21 @@ class Node:
         self._enter_slot(now)
 
     def advance(self, now: float) -> None:
-        """Fire every timer due at or before now, one at a time."""
-        if self.killed:
-            return
-        while True:
-            due = [
-                (when, _TIMER_PRIORITY[tag], tag)
-                for tag, when in self._timers.items() if when <= now
-            ]
+        """Fire every timer due at or before now, each at its due time."""
+        while not self.killed:
+            due = [(when, _TIMER_PRIORITY[tag], tag)
+                   for tag, when in self._timers.items() if when <= now]
             if not due:
                 return
-            due.sort()
-            _, _, tag = due[0]
+            when, _, tag = min(due)
             del self._timers[tag]
-            self._on_timer(tag, now)
-            if self.killed:
-                return
+            self._on_timer(tag, when)
 
     def _on_timer(self, tag: str, now: float) -> None:
         if tag == "slot":
+            # The boundary is the cycle's deadline: a leader still
+            # merging reduces what is missing and ends the cycle here.
+            self._finish_cycle(now)
             self._enter_slot(now)
         elif tag == "collect":
             self._collection_end(now)
@@ -854,8 +854,6 @@ class Node:
             self._ping_timeout(now)
         elif tag == "consolidate":
             self._consolidate(now)
-        elif tag == "reduce":
-            self._finish_cycle(now)
 
     # -- slot boundary -------------------------------------------------
 
@@ -1070,7 +1068,6 @@ class Node:
                                                   self.cycle_id, segment):
                 self._send(now, address, message)
         self._transition(now, NodePhase.MERGING)
-        self._timers["reduce"] = now + self.config.reduce_window_ms
         self._maybe_finish_early(now)
 
     def _on_reduce_result(self, message: Message, source: str,
@@ -1120,7 +1117,6 @@ class Node:
 
     def _maybe_finish_early(self, now: float) -> None:
         if not self._missing_partials():
-            self._timers.pop("reduce", None)
             self._finish_cycle(now)
 
     def _finish_cycle(self, now: float) -> None:
@@ -1168,8 +1164,6 @@ class Node:
             kind=MessageKind.CYCLE_ABORT, sender=self.node_id,
             cycle_id=max(self.cycle_id, 0),
             payload=f"reason={reason}".encode("utf-8")), self._live(now))
-        self._timers.pop("consolidate", None)
-        self._timers.pop("reduce", None)
 
     # -- follower path ---------------------------------------------------
 

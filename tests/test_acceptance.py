@@ -10,6 +10,8 @@ import contextlib
 import random
 import time
 
+import pytest
+
 from crowdmw.domain import CountMode, SensorReading, TagCategory
 from crowdmw.election import Role
 from crowdmw.harness import (
@@ -179,6 +181,41 @@ def test_no_reading_lost_under_loss_and_kill(tmp_path):
         assert report.visitor_totals == ledger.expected_counts(
             CountMode.VISITOR)
         assert report.room_totals == ledger.expected_counts(CountMode.ROOM)
+
+
+def _silent_slots(events, horizon_slot):
+    """Slots before ``horizon_slot`` claimed with no commit or abort."""
+    claimed, ended = set(), set()
+    for line in events:
+        word, _, rest = line.split(" ", 2)[2].partition(" ")
+        if word in ("leader_claimed", "commit", "abort"):
+            slot = int(rest.removeprefix("cycle=").split()[0])
+            (claimed if word == "leader_claimed" else ended).add(slot)
+    return sorted(slot for slot in claimed - ended if slot < horizon_slot)
+
+
+@pytest.mark.parametrize("nodes", [3, 5, 10, 20])
+def test_every_claimed_slot_ends_in_one_outcome(nodes, tmp_path):
+    """Under loss, a slot a leader claims ends in a commit or an abort.
+
+    A lost partial must not leave the slot with neither: the leader
+    reduces what is missing at the slot boundary.  The run's last slot
+    is left out, since the run stops at its boundary; counting it would
+    measure where the run ends, not the protocol.
+    """
+    silent = {}
+    with _budget(f"every claimed slot ends in one outcome, {nodes} nodes",
+                 20.0):
+        for loss in (0.0, 0.05, 0.1, 0.2):
+            for seed in range(5):
+                config = ScenarioConfig(nodes=nodes, cycles=6, seed=seed,
+                                        visitors=300, loss_rate=loss)
+                report = run_scenario(
+                    config, str(tmp_path / f"loss{loss}-seed{seed}.journal"))
+                slots = _silent_slots(report.events, config.cycles - 1)
+                if slots:
+                    silent[loss, seed] = slots
+        assert silent == {}
 
 
 def test_single_responder_aborts_and_reelects(tmp_path):

@@ -33,8 +33,8 @@ GOLDEN = {
     "one-per-part-lossy": (
         dict(nodes=4, cycles=8, visitors=200, seed=23, entries_per_part=1,
              loss_rate=0.05, transmission_us_per_byte=15.0),
-        "2e794ce0856fe249786163fe40eec6b70f8485d1d7c54ee62281fa0969e3101b",
-        "a1c3f1432918bc8e6f1bed86fc90b00f660d6cc6e64bb5314e87b51336fb0940",
+        "4ac47b817f75a8eb469c7b74df1e58ec575ef9390cbe1ff5d3714e385ee36b75",
+        "84e3b352ff8510d6c8ba5183595dc25ed4f106a367e440d277f867207ba2d801",
     ),
     # Eight nodes under loss with two leader kills, a partition and two
     # loss changes: kills and deliveries reschedule node timers mid-run.
@@ -44,8 +44,8 @@ GOLDEN = {
                  "kill_leader@4100", "partition@9000+3000:1,2,3",
                  "set_loss@12500:0.1", "kill_leader@16100",
                  "set_loss@20000:0.02"))),
-        "934123447b12cdd02975ea3bc9b88f4bc208918265abf559549e31814ff4e8e1",
-        "e5a52ae22cca5584a0e8b61459bbf96cb8e906c336c0f0f239a1e18be72ec42d",
+        "b0f068ad6a75b920ffb79130550c6785c6110963ed1c577b88a3d4da22d2239a",
+        "a35c96e2076935c5d59eca4e1c19eab7737b563a74e714af94f16ccc35e1df9c",
     ),
     # A manual override under loss, then the override is killed: every
     # slot checks node 2 first, and after the kill finds it unreachable

@@ -75,7 +75,6 @@ def test_config_derived_windows():
     assert config.mapreduce_window_ms == 500
     assert config.collection_ms == 1500
     assert config.submit_window_ms == 200
-    assert config.reduce_window_ms == 400
     assert config.liveness_window_ms == 4000
 
 
@@ -771,26 +770,64 @@ def test_malformed_assignment_is_logged(pairs, count):
 # -- early consolidation ------------------------------------------------------
 
 
-def _consolidating_leader(tmp_path, events):
-    """Node 3 leading slot 0 of three, past collection, own part in."""
+@pytest.fixture
+def make_leader(tmp_path):
+    """Builds node 3 of three, started at t=0 and leading slot 0.
+
+    Each call opens its own journal, and teardown closes every one, so
+    a failing test leaves no open file behind for a later test to trip
+    on.
+    """
     from crowdmw import election
     from crowdmw.clock import VirtualClock
     from crowdmw.runtime import Node
     from crowdmw.store import JournalStore
     from crowdmw.transport import NetConfig, SimulatedNetwork
 
-    config = CycleConfig()
-    store = JournalStore(str(tmp_path / "leader.journal"))
-    for node_id in (1, 2, 3):
-        election.register_node(store, node_id, f"node{node_id}:7000", 0,
-                               config.liveness_window_ms)
-    endpoint = SimulatedNetwork(NetConfig(), VirtualClock()).open(
-        "node3:7000")
-    node = Node(3, config, endpoint, store, event_sink=events.append)
-    node.start(0.0)
-    node.advance(float(config.collection_ms))
+    stores = []
+
+    def make(events):
+        config = CycleConfig()
+        store = JournalStore(str(tmp_path / f"leader{len(stores)}.journal"))
+        stores.append(store)
+        for node_id in (1, 2, 3):
+            election.register_node(store, node_id, f"node{node_id}:7000", 0,
+                                   config.liveness_window_ms)
+        endpoint = SimulatedNetwork(NetConfig(), VirtualClock()).open(
+            "node3:7000")
+        node = Node(3, config, endpoint, store, event_sink=events.append)
+        node.start(0.0)
+        return node
+
+    yield make
+    for store in stores:
+        store.close()
+
+
+@pytest.fixture
+def consolidating_leader(make_leader):
+    """Node 3 leading slot 0 of three, past collection, own part in."""
+    events = []
+    node = make_leader(events)
+    node.advance(float(node.config.collection_ms))
     assert node.phase is NodePhase.CONSOLIDATING
-    return node, store
+    return node, events
+
+
+def test_late_advance_fires_each_timer_at_its_due_time(make_leader):
+    stepwise_events, late_events = [], []
+    stepwise = make_leader(stepwise_events)
+    for now in (1500.0, 1700.0, 2000.0, 3500.0):
+        stepwise.advance(now)
+    # One call past the collection end, the consolidation deadline and
+    # the slot boundary fires each timer as if it were called on time:
+    # the slot-1 collection end is armed from the boundary and fires.
+    late = make_leader(late_events)
+    late.advance(3500.0)
+    for node in (stepwise, late):
+        assert (node.cycle_id, node.phase, sorted(node._timers)) == (
+            1, NodePhase.CONSOLIDATING, ["consolidate", "slot"])
+    assert late_events == stepwise_events
 
 
 def _submission(origin, count, parts, cycle=0):
@@ -812,44 +849,42 @@ def _deliver_until_consolidated(node, messages):
     return consolidated_at
 
 
-def _consolidated_total(events):
+def _finish_by_fallback(node, events):
+    """The one commit line, logged at the slot boundary.
+
+    No follower answers, so the leader reduces their segments itself
+    when the slot ends.
+    """
+    node.advance(2000.0)
     commits = [line for line in events if " commit cycle=0 " in line]
     assert len(commits) == 1
-    return int(commits[0].split(" total=")[1].split()[0])
+    return commits[0]
 
 
-def _finish_by_fallback(node):
-    node.advance(2000.0 - 1.0)
-    assert node.phase is NodePhase.BROADCASTING
-
-
-def test_consolidates_when_last_part_arrives_out_of_order(tmp_path):
-    events = []
-    node, store = _consolidating_leader(tmp_path, events)
+def test_consolidates_when_last_part_arrives_out_of_order(
+        consolidating_leader):
+    node, events = consolidating_leader
     one, two = _submission(1, 6, 3), _submission(2, 4, 2)
     order = [one[2], two[1], one[0], two[0], one[1]]
     assert _deliver_until_consolidated(node, order) == len(order) - 1
     assert node.phase is NodePhase.MERGING
     assert "consolidate" not in node._timers
-    _finish_by_fallback(node)
-    assert _consolidated_total(events) == 10
-    store.close()
+    assert _finish_by_fallback(node, events) == (
+        "t=2000.000 node=3 commit cycle=0 rows=5 total=10 fallbacks=2")
 
 
-def test_duplicated_part_neither_triggers_nor_double_counts(tmp_path):
-    events = []
-    node, store = _consolidating_leader(tmp_path, events)
+def test_duplicated_part_neither_triggers_nor_double_counts(
+        consolidating_leader):
+    node, events = consolidating_leader
     one, two = _submission(1, 4, 2), _submission(2, 3, 1)
     order = [one[0], one[0], two[0], two[0], one[0], one[1], one[1]]
     assert _deliver_until_consolidated(node, order) == 5
-    _finish_by_fallback(node)
-    assert _consolidated_total(events) == 7
-    store.close()
+    assert _finish_by_fallback(node, events) == (
+        "t=2000.000 node=3 commit cycle=0 rows=5 total=7 fallbacks=2")
 
 
-def test_restarted_submission_waits_for_its_new_total(tmp_path):
-    events = []
-    node, store = _consolidating_leader(tmp_path, events)
+def test_restarted_submission_waits_for_its_new_total(consolidating_leader):
+    node, events = consolidating_leader
     first = _submission(1, 6, 3)
     restart = _submission(1, 4, 2)
     two = _submission(2, 2, 1)
@@ -858,14 +893,13 @@ def test_restarted_submission_waits_for_its_new_total(tmp_path):
     # though two parts have now arrived for a total of two.
     order = [first[0], first[1], two[0], restart[0], restart[1]]
     assert _deliver_until_consolidated(node, order) == len(order) - 1
-    _finish_by_fallback(node)
-    assert _consolidated_total(events) == 4 + 2
-    store.close()
+    # 4 + 2 readings.
+    assert _finish_by_fallback(node, events) == (
+        "t=2000.000 node=3 commit cycle=0 rows=5 total=6 fallbacks=2")
 
 
-def test_submission_parts_do_not_carry_across_a_slot(tmp_path):
-    events = []
-    node, store = _consolidating_leader(tmp_path, events)
+def test_submission_parts_do_not_carry_across_a_slot(consolidating_leader):
+    node, events = consolidating_leader
     node.on_message(_submission(1, 4, 2)[0], "node1:7000", 1500.0)
     for now in (1700.0, 2000.0, 3500.0):
         node.advance(now)
@@ -878,19 +912,17 @@ def test_submission_parts_do_not_carry_across_a_slot(tmp_path):
     assert node.phase is NodePhase.CONSOLIDATING
     node.on_message(one[0], "node1:7000", 3502.0)
     assert node.phase is NodePhase.MERGING
-    node.advance(3999.0)
-    assert "t=3999.000 node=3 commit cycle=1 rows=5 total=7 fallbacks=2" in (
+    node.advance(4000.0)
+    assert "t=4000.000 node=3 commit cycle=1 rows=5 total=7 fallbacks=2" in (
         events)
-    store.close()
 
 
-def test_consolidation_timer_still_fires_without_every_origin(tmp_path):
-    events = []
-    node, store = _consolidating_leader(tmp_path, events)
+def test_consolidation_timer_still_fires_without_every_origin(
+        consolidating_leader):
+    node, _ = consolidating_leader
     assert _deliver_until_consolidated(node, _submission(1, 2, 2)) is None
     node.advance(1500.0 + CycleConfig().submit_window_ms)
     assert node.phase is NodePhase.MERGING
-    store.close()
 
 
 # -- run counts off the wire -------------------------------------------------
