@@ -62,29 +62,19 @@ def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
         overrides["cycles"] = args.cycles
     if args.nodes is not None:
         overrides["nodes"] = args.nodes
-    if args.mode is not None:
-        overrides["mode"] = args.mode
     if overrides:
         config = dataclasses.replace(config, **overrides)
     return config
 
 
 def _print_report(report: ScenarioReport) -> None:
-    config = report.config
     cycles = ",".join(str(c) for c in report.committed_cycles)
     print(f"committed cycles: {cycles if cycles else '(none)'}")
-    if config.mode in ("visitor", "both"):
-        totals = " ".join(
-            f"{key}={value}"
-            for key, value in sorted(report.visitor_totals.items())
-        )
-        print(f"visitor totals: {totals if totals else '(empty)'}")
-    if config.mode in ("room", "both"):
-        totals = " ".join(
-            f"{key}={value}"
-            for key, value in sorted(report.room_totals.items())
-        )
-        print(f"room totals: {totals if totals else '(empty)'}")
+    for label, counts in (("visitor", report.visitor_totals),
+                          ("room", report.room_totals)):
+        totals = " ".join(f"{key}={value}"
+                          for key, value in sorted(counts.items()))
+        print(f"{label} totals: {totals if totals else '(empty)'}")
     leader = f"node {report.leader_id}" if report.leader_id else "(none)"
     print(f"leader: {leader}")
     print(f"commits={report.commits} aborts={report.aborts}")
@@ -184,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="directory for events.log and CSVs")
     run.add_argument("--cycles", type=int, default=None)
     run.add_argument("--nodes", type=int, default=None)
-    run.add_argument("--mode", choices=("visitor", "room", "both"),
-                     default=None)
     run.set_defaults(func=_cmd_run)
 
     sweep = sub.add_parser(

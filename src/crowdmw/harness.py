@@ -30,7 +30,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from crowdmw import election, simgen
 from crowdmw.clock import VirtualClock, WallClock
 from crowdmw.domain import (
-    CountMode,
     DEFAULT_ROOM_COUNT,
     MiddlewareError,
     SensorReading,
@@ -144,7 +143,6 @@ class ScenarioConfig:
     cycles: int = 2
     seed: int = 0
     backend: TransportMode = TransportMode.SIMULATED
-    mode: str = "both"
 
     cycle_duration_ms: int = 2000
     mapreduce_window_ms: int = 500
@@ -170,8 +168,6 @@ class ScenarioConfig:
             raise ConfigError("need at least one node")
         if self.cycles < 1:
             raise ConfigError("need at least one cycle")
-        if self.mode not in ("visitor", "room", "both"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
         try:
             self.cycle_config()
             self.net_config()
@@ -183,13 +179,6 @@ class ScenarioConfig:
 
     def node_ids(self) -> list[int]:
         return list(range(1, self.nodes + 1))
-
-    def count_modes(self) -> tuple[CountMode, ...]:
-        if self.mode == "visitor":
-            return (CountMode.VISITOR,)
-        if self.mode == "room":
-            return (CountMode.ROOM,)
-        return (CountMode.VISITOR, CountMode.ROOM)
 
     def cycle_config(self) -> CycleConfig:
         return CycleConfig(
@@ -276,8 +265,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 values["latency_ms"] = (float(low), float(high))
             elif key == "fixture":
                 values["fixture"] = value
-            elif key == "mode":
-                values["mode"] = value
             elif key == "backend":
                 values["backend"] = TransportMode(value)
             else:
@@ -375,7 +362,6 @@ def build_nodes(config: ScenarioConfig, store: JournalStore,
             override=config.override_leader,
             event_sink=event_sink,
             max_entries_per_part=config.entries_per_part,
-            modes=config.count_modes(),
         )
         node.ingest_listener = record
         nodes[node_id] = node
@@ -644,7 +630,9 @@ def build_metrics(events: Sequence[str], cycle_ms: int) -> MetricsReport:
     """Distill latency samples and cycle outcomes from an event log."""
     report = MetricsReport()
     submit_at: dict[tuple[int, int], float] = {}
-    ping_fifo: dict[int, list[float]] = {}
+    # Each node's latest unanswered PING: a node checks one target at a
+    # time with a fresh nonce per PING, so a pong answers the last one.
+    ping_at: dict[int, float] = {}
     ttfb_seen: set[tuple[int, int]] = set()
     cycle_rows: dict[int, CycleSummary] = {}
     for line in events:
@@ -658,14 +646,14 @@ def build_metrics(events: Sequence[str], cycle_ms: int) -> MetricsReport:
             if kind == "data_submit":
                 submit_at.setdefault((node, cycle), t)
             elif kind == "ping":
-                ping_fifo.setdefault(node, []).append(t)
+                ping_at[node] = t
         elif event == "recv":
             kind = fields.get("kind", "")
             cycle = int(fields.get("cycle", -1))
             if kind == "pong":
-                queue = ping_fifo.get(node)
-                if queue:
-                    report.rtt_ms.append(t - queue.pop(0))
+                sent = ping_at.pop(node, None)
+                if sent is not None:
+                    report.rtt_ms.append(t - sent)
             if kind in ("cycle_success", "cycle_abort"):
                 sent = submit_at.pop((node, cycle), None)
                 if sent is not None and kind == "cycle_success":
@@ -743,8 +731,7 @@ class ScenarioReport:
     ledger: Optional[simgen.GenerationLedger]
 
 
-def _reconcile(config: ScenarioConfig, store: JournalStore,
-               cluster_nodes: dict[int, Node],
+def _reconcile(store: JournalStore, cluster_nodes: dict[int, Node],
                sources: dict[int, ListReadingSource],
                ingested: IngestRecord) -> Reconciliation:
     watermarks = store.ack_watermarks()
@@ -768,12 +755,7 @@ def _reconcile(config: ScenarioConfig, store: JournalStore,
     )
     # Room-mode counts one per reading, so their sum is the number of
     # readings the store has committed (visitor values sum room ids).
-    # A visitor-only run keeps no room rows; fall back to the persisted
-    # watermarks, which cover seqs 0..mark per origin.
-    if CountMode.ROOM in config.count_modes():
-        store_total = sum(store.totals("room").values())
-    else:
-        store_total = sum(mark + 1 for mark in watermarks.values())
+    store_total = sum(store.totals("room").values())
     return Reconciliation(
         injected=injected,
         ingested=ingested_count,
@@ -812,7 +794,7 @@ def _build_report(config: ScenarioConfig, store: JournalStore,
         leader_id=_leader_id(store),
         commits=sum(node.commits for node in nodes.values()),
         aborts=sum(node.aborts for node in nodes.values()),
-        reconciliation=_reconcile(config, store, nodes, sources, ingested),
+        reconciliation=_reconcile(store, nodes, sources, ingested),
         nodes=nodes,
         ledger=ledger,
     )

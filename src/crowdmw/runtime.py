@@ -585,9 +585,9 @@ def _reduce_both(segment: Segment) -> tuple[PartialResult, PartialResult]:
 
 def reduce_check_merge(cycle_id: int, segments: Sequence[Segment],
                        remote: Mapping[int, tuple[PartialResult,
-                                                  PartialResult]],
-                       modes: Sequence[CountMode]) -> CycleResult:
-    """Reduce, check and merge one cycle's segments.
+                                                  PartialResult]]
+                       ) -> CycleResult:
+    """Reduce, check and merge one cycle's segments in both modes.
 
     A segment takes the (visitor, room) partials stored for its index
     in ``remote``; any other segment is reduced here.  Raises
@@ -599,21 +599,12 @@ def reduce_check_merge(cycle_id: int, segments: Sequence[Segment],
     visitor_partials = [visitor for visitor, _ in partials]
     if not integrity_check(segments, visitor_partials):
         raise IntegrityFailure("pair-count conservation failed")
-    visitor_aggregates: dict[TagCategory, int] = {}
-    room_aggregates: dict[int, int] = {}
-    if CountMode.VISITOR in modes:
-        merged, _ = merge_partials(visitor_partials, CountMode.VISITOR)
-        visitor_aggregates = {
-            tag: merged[tag.value]
-            for tag in TagCategory if tag.value in merged
-        }
-    if CountMode.ROOM in modes:
-        merged, _ = merge_partials([room for _, room in partials],
-                                   CountMode.ROOM)
-        room_aggregates = {
-            int(key.removeprefix("Room")): value
-            for key, value in merged.items()
-        }
+    visitors, _ = merge_partials(visitor_partials, CountMode.VISITOR)
+    rooms, _ = merge_partials([room for _, room in partials], CountMode.ROOM)
+    visitor_aggregates = {tag: visitors[tag.value]
+                          for tag in TagCategory if tag.value in visitors}
+    room_aggregates = {int(key.removeprefix("Room")): value
+                       for key, value in rooms.items()}
     return CycleResult(cycle_id=cycle_id,
                        visitor_aggregates=visitor_aggregates,
                        room_aggregates=room_aggregates,
@@ -621,9 +612,7 @@ def reduce_check_merge(cycle_id: int, segments: Sequence[Segment],
 
 
 def leader_cycle(submissions: Sequence[tuple[NodeId, Sequence[KeyValuePair]]],
-                 *, cycle_id: int = 0, min_responding: int = 2,
-                 modes: Sequence[CountMode] = (CountMode.VISITOR,
-                                               CountMode.ROOM)
+                 *, cycle_id: int = 0, min_responding: int = 2
                  ) -> CycleResult:
     """Run one full cycle pipeline over collected submissions.
 
@@ -643,15 +632,17 @@ def leader_cycle(submissions: Sequence[tuple[NodeId, Sequence[KeyValuePair]]],
     consolidated, _ = consolidate_runs(
         ((origin, [(pair, [0]) for pair in pairs])
          for origin, pairs in submissions), {})
-    return reduce_check_merge(cycle_id, partition(consolidated, origins),
-                              {}, modes)
+    return reduce_check_merge(cycle_id, partition(consolidated, origins), {})
 
 
 # ---------------------------------------------------------------------------
 # The node actor.
 # ---------------------------------------------------------------------------
 
-_TIMER_PRIORITY = {"ping": 0, "slot": 1, "collect": 2, "consolidate": 3}
+# Timers due at the same instant fire in this order.  The slot boundary
+# goes first: it replaces the timer table, so a PING chain that runs
+# out at the boundary never claims the slot that is ending.
+_TIMER_PRIORITY = {"slot": 0, "ping": 1, "collect": 2, "consolidate": 3}
 
 # Event-line names, so logging a datagram skips the enum descriptors.
 _KIND_NAMES = {kind: kind.name.lower() for kind in MessageKind}
@@ -736,13 +727,9 @@ class Node:
                  rng: Optional[random.Random] = None,
                  override: Optional[NodeId] = None,
                  event_sink: Optional[Callable[[str], None]] = None,
-                 max_entries_per_part: Optional[int] = None,
-                 modes: Sequence[CountMode] = (CountMode.VISITOR,
-                                               CountMode.ROOM)) -> None:
+                 max_entries_per_part: Optional[int] = None) -> None:
         if node_id < 1:
             raise ValueError("node id must be positive")
-        if not modes:
-            raise ValueError("need at least one counting mode")
         self.node_id = node_id
         self.config = config
         self.endpoint = endpoint
@@ -752,7 +739,6 @@ class Node:
         self.override = override
         self.event_sink = event_sink
         self.max_entries_per_part = max_entries_per_part
-        self.modes = tuple(modes)
 
         self.phase = NodePhase.REGISTERING
         self.buffer = ClientBuffer()
@@ -1128,7 +1114,7 @@ class Node:
         slot = self._slot
         try:
             result = reduce_check_merge(self.cycle_id, slot.segments,
-                                        slot.remote_partials, self.modes)
+                                        slot.remote_partials)
         except IntegrityFailure:
             self._abort_cycle(now, "integrity")
             return

@@ -17,11 +17,12 @@ def test_bare_run_prints_reference_totals(capsys):
     assert "conserved=yes" in out
 
 
-def test_run_mode_flag_limits_output(capsys):
-    assert main(["run", "--seed", "1", "--mode", "visitor"]) == 0
-    out = capsys.readouterr().out
-    assert "visitor totals:" in out
-    assert "room totals:" not in out
+def test_run_refuses_the_removed_mode_flag(capsys):
+    # Every commit holds both counting modes; there is no flag to pick one.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--mode", "room"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
 
 
 def test_run_writes_artifacts(tmp_path, capsys):

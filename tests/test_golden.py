@@ -44,8 +44,8 @@ GOLDEN = {
                  "kill_leader@4100", "partition@9000+3000:1,2,3",
                  "set_loss@12500:0.1", "kill_leader@16100",
                  "set_loss@20000:0.02"))),
-        "b0f068ad6a75b920ffb79130550c6785c6110963ed1c577b88a3d4da22d2239a",
-        "a35c96e2076935c5d59eca4e1c19eab7737b563a74e714af94f16ccc35e1df9c",
+        "a695240b557d9f91c2a8813e9a4ce5daf66463b35ceaddd5ae5a6108b85161e1",
+        "53f69da4cee1bfb04d5eccda006de7599ba02b8cfde733847b361f4f3aa3e712",
     ),
     # A manual override under loss, then the override is killed: every
     # slot checks node 2 first, and after the kill finds it unreachable

@@ -420,16 +420,6 @@ def test_leader_cycle_reference_totals():
     assert result.total_readings == 16
 
 
-def test_leader_cycle_mode_filter():
-    visitor_only = leader_cycle(_table_submissions(),
-                                modes=(CountMode.VISITOR,))
-    assert visitor_only.visitor_aggregates == TABLE_VISITOR
-    assert visitor_only.room_aggregates == {}
-    room_only = leader_cycle(_table_submissions(), modes=(CountMode.ROOM,))
-    assert room_only.visitor_aggregates == {}
-    assert room_only.room_aggregates == TABLE_ROOM
-
-
 def test_leader_cycle_empty_submission_counts_as_responding():
     submissions = _table_submissions(origins=(1, 2)) + [(3, [])]
     result = leader_cycle(submissions)
@@ -507,17 +497,15 @@ def test_reduce_check_merge_refuses_unconserved_partials():
     # replaces the local reduction of its segment, and one that claims
     # a pair more than its segment holds fails the conservation check.
     segments, _ = _segments_and_partials()
-    modes = (CountMode.VISITOR, CountMode.ROOM)
-    local = reduce_check_merge(7, segments, {}, modes)
+    local = reduce_check_merge(7, segments, {})
     assert local.cycle_id == 7 and local.total_readings == 16
     visitor, room = _reduce_both(segments[0])
-    assert reduce_check_merge(7, segments, {0: (visitor, room)},
-                              modes) == local
+    assert reduce_check_merge(7, segments, {0: (visitor, room)}) == local
     lying = tuple(dataclasses.replace(
         partial, input_pair_count=partial.input_pair_count + 1)
         for partial in (visitor, room))
     with pytest.raises(IntegrityFailure):
-        reduce_check_merge(7, segments, {0: lying}, modes)
+        reduce_check_merge(7, segments, {0: lying})
 
 
 # -- validation survives the pair caches ----------------------------------

@@ -7,13 +7,23 @@ random fault schedules both must pick the same occurrences in the same
 order and write byte-identical event logs and journals.  Comparing the
 occurrences matters: a stale deadline only costs an empty
 ``Node.advance``, which leaves the event log as it was.
+
+The same schedules also check that no leader claims a slot that has
+already ended.
 """
 
 import random
 
 import pytest
 
-from crowdmw.harness import FaultSpec, ScenarioConfig, ScenarioDeadlock, SimCluster
+from crowdmw.harness import (
+    FaultSpec,
+    ScenarioConfig,
+    ScenarioDeadlock,
+    SimCluster,
+    _parse_event,
+    run_scenario,
+)
 from crowdmw.store import JournalStore
 
 
@@ -120,3 +130,16 @@ def test_heap_scheduler_matches_node_scan(seed, tmp_path):
     assert heap[1] == scan[1]
     assert heap[2] == scan[2]
     assert heap[3] == scan[3]
+
+
+# Schedules whose PING chains ran out exactly at a slot boundary when
+# the ping timer fired before the slot timer due at the same instant.
+@pytest.mark.parametrize("seed", [41, 63, 65, 95, 111, 150, 159])
+def test_no_claim_at_or_after_its_slot_boundary(seed, tmp_path):
+    config = _random_config(seed)
+    report = run_scenario(config, str(tmp_path / "store.journal"))
+    claims = [fields for fields in map(_parse_event, report.events)
+              if fields["event"] == "leader_claimed"]
+    assert claims
+    assert [c for c in claims if float(c["t"]) >= (
+        int(c["cycle"]) + 1) * config.cycle_duration_ms] == []
