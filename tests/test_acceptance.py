@@ -53,13 +53,19 @@ def _budget(label, seconds):
     print(f"PASS {label} ({elapsed:.2f}s)")
 
 
-def test_reference_stream_commit(tmp_path):
-    with _budget("visitor and room totals committed from the reference "
-                 "stream", 5.0):
+def test_reference_stream_visitor_commit(tmp_path):
+    with _budget("visitor totals committed from the reference stream", 5.0):
         config = ScenarioConfig(fixture="table1", nodes=3, seed=1)
-        report = run_scenario(config, str(tmp_path / "store.journal"))
+        report = run_scenario(config, str(tmp_path / "visitor.journal"))
         assert report.commits >= 1
         assert report.visitor_totals == VISITOR_TOTALS
+
+
+def test_reference_stream_room_commit(tmp_path):
+    with _budget("room counts committed from the reference stream", 5.0):
+        config = ScenarioConfig(fixture="table1", nodes=3, seed=1)
+        report = run_scenario(config, str(tmp_path / "room.journal"))
+        assert report.commits >= 1
         assert report.room_totals == ROOM_TOTALS
         assert sum(report.room_totals.values()) == 16
 
