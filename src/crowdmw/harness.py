@@ -18,7 +18,6 @@ backends; each takes the network to work on.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import os
@@ -36,6 +35,7 @@ from crowdmw.domain import (
     TagCategory,
 )
 from crowdmw.runtime import (
+    MAX_ROOM,
     CycleConfig,
     ListReadingSource,
     Node,
@@ -168,6 +168,9 @@ class ScenarioConfig:
             raise ConfigError("need at least one node")
         if self.cycles < 1:
             raise ConfigError("need at least one cycle")
+        if self.rooms > MAX_ROOM:
+            raise ConfigError(f"rooms must be <= {MAX_ROOM}: a submission "
+                              f"symbol encodes rooms 1..{MAX_ROOM}")
         try:
             self.cycle_config()
             self.net_config()
@@ -743,8 +746,8 @@ def _reconcile(store: JournalStore, cluster_nodes: dict[int, Node],
     for node_id, node in cluster_nodes.items():
         watermark = watermarks.get(node_id, -1)
         committed += sum(seq <= watermark for seq, _ in ingested[node_id])
-        held = sum(len(seqs) - bisect.bisect_right(seqs, watermark)
-                   for _, seqs in node.buffer.runs())
+        buffer = node.buffer
+        held = len(buffer) - max(0, watermark - buffer.base + 1)
         if node.killed:
             stranded += held
         else:

@@ -28,13 +28,15 @@ import functools
 import itertools
 import operator
 import random
+import re
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from crowdmw import election
 from crowdmw.domain import (
+    CANONICAL_TAG_ORDER,
     INTERN_LIMIT,
-    TAG_KEYS,
     CountMode,
     KeyValuePair,
     MiddlewareError,
@@ -180,30 +182,34 @@ PHASE_EDGES: dict[NodePhase, frozenset[NodePhase]] = {
 # ---------------------------------------------------------------------------
 
 
-# A reading's visitor pair as (key, value): tuples that sort in the
-# canonical pair order.
-_VISITOR_KEY = operator.attrgetter("tag._value_", "room")
-
-
 class ClientBuffer:
-    """Readings awaiting a committed cycle, as runs of sequences.
+    """Readings awaiting a committed cycle, one symbol per reading.
 
-    Each pending visitor pair, as (key, value), keeps its ascending
-    sequences, filled once at ingest; the readings themselves are not
-    kept, since only their pairs are ever submitted.  ``runs()`` is
-    what a node submits, in canonical pair order.  Double reads (same
-    tag, room and timestamp) collapse within one ingest batch, never
-    across batches.
+    A node's pending sequences are always one range, from
+    ``committed_through + 1`` (``base``) on: an ingest appends to it and
+    a prune cuts a prefix.  So the buffer keeps only ``trace``, whose
+    symbol j is the visitor pair of the reading with sequence base + j
+    (see ``pair_symbol``); the readings themselves are not kept, since
+    only their pairs are ever submitted.  Double reads (same tag, room
+    and timestamp) collapse within one ingest batch, never across
+    batches.
     """
 
     def __init__(self) -> None:
-        self._seqs: collections.defaultdict[tuple[str, int], list[int]] = (
-            collections.defaultdict(list))
-        self.next_seq = 0
+        self.trace = ""
         self.committed_through = -1
 
     def __len__(self) -> int:
-        return sum(map(len, self._seqs.values()))
+        return len(self.trace)
+
+    @property
+    def base(self) -> int:
+        """Sequence of the first pending reading."""
+        return self.committed_through + 1
+
+    @property
+    def next_seq(self) -> int:
+        return self.committed_through + 1 + len(self.trace)
 
     def ingest(self, readings: Iterable[SensorReading]
                ) -> list[tuple[int, SensorReading]]:
@@ -215,50 +221,52 @@ class ClientBuffer:
         From a batch's first reading out of time order on, the rest
         goes through ``dedupe_readings`` after the readings kept so
         far: any order keeps what deduplicating the whole batch keeps.
+        Raises ValueError, keeping nothing of the batch, for a room
+        the symbol table cannot encode.
         """
-        seqs = self._seqs
+        symbols: list[str] = []
         added: list[tuple[int, SensorReading]] = []
         seq = self.next_seq
         stamp = -1
-        # Visitor keys kept at timestamp ``stamp``.
-        at_stamp: list[tuple[str, int]] = []
+        # Symbols kept at timestamp ``stamp``.
+        at_stamp: list[str] = []
         readings = iter(readings)
         for reading in readings:
-            key = _VISITOR_KEY(reading)
+            symbol = pair_symbol(reading.tag._value_, reading.room)
             timestamp = reading.timestamp
             if timestamp == stamp:
-                if key in at_stamp:
+                if symbol in at_stamp:
                     continue
-                at_stamp.append(key)
+                at_stamp.append(symbol)
             elif timestamp > stamp:
                 stamp = timestamp
-                at_stamp = [key]
+                at_stamp = [symbol]
             else:
                 readings = itertools.chain((reading,), readings)
                 break
-            seqs[key].append(seq)
+            symbols.append(symbol)
             added.append((seq, reading))
             seq += 1
         else:
-            self.next_seq = seq
+            self.trace += "".join(symbols)
             return added
         kept = [reading for _, reading in added]
         for reading in dedupe_readings(
                 itertools.chain(kept, readings))[len(kept):]:
-            seqs[_VISITOR_KEY(reading)].append(seq)
+            symbols.append(pair_symbol(reading.tag._value_, reading.room))
             added.append((seq, reading))
             seq += 1
-        self.next_seq = seq
+        self.trace += "".join(symbols)
         return added
 
     def runs(self) -> list[Run]:
-        """Pending runs in canonical pair order.
-
-        The sequence lists are the buffer's own: the next ingest
-        appends to them, a prune replaces them.
-        """
-        return [(KeyValuePair(*key), self._seqs[key])
-                for key in sorted(self._seqs)]
+        """Pending runs, a pair with its ascending sequences, in pair order."""
+        seqs: dict[str, list[int]] = collections.defaultdict(list)
+        for seq, symbol in enumerate(self.trace, self.base):
+            seqs[symbol].append(seq)
+        return sorted(((symbol_pair(symbol), run)
+                       for symbol, run in seqs.items()),
+                      key=lambda run: _PAIR_ORDER(run[0]))
 
     def entries(self) -> list[tuple[KeyValuePair, int]]:
         """Pending readings as sorted visitor pairs with sequences."""
@@ -273,16 +281,10 @@ class ClientBuffer:
         so a forged ack cannot stop later ones from pruning.
         """
         seq = min(seq, self.next_seq - 1)
-        if seq <= self.committed_through:
+        dropped = seq - self.committed_through
+        if dropped <= 0:
             return 0
-        dropped = 0
-        for key, seqs in list(self._seqs.items()):
-            cut = bisect.bisect_right(seqs, seq)
-            dropped += cut
-            if cut == len(seqs):
-                del self._seqs[key]
-            elif cut:
-                self._seqs[key] = seqs[cut:]
+        self.trace = self.trace[dropped:]
         self.committed_through = seq
         return dropped
 
@@ -319,31 +321,75 @@ class ListReadingSource:
 # ---------------------------------------------------------------------------
 
 
+# Submission symbols: visitor pair (tag, room) is symbol number
+# 3 * (room - 1) + the tag's index in canonical order, written as code
+# point _FIRST_SYMBOL + number with the UTF-16 surrogates skipped, since
+# UTF-8 cannot carry them.  The table fills every code point from '<'
+# up; ';' and ',' lie below it, so a trace never holds a separator.
+_FIRST_SYMBOL = 0x3C
+_SURROGATES = 0xE000 - 0xD800
+_TAG_INDEX = {tag.value: index
+              for index, tag in enumerate(CANONICAL_TAG_ORDER)}
+# The highest room a symbol can carry.
+MAX_ROOM = (sys.maxunicode + 1 - _FIRST_SYMBOL - _SURROGATES) // 3
+_NOT_SYMBOL = re.compile("[\x00-;\ud800-\udfff]")
+
+# The fixed field order of a submission part.
+_SUBMIT_FIELDS = ("origin=", "part=", "base=", "trace=")
+
+
 @functools.lru_cache(maxsize=INTERN_LIMIT)
-def _entry_pair(body: str) -> KeyValuePair:
-    """The shared pair for an entry's ``key=value`` text."""
-    key, eq, value = body.partition("=")
-    if not eq:
-        raise ValueError(f"malformed entry: {body!r}")
-    return KeyValuePair(key, int(value))
+def pair_symbol(tag: str, room: int) -> str:
+    """The symbol of visitor pair (tag, room); ValueError if it has none."""
+    if tag not in _TAG_INDEX or not 1 <= room <= MAX_ROOM:
+        raise ValueError(f"no symbol for ({tag!r}, {room!r}): a room "
+                         f"must be 1..{MAX_ROOM}")
+    point = _FIRST_SYMBOL + 3 * (room - 1) + _TAG_INDEX[tag]
+    return chr(point if point < 0xD800 else point + _SURROGATES)
 
 
-def _parse_entries(text: str) -> list[Run]:
-    """``key=value@seq`` entries as runs of neighbours with one body.
+@functools.lru_cache(maxsize=INTERN_LIMIT)
+def symbol_pair(symbol: str) -> KeyValuePair:
+    """The visitor pair ``symbol`` encodes: ``pair_symbol`` inverted."""
+    point = ord(symbol)
+    if point < _FIRST_SYMBOL or 0xD800 <= point < 0xE000:
+        raise ValueError(f"not a pair symbol: {symbol!r}")
+    if point >= 0xE000:
+        point -= _SURROGATES
+    room, tag = divmod(point - _FIRST_SYMBOL, 3)
+    return KeyValuePair(CANONICAL_TAG_ORDER[tag].value, room + 1)
 
-    An entry without ``@`` splits into an empty body, which
-    ``_entry_pair`` refuses like any other malformed body.
+
+def _submission_fields(payload: bytes) -> list[str]:
+    """A submission part's origin, part, base and trace texts.
+
+    The fields come in one order, and the trace runs to the end of the
+    payload, so a ';' in it is a non-symbol, not a field separator.
     """
-    runs: list[Run] = []
-    last = None
-    for item in text.split(",") if text else ():
-        body, _, seq = item.rpartition("@")
-        if body == last:
-            runs[-1][1].append(int(seq))
-        else:
-            runs.append((_entry_pair(body), [int(seq)]))
-            last = body
-    return runs
+    chunks = payload.decode("utf-8").split(";", 3)
+    if len(chunks) != 4 or not all(map(str.startswith, chunks,
+                                       _SUBMIT_FIELDS)):
+        raise ValueError("not a submission part")
+    return [chunk[len(name):] for chunk, name in zip(chunks, _SUBMIT_FIELDS)]
+
+
+def _parse_entries(base_text: str, trace: str) -> tuple[int, str]:
+    """A part's entries as (base, trace): reading base + j has symbol j.
+
+    The base is canonical decimal, as run counts are: ASCII digits
+    without a sign, a space, ``_`` or a leading zero.  The base and the
+    part's last sequence are at most MAX_PAIR_COUNT, and every symbol
+    encodes a visitor pair.
+    """
+    if not (base_text.isascii() and base_text.isdigit()
+            and (base_text[0] != "0" or base_text == "0")):
+        raise ValueError(f"non-canonical base: {base_text!r}")
+    base = int(base_text)
+    if max(base, base + len(trace) - 1) > MAX_PAIR_COUNT:
+        raise ValueError(f"sequences past {MAX_PAIR_COUNT}")
+    if _NOT_SYMBOL.search(trace):
+        raise ValueError("trace holds a non-symbol")
+    return base, trace
 
 
 def _parse_fields(payload: bytes) -> dict[str, str]:
@@ -356,28 +402,20 @@ def _parse_fields(payload: bytes) -> dict[str, str]:
     return fields
 
 
-def _chunk(text: str, budget: int, max_items: Optional[int]) -> list[str]:
+def _chunk(text: str, budget: int) -> list[str]:
     """Greedy split of comma-joined items into parts of whole items.
 
-    A part takes items while its text fits ``budget`` characters and
-    it holds at most ``max_items``; an item over the budget goes alone,
-    and empty text makes one empty part.  With a comma appended, every
-    item ends at a comma: a part ends at its ``max_items``-th, or at
-    the last one the budget reaches if sooner (else the first).
+    A part takes items while its text fits ``budget`` characters; an
+    item over the budget goes alone, and empty text makes one empty
+    part.  With a comma appended, every item ends at a comma: a part
+    ends at the last one the budget reaches (else the first).
     """
-    cap = None if max_items is None else max(max_items, 1)
     text += ","
     last = len(text) - 1
     parts = []
     start = 0
     while start <= last:
         stop = last
-        if cap is not None:
-            stop = start - 1
-            for _ in range(cap):
-                stop = text.find(",", stop + 1)
-                if stop == last:
-                    break
         if stop - start > budget:
             stop = text.rfind(",", start, start + budget + 1)
             if stop < 0:
@@ -387,49 +425,62 @@ def _chunk(text: str, budget: int, max_items: Optional[int]) -> list[str]:
     return parts
 
 
-def _parts(kind: MessageKind, sender: NodeId, cycle_id: int, head: str,
-           field: str, text: str, max_items: Optional[int] = None
-           ) -> list[Message]:
-    """``text`` split at items into ``{head}part=i/n;{field}=...`` datagrams.
-
-    The headroom reserves four digits each for i and n, so every part
-    fits ``MAX_PAYLOAD`` once its header is written.
-    """
-    headroom = len(f"{head}part=9999/9999;{field}=")
-    chunks = _chunk(text, MAX_PAYLOAD - headroom, max_items)
-    return [Message(kind=kind, sender=sender, cycle_id=cycle_id,
-                    payload=(f"{head}part={index}/{len(chunks)};"
-                             f"{field}={chunk}").encode("utf-8"))
-            for index, chunk in enumerate(chunks)]
-
-
-def build_submission_parts(origin: NodeId, cycle_id: int,
-                           runs: Iterable[Run],
+def build_submission_parts(origin: NodeId, cycle_id: int, base: int,
+                           trace: str,
                            max_entries_per_part: Optional[int] = None
                            ) -> list[Message]:
-    """Encode a submission, split so every datagram stays legal.
+    """Encode the pending range (base, trace) as DATA_SUBMIT parts.
 
-    Each run is written with one join around its ``key=value@``
-    prefix; a run without sequences writes nothing.
+    Each part is a slice of the trace with its first symbol's sequence
+    as its base.  It holds at most ``max_entries_per_part`` symbols and
+    as many as fit ``MAX_PAYLOAD`` once encoded, whatever their UTF-8
+    width; the headroom reserves four digits each for i and n.  An
+    empty trace makes one empty part.
     """
-    texts = []
-    for pair, seqs in runs:
-        if seqs:
-            prefix = f"{pair.key}={pair.value}@"
-            texts.append(prefix + f",{prefix}".join(map(str, seqs)))
-    return _parts(MessageKind.DATA_SUBMIT, origin, cycle_id,
-                  f"origin={origin};", "entries", ",".join(texts),
-                  max_entries_per_part)
+    budget = MAX_PAYLOAD - len(
+        f"origin={origin};part=9999/9999;base={base + len(trace)};trace=")
+    step = budget
+    if max_entries_per_part is not None:
+        step = max(1, min(max_entries_per_part, budget))
+    slices = []
+    start = 0
+    while True:
+        chunk = trace[start:start + step]
+        if not chunk.isascii():
+            data = chunk.encode("utf-8")
+            if len(data) > budget:
+                # Cut before the symbol whose bytes straddle the budget.
+                cut = budget
+                while data[cut] & 0xC0 == 0x80:
+                    cut -= 1
+                chunk = data[:cut].decode("utf-8")
+        slices.append((base + start, chunk))
+        start += len(chunk)
+        if start >= len(trace):
+            break
+    return [Message(kind=MessageKind.DATA_SUBMIT, sender=origin,
+                    cycle_id=cycle_id,
+                    payload=(f"origin={origin};part={index}/{len(slices)};"
+                             f"base={first};trace={chunk}").encode("utf-8"))
+            for index, (first, chunk) in enumerate(slices)]
 
 
 def build_assignment_parts(sender: NodeId, cycle_id: int,
                            segment: Segment) -> list[Message]:
-    """Encode an assignment: the segment's run text, split at items."""
-    return _parts(MessageKind.SEGMENT_ASSIGN, sender, cycle_id,
-                  f"segment={segment.segment_index};"
-                  f"count={segment.pair_count};"
-                  f"checksum={segment.checksum:016x};", "pairs",
-                  serialize_runs(segment.runs))
+    """Encode an assignment: the segment's run text, split at items.
+
+    The headroom reserves four digits each for i and n, so every part
+    fits ``MAX_PAYLOAD`` once its header is written.
+    """
+    head = (f"segment={segment.segment_index};count={segment.pair_count};"
+            f"checksum={segment.checksum:016x};")
+    chunks = _chunk(serialize_runs(segment.runs),
+                    MAX_PAYLOAD - len(f"{head}part=9999/9999;pairs="))
+    return [Message(kind=MessageKind.SEGMENT_ASSIGN, sender=sender,
+                    cycle_id=cycle_id,
+                    payload=(f"{head}part={index}/{len(chunks)};"
+                             f"pairs={chunk}").encode("utf-8"))
+            for index, chunk in enumerate(chunks)]
 
 
 def _serialize_aggregates(aggregates: dict[str, int]) -> str:
@@ -529,37 +580,35 @@ def integrity_check(segments: Sequence[Segment],
     return sum(p.input_pair_count for p in partials) == total
 
 
-def consolidate_runs(submissions: Iterable[tuple[NodeId, Iterable[Run]]],
+def consolidate_runs(submissions: Iterable[tuple[NodeId,
+                                              Iterable[tuple[int, str]]]],
                      watermarks: Mapping[NodeId, int]
                      ) -> tuple[list[KeyValuePair], dict[NodeId, int]]:
-    """Sorted pairs of the entries above each origin's watermark, and acks.
+    """Sorted pairs of the readings above each origin's watermark, and acks.
 
-    An origin's ack is its highest sequence above the watermark, else
-    the watermark; it has none when both are missing.  A run is counted
-    on a sorted copy of its sequences, so unsorted or repeated ones off
-    the wire still count one pair per entry.  Counts are keyed by the
-    pair's (key, value), whose order is the canonical pair order.
+    Each origin submits (base, trace) parts.  A part counts the symbols
+    after the origin's watermark, once per part, so overlapping or
+    repeated parts count as their readings would one by one.  An
+    origin's ack is its highest sequence above the watermark, else the
+    watermark; it has none when both are missing.
     """
-    counts: dict[tuple[str, int], list] = {}
+    fresh: list[str] = []
     acks: dict[NodeId, int] = {}
-    for origin, runs in submissions:
+    for origin, parts in submissions:
         top = watermark = watermarks.get(origin, -1)
-        for pair, seqs in runs:
-            ordered = sorted(seqs)
-            fresh = len(ordered) - bisect.bisect_right(ordered, watermark)
-            if fresh:
-                key = _PAIR_ORDER(pair)
-                if key in counts:
-                    counts[key][1] += fresh
-                else:
-                    counts[key] = [pair, fresh]
-                if ordered[-1] > top:
-                    top = ordered[-1]
+        for base, trace in parts:
+            last = base + len(trace) - 1
+            if trace and last > watermark:
+                fresh.append(trace[max(0, watermark - base + 1):])
+                top = max(top, last)
         if top >= 0:
             acks[origin] = top
+    text = "".join(fresh)
+    runs = sorted(((symbol_pair(symbol), text.count(symbol))
+                   for symbol in set(text)),
+                  key=lambda run: _PAIR_ORDER(run[0]))
     consolidated: list[KeyValuePair] = []
-    for key in sorted(counts):
-        pair, count = counts[key]
+    for pair, count in runs:
         consolidated += [pair] * count
     return consolidated, acks
 
@@ -619,10 +668,11 @@ def leader_cycle(submissions: Sequence[tuple[NodeId, Sequence[KeyValuePair]]],
     ``submissions`` holds one (origin, visitor pairs) entry per
     responding node; a node that sent no data still counts as
     responding with an empty list.  The pairs go through the live
-    leader's own steps: each is a one-entry run for ``consolidate_runs``
-    (with no watermarks), then ``partition`` and ``reduce_check_merge``
-    with every segment reduced here.  Raises CycleAborted when fewer
-    than ``min_responding`` distinct nodes responded.
+    leader's own steps: each origin's pairs are one part for
+    ``consolidate_runs`` (with no watermarks), then ``partition`` and
+    ``reduce_check_merge`` with every segment reduced here.  Raises
+    CycleAborted when fewer than ``min_responding`` distinct nodes
+    responded.
     """
     origins = {origin for origin, _ in submissions}
     if len(origins) < min_responding:
@@ -630,7 +680,8 @@ def leader_cycle(submissions: Sequence[tuple[NodeId, Sequence[KeyValuePair]]],
             f"{len(origins)} responding nodes, need {min_responding}"
         )
     consolidated, _ = consolidate_runs(
-        ((origin, [(pair, [0]) for pair in pairs])
+        ((origin, [(0, "".join(pair_symbol(pair.key, pair.value)
+                               for pair in pairs))])
          for origin, pairs in submissions), {})
     return reduce_check_merge(cycle_id, partition(consolidated, origins), {})
 
@@ -960,7 +1011,7 @@ class Node:
         if slot.is_leader:
             self._transition(now, NodePhase.SUBMITTING)
             _file_part(slot.submissions, self.node_id, 1, 0,
-                       self.buffer.runs())
+                       (self.buffer.base, self.buffer.trace))
             slot.origin_addresses = self._live(now)
             self._transition(now, NodePhase.CONSOLIDATING)
             self._timers["consolidate"] = (
@@ -973,8 +1024,8 @@ class Node:
 
     def _submit(self, now: float) -> None:
         parts = build_submission_parts(
-            self.node_id, self.cycle_id, self.buffer.runs(),
-            self.max_entries_per_part,
+            self.node_id, self.cycle_id, self.buffer.base,
+            self.buffer.trace, self.max_entries_per_part,
         )
         for message in parts:
             self._send(now, self._leader_address, message)
@@ -990,24 +1041,22 @@ class Node:
                               NodePhase.CONSOLIDATING):
             return
         try:
-            fields = _parse_fields(message.payload)
-            origin = int(fields["origin"])
-            index_str, total_str = fields["part"].split("/")
+            origin_text, part_text, base_text, trace = _submission_fields(
+                message.payload)
+            origin = int(origin_text)
+            index_str, total_str = part_text.split("/")
             index, total = int(index_str), int(total_str)
-            runs = _parse_entries(fields["entries"])
+            entries = _parse_entries(base_text, trace)
             # A node submits its own readings only, from the address it
-            # registered (the header's sender is whatever it claims),
-            # and submissions carry visitor pairs: a tag and a room >= 1.
+            # registered (the header's sender is whatever it claims).
             if not (slot.origin_addresses.get(origin) == source
-                    and 0 <= index < total and all(
-                        pair.key in TAG_KEYS and pair.value > 0
-                        for pair, _ in runs)):
-                raise ValueError("not a visitor submission part")
-        except (ValueError, KeyError):
+                    and 0 <= index < total):
+                raise ValueError("not the origin's submission part")
+        except ValueError:
             self._log(now, f"malformed_submit from={message.sender}")
             return
         submission, fresh = _file_part(slot.submissions, origin, total,
-                                       index, runs)
+                                       index, entries)
         # Only a part that completes its submission can complete the
         # expected set; a repeat of a stored part changes nothing.
         if fresh and submission.complete():
@@ -1036,8 +1085,7 @@ class Node:
         slot = self._slot
         # Watermark dedupe: drop entries already covered by a commit.
         consolidated, slot.new_acks = consolidate_runs(
-            ((origin, itertools.chain.from_iterable(
-                slot.submissions[origin].ordered()))
+            ((origin, slot.submissions[origin].ordered())
              for origin in responding),
             self._watermarks)
         slot.segments = partition(consolidated, responding)

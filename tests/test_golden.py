@@ -1,4 +1,4 @@
-"""Pinned seeded artifacts: wire format v2 and the journal layout.
+"""Pinned seeded artifacts: wire format v3 and the journal layout.
 
 The rerun test in ``test_acceptance`` proves a seed reproduces itself
 within one build.  These hashes prove more: a change to the pipeline,
@@ -22,18 +22,19 @@ from crowdmw.harness import (
 from crowdmw.store import JournalStore
 
 GOLDEN = {
-    # Volume path: many readings per datagram, sorted runs, 8 KB frames.
+    # Volume path: many readings per datagram, one symbol each, and
+    # segments as sorted runs.
     "crowd": (
         dict(nodes=5, cycles=4, visitors=2000, seed=11),
-        "c9c5bcf9b4b21d7c6d3bce2cbae4696e5002bc5e6e18d1ce4bbd80c8f071a4c5",
-        "8065b5f9c86981dc7e7a0e4b77d03a56787b23f81b18846658f6f413d1ac73fb",
+        "6b5ee364daf5bae7a25427d8cb0c1b523b26c5fdd79689ae2b32851bb505837c",
+        "814c6bfd0fb76aacb210b492a5c1d9cf2a040a28a56ddd33bc6336a50e21c7a3",
     ),
     # One entry per datagram under loss: aborts, a fallback reduce and
     # resubmissions deduplicated against the ack watermarks.
     "one-per-part-lossy": (
         dict(nodes=4, cycles=8, visitors=200, seed=23, entries_per_part=1,
              loss_rate=0.05, transmission_us_per_byte=15.0),
-        "4ac47b817f75a8eb469c7b74df1e58ec575ef9390cbe1ff5d3714e385ee36b75",
+        "60ca33b7754c1d864cf6a7e2b79e54f66a18e8c94f436b48801a3e72218ad4f6",
         "84e3b352ff8510d6c8ba5183595dc25ed4f106a367e440d277f867207ba2d801",
     ),
     # Eight nodes under loss with two leader kills, a partition and two
@@ -44,7 +45,7 @@ GOLDEN = {
                  "kill_leader@4100", "partition@9000+3000:1,2,3",
                  "set_loss@12500:0.1", "kill_leader@16100",
                  "set_loss@20000:0.02"))),
-        "a695240b557d9f91c2a8813e9a4ce5daf66463b35ceaddd5ae5a6108b85161e1",
+        "b88630414e6c78a8b0f05c37521662a26cfd90a7d7377783468052591d4229db",
         "53f69da4cee1bfb04d5eccda006de7599ba02b8cfde733847b361f4f3aa3e712",
     ),
     # A manual override under loss, then the override is killed: every
@@ -55,7 +56,7 @@ GOLDEN = {
              loss_rate=0.05,
              faults=tuple(parse_fault(text) for text in (
                  "kill_leader@4100", "set_loss@9000:0.0"))),
-        "eb72e055f443d197e91a6fe9906711a906852b8b783c012b1407ad04b3ade99a",
+        "7136c6a6094d5f9afec9f21728c4ec7da347ed5a37584ab9bfda3cf9ca938847",
         "0ed94b61ef8e099c5e2c4219c1aa9b5f077fb48d2ac55872f5dfe65ba992df30",
     ),
     # The benchmark's crowd-peak and trickle workloads at full size,
@@ -63,14 +64,14 @@ GOLDEN = {
     # them (66 k readings for crowd-peak).
     "crowd-peak-full": (
         dict(nodes=5, cycles=8, visitors=15000, seed=1),
-        "2818303e7ffc0628afa0cb500da7d28c1d04b9d7873410f7469e7fb62803c5fd",
-        "2c044ae0d979ea5b599ef4671233fb570a507088b38acd9db202188c573ac43c",
+        "6d51d5e3bf4006d90d2ae884f7c2730f36a58b2aa63d0717d0e638e84bb8e78b",
+        "1f57beb9152326128abe680f963f52d3b9045a2dc2eb82c1c54d73086c10961c",
     ),
     "trickle-full": (
         dict(nodes=5, cycles=24, visitors=1750, seed=1, entries_per_part=1,
              transmission_us_per_byte=15.0),
-        "984da510d452fdd7020dc59a6c17cd7cda438dd1624641c99a26acc7605979a6",
-        "07782a76d0c3c83afb54aa750277bb40a02a9a631d5abb6c18579697bde2002d",
+        "1012f6cacfd231e4fdcea7e3876860c8018f0342ada96135287d918c45683ba9",
+        "f23495e9dbdc29b10b66afe0d1ed092eadec9c9f20c70e3e4da1a3970cdd584c",
     ),
 }
 
@@ -92,8 +93,8 @@ def test_seeded_artifacts_match_pinned_hashes(shape, tmp_path):
 
 
 # Three volumes of one-entry requests, seed 0; the rows begin
-# ``0,297.794,``, ``40,303.612,`` and ``200,343.309,``.
-SWEEP_SHA = "4a778d42d21bc552088060a257a41192f5aa28732a3f4921deaea3bc01edb623"
+# ``0,297.869,``, ``40,303.237,`` and ``200,340.325,``.
+SWEEP_SHA = "16a01b9276dff2316f714c16f1fde0ff072c982dbd928db72682a862a76705cd"
 
 
 def test_sweep_csv_matches_pinned_hash(tmp_path):

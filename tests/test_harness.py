@@ -35,7 +35,7 @@ from crowdmw.harness import (
     sweep_csv,
     sweep_load,
 )
-from crowdmw.runtime import ListReadingSource
+from crowdmw.runtime import MAX_ROOM, ListReadingSource
 from crowdmw.store import JournalStore
 from crowdmw.transport import TransportMode
 
@@ -153,6 +153,14 @@ def test_parse_scenario_defaults():
 def test_parse_scenario_rejects(text):
     with pytest.raises(ConfigError):
         parse_scenario(text)
+
+
+def test_parse_scenario_refuses_a_room_past_the_symbol_table():
+    # Each reading travels as one symbol, and symbols run out past
+    # MAX_ROOM, so such a room is refused before anything runs.
+    assert parse_scenario(f"rooms = {MAX_ROOM}").rooms == MAX_ROOM
+    with pytest.raises(ConfigError, match="rooms"):
+        parse_scenario(f"rooms = {MAX_ROOM + 1}")
 
 
 def test_load_scenario_roundtrip(tmp_path):

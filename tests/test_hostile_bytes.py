@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from crowdmw.harness import ScenarioConfig, SimCluster, parse_fault
 from crowdmw.mapreduce import crc64
+from crowdmw.runtime import pair_symbol
 from crowdmw.store import JournalStore
 from crowdmw.transport import (
     HEADER_LEN,
@@ -116,9 +117,24 @@ def _any_runs(key, value, count):
         lambda text: (text, len(text.split(",")) if text else 0))
 
 
-def _entries(key, value, seq, min_size=0):
-    return _joined(st.builds(lambda k, v, s: f"{k}={v}@{s}", key, value, seq),
-                   min_size)
+# Submission symbols of rooms 1-4 (one UTF-8 byte each), and of rooms
+# whose symbols take two, three and four bytes.
+SYMBOL = st.sampled_from([pair_symbol(tag, room)
+                          for tag in ("man", "other", "woman")
+                          for room in (1, 2, 3, 4)])
+WIDE_SYMBOL = st.sampled_from([pair_symbol("woman", 600),
+                               pair_symbol("man", 18000),
+                               pair_symbol("other", 30000)])
+# A base that is not canonical decimal, or that is or runs past 2**63 - 1.
+BASE = NUMBER | st.sampled_from(
+    ["+5", " 5", "0_5", "05", "\u0665", str(2 ** 63 - 2), str(2 ** 63 - 1),
+     str(2 ** 63), str(10 ** 3000)])
+# Symbols below the table (a digit, a space, NUL), the separators ';'
+# and ',', wide symbols, and the empty trace.
+ANY_TRACE = st.just("") | st.text(
+    alphabet=SYMBOL | WIDE_SYMBOL | st.sampled_from(["0", " ", "\x00", ";",
+                                                      ","]),
+    max_size=12)
 
 
 def _fields(**named):
@@ -181,8 +197,8 @@ LYING = {
     # address, so this one comes from node 2's (see SOURCES).  Before
     # node 2's own submission it is overwritten; after, it replaces it.
     MessageKind.DATA_SUBMIT: _fixed(_fields(
-        origin=st.just("2"), part=st.just("0/1"),
-        entries=_entries(KEY, SMALL, SMALL, min_size=1))),
+        origin=st.just("2"), part=st.just("0/1"), base=SMALL,
+        trace=st.text(alphabet=SYMBOL, min_size=1, max_size=12))),
     MessageKind.SEGMENT_ASSIGN: _fixed(st.builds(
         _assignment, SMALL, st.none(), st.just("0/1"),
         _canonical_runs(KEY, SMALL | st.just("9" * 4290),
@@ -202,7 +218,7 @@ LYING = {
 }
 MALFORMED = {
     MessageKind.DATA_SUBMIT: _fixed(_fields(
-        origin=NUMBER, part=PART, entries=_entries(ANY_KEY, NUMBER, NUMBER))),
+        origin=NUMBER, part=PART, base=BASE, trace=ANY_TRACE)),
     MessageKind.SEGMENT_ASSIGN: _fixed(st.builds(
         _assignment, NUMBER, st.none() | NUMBER, PART,
         _any_runs(ANY_KEY, NUMBER, NUMBER))),

@@ -1,15 +1,16 @@
-"""The run-grouped reading path against the per-entry code it replaced.
+"""The submission path against the per-reading code it replaced.
 
-Readings travel from ingest to consolidation as runs: one visitor pair
-with the sequences of its readings.  The functions below keep the
-per-entry versions as they were before that change; every run-grouped
-step must give exactly their results, on honest input and on hostile
-input alike (unsorted and repeated sequences, items longer than a
-datagram, text that is not a submission at all).
+A node keeps its pending readings as one range of sequences with one
+symbol per reading, and submits that range as (base, trace) parts
+(wire v3).  The functions below keep the per-reading versions: the
+buffer and the per-sequence counting of wire v2 as they were, and the
+v3 part build and parse written one reading at a time.  Every step
+must give exactly their results, on honest input and on hostile input
+alike (overlapping and repeated parts, symbols up to four UTF-8 bytes,
+text that is not a submission at all).
 """
 
 import dataclasses
-import itertools
 import operator
 import random
 
@@ -18,16 +19,19 @@ from hypothesis import strategies as st
 
 from crowdmw.domain import TAG_KEYS, CountMode, KeyValuePair, SensorReading
 from crowdmw.domain import TagCategory
-from crowdmw.mapreduce import map_reading, sort_pairs
+from crowdmw.mapreduce import MAX_PAIR_COUNT, map_reading, sort_pairs
 from crowdmw.runtime import (
+    MAX_ROOM,
     ClientBuffer,
     ListReadingSource,
     _chunk,
-    _entry_pair,
+    _file_part,
     _parse_entries,
-    _parse_fields,
+    _submission_fields,
     build_submission_parts,
     consolidate_runs,
+    pair_symbol,
+    symbol_pair,
 )
 from crowdmw.simgen import dedupe_readings
 from crowdmw.transport import MAX_PAYLOAD
@@ -96,15 +100,14 @@ class OldListReadingSource:
         return [r for _, r in self._timed[self._cursor:]]
 
 
-def old_chunk(items, budget, max_items):
+def old_chunk(items, budget):
     if not items:
         return [[]]
     parts = [[]]
     used = 0
     for item in items:
         cost = len(item) + (1 if parts[-1] else 0)
-        full = max_items is not None and len(parts[-1]) >= max_items
-        if parts[-1] and (used + cost > budget or full):
+        if parts[-1] and used + cost > budget:
             parts.append([])
             used = 0
             cost = len(item)
@@ -113,30 +116,51 @@ def old_chunk(items, budget, max_items):
     return parts
 
 
-def old_submission_payloads(origin, entries, max_entries_per_part):
-    texts = [f"{pair.key}={pair.value}@{seq}" for pair, seq in entries]
-    headroom = len(f"origin={origin};part=9999/9999;entries=")
-    chunks = old_chunk(texts, MAX_PAYLOAD - headroom, max_entries_per_part)
-    return [
-        (f"origin={origin};part={index}/{len(chunks)};"
-         f"entries={','.join(chunk)}").encode("utf-8")
-        for index, chunk in enumerate(chunks)
-    ]
+def per_reading_parts(origin, base, trace, max_entries_per_part):
+    """v3 parts built one reading at a time: a part takes the next
+    symbol while its UTF-8 bytes fit the budget and it holds fewer than
+    ``max_entries_per_part``."""
+    headroom = len(f"origin={origin};part=9999/9999;"
+                   f"base={base + len(trace)};trace=")
+    budget = MAX_PAYLOAD - headroom
+    cap = max_entries_per_part
+    if cap is not None:
+        cap = max(cap, 1)
+    parts = [[]]
+    used = 0
+    for symbol in trace:
+        width = len(symbol.encode("utf-8"))
+        full = cap is not None and len(parts[-1]) >= cap
+        if parts[-1] and (used + width > budget or full):
+            parts.append([])
+            used = 0
+        parts[-1].append(symbol)
+        used += width
+    payloads = []
+    for index, part in enumerate(parts):
+        payloads.append((f"origin={origin};part={index}/{len(parts)};"
+                         f"base={base};trace={''.join(part)}").encode("utf-8"))
+        base += len(part)
+    return payloads
 
 
-def old_parse_entries(text):
-    if not text:
-        return []
+def per_reading_parse(base_text, trace):
+    """A part's (pair, sequence) entries, checked one reading at a time."""
+    base = int(base_text)
+    if base < 0 or str(base) != base_text:
+        raise ValueError(f"non-canonical base: {base_text!r}")
+    if base > MAX_PAIR_COUNT:
+        raise ValueError("base too large")
     entries = []
-    for item in text.split(","):
-        body, at, seq = item.rpartition("@")
-        if not at:
-            raise ValueError(f"entry without sequence: {item!r}")
-        entries.append((_entry_pair(body), int(seq)))
+    for offset, symbol in enumerate(trace):
+        if base + offset > MAX_PAIR_COUNT:
+            raise ValueError("sequence too large")
+        entries.append((symbol_pair(symbol), base + offset))
     return entries
 
 
 def old_consolidate(submissions, watermarks):
+    """Wire v2's consolidation: one pair per entry above the watermark."""
     pairs = []
     acks = {}
     for origin, entries in submissions:
@@ -155,141 +179,159 @@ def expand(runs):
     return [(pair, seq) for pair, seqs in runs for seq in seqs]
 
 
-def as_runs(entries):
-    """Neighbouring entries of one pair as a run, as the wire groups them."""
-    return [(pair, [seq for _, seq in group])
-            for pair, group in itertools.groupby(entries,
-                                                 operator.itemgetter(0))]
+def expand_parts(parts):
+    """(base, trace) parts as their (pair, sequence) entries."""
+    return [(symbol_pair(symbol), base + offset)
+            for base, trace in parts
+            for offset, symbol in enumerate(trace)]
 
 
 # -- strategies ---------------------------------------------------------------
 
 PAIRS = [KeyValuePair(tag, room)
          for tag in sorted(TAG_KEYS) for room in range(1, 5)]
-# An entry of this pair is longer than a whole datagram's budget.
-LONG = KeyValuePair("Room" + "7" * (MAX_PAYLOAD + 10), 1)
+# Rooms whose symbols take one (1-22), two (from room 23's woman),
+# three (either side of the surrogate gap) and four UTF-8 bytes, up to
+# the table's last room.
+ROOMS = [1, 2, 4, 22, 23, 600, 18412, 18413, 30000, MAX_ROOM]
+SYMBOLS = [pair_symbol(tag, room) for tag in sorted(TAG_KEYS)
+           for room in ROOMS]
 
 
-def _bulk_entries(seed, size, long_at, ordered):
-    """``size`` entries of a few pairs, grouped and sorted or shuffled."""
+def _bulk_trace(seed, size, wide):
+    """``size`` symbols of the four small rooms, or of every width."""
     rng = random.Random(seed)
-    entries = [(rng.choice(PAIRS), rng.randrange(10 ** rng.randint(1, 7)))
-               for _ in range(size)]
-    if ordered:
-        entries.sort(key=lambda e: (e[0].key, e[0].value, e[1]))
-    else:
-        rng.shuffle(entries)
-    if long_at is not None and entries:
-        entries.insert(long_at % len(entries), (LONG, 3))
-    return entries
+    pool = SYMBOLS if wide else [pair_symbol(p.key, p.value) for p in PAIRS]
+    return "".join(rng.choice(pool) for _ in range(size))
 
 
-ENTRIES = (
-    st.lists(st.tuples(st.sampled_from(PAIRS), st.integers(0, 10 ** 6)),
-             max_size=30)
-    | st.builds(_bulk_entries, st.integers(0, 2 ** 32), st.integers(0, 3000),
-                st.none() | st.integers(0, 3000), st.booleans())
-)
+TRACE = (st.text(alphabet=SYMBOLS, max_size=30)
+         | st.builds(_bulk_trace, st.integers(0, 2 ** 32),
+                     st.integers(0, 12000), st.booleans()))
+# Bases up to the highest that a trace of TRACE's sizes can follow.
+BASE = (st.integers(0, 10 ** 6)
+        | st.integers(MAX_PAIR_COUNT - 20000, MAX_PAIR_COUNT - 12000))
 
 
 # -- building submission parts ------------------------------------------------
 
 
 @settings(max_examples=120, deadline=None)
-@given(entries=ENTRIES, cap=st.none() | st.integers(-1, 40),
+@given(base=BASE, trace=TRACE, cap=st.none() | st.integers(-1, 40),
        origin=st.integers(1, 10 ** 4))
-@example(entries=[], cap=None, origin=2)
-@example(entries=[(PAIRS[0], 1), (LONG, 2), (PAIRS[0], 3)], cap=None,
+@example(base=0, trace="", cap=None, origin=2)
+@example(base=5, trace=pair_symbol("woman", MAX_ROOM) * 3000, cap=None,
          origin=2)
-@example(entries=[(PAIRS[0], 1), (LONG, 2), (PAIRS[0], 3)], cap=2, origin=2)
-def test_submission_payloads_match_per_entry_build(entries, cap, origin):
-    messages = build_submission_parts(origin, 7, as_runs(entries), cap)
-    assert [m.payload for m in messages] == \
-        old_submission_payloads(origin, entries, cap)
+@example(base=5, trace="<" + pair_symbol("man", MAX_ROOM) * 2100, cap=None,
+         origin=2)
+def test_submission_payloads_match_per_entry_build(base, trace, cap, origin):
+    messages = build_submission_parts(origin, 7, base, trace, cap)
+    payloads = [m.payload for m in messages]
+    assert payloads == per_reading_parts(origin, base, trace, cap)
     assert all(m.sender == origin and m.cycle_id == 7 for m in messages)
-    # Built text is canonical, so the leader reads one run per stretch
-    # of one pair within a part.
-    for message in messages:
-        text = _parse_fields(message.payload)["entries"]
-        assert _parse_entries(text) == as_runs(old_parse_entries(text))
+    assert all(len(payload) <= MAX_PAYLOAD for payload in payloads)
+    # The leader's parse gives back the range, part by part.
+    parts = []
+    for payload in payloads:
+        _, _, base_text, part_trace = _submission_fields(payload)
+        parts.append(_parse_entries(base_text, part_trace))
+    assert "".join(part for _, part in parts) == trace
+    assert expand_parts(parts) == expand_parts([(base, trace)])
 
 
 @settings(max_examples=300, deadline=None)
 @given(items=st.lists(st.text(alphabet="ab=@1", min_size=1, max_size=12),
                       max_size=40),
-       budget=st.integers(0, 40), cap=st.none() | st.integers(-1, 6))
-def test_chunk_matches_greedy_per_item_split(items, budget, cap):
-    assert _chunk(",".join(items), budget, cap) == [
-        ",".join(part) for part in old_chunk(items, budget, cap)]
+       budget=st.integers(0, 40))
+def test_chunk_matches_greedy_per_item_split(items, budget):
+    assert _chunk(",".join(items), budget) == [
+        ",".join(part) for part in old_chunk(items, budget)]
 
 
 # -- parsing submission entries -----------------------------------------------
 
+BASE_TEXT = st.one_of(
+    BASE.map(str),
+    st.sampled_from(["", "+5", " 5", "5 ", "0_5", "05", "00", "-0", "-1",
+                     "\u0665", "\uff15", "1.5", "0x10", str(2 ** 63),
+                     str(10 ** 3000)]),
+    st.text(alphabet="0123456789+-_ ", max_size=6),
+)
 ENTRY_TEXT = st.one_of(
     st.text(max_size=30),
-    st.text(alphabet="manwoether=@,Ro0123-+ _", max_size=40),
-    st.lists(st.builds(lambda pair, seq, glue: f"{pair.key}={pair.value}"
-                                               f"{glue}{seq}",
-                       st.sampled_from(PAIRS), st.integers(-2, 99),
-                       st.sampled_from(["@", "@", "@", "", "@@", "="])),
-             max_size=8).map(",".join),
+    st.text(alphabet=SYMBOLS + [";", ",", "=", "0", "\x00", "\x7f"],
+            max_size=40),
+    TRACE,
 )
 
 
-def _outcome(parse, text):
+def _outcome(parse, *args):
     try:
-        return parse(text)
+        return parse(*args)
     except ValueError:
         return ValueError
 
 
-def _visitor_entries(pairs):
-    return all(pair.key in TAG_KEYS and pair.value > 0 for pair in pairs)
-
-
 @settings(max_examples=400, deadline=None)
-@given(text=ENTRY_TEXT)
-def test_parse_entries_matches_per_entry_parse(text):
-    old = _outcome(old_parse_entries, text)
-    runs = _outcome(_parse_entries, text)
+@given(base_text=BASE_TEXT, trace=ENTRY_TEXT)
+@example(base_text=str(MAX_PAIR_COUNT - 1), trace="<<")
+@example(base_text=str(MAX_PAIR_COUNT - 1), trace="<<<")
+@example(base_text=str(MAX_PAIR_COUNT + 1), trace="")
+def test_parse_entries_matches_per_entry_parse(base_text, trace):
+    old = _outcome(per_reading_parse, base_text, trace)
+    new = _outcome(_parse_entries, base_text, trace)
     if old is ValueError:
-        assert runs is ValueError
+        assert new is ValueError
         return
-    assert runs is not ValueError
-    assert expand(runs) == old
-    # No run is empty.
-    assert all(seqs for _, seqs in runs)
-    # The leader's visitor check, once per run, decides as per entry.
-    assert _visitor_entries(pair for pair, _ in runs) == \
-        _visitor_entries(pair for pair, _ in old)
+    assert new == (int(base_text), trace)
+    assert expand_parts([new]) == old
+    # Every entry is a visitor pair: a tag and a room >= 1.
+    assert all(pair.key in TAG_KEYS and pair.value > 0 for pair, _ in old)
 
 
 # -- consolidation ------------------------------------------------------------
 
-SUBMISSION = st.lists(st.tuples(st.sampled_from(PAIRS[:5]),
-                                st.integers(-1, 12)), max_size=12)
+PART = st.tuples(st.integers(0, 12),
+                 st.text(alphabet=SYMBOLS[:5] + SYMBOLS[-2:], max_size=8))
 
 
-MAN, WOMAN = KeyValuePair("man", 2), KeyValuePair("woman", 1)
+@st.composite
+def filed_submissions(draw):
+    """Per origin, its parts as the leader files them: in any index
+    order, some more than once, with parts that overlap or repeat."""
+    submissions = {}
+    for origin in draw(st.sets(st.integers(1, 5), max_size=5)):
+        parts = draw(st.lists(PART, min_size=1, max_size=5))
+        order = draw(st.permutations(range(len(parts))))
+        order += draw(st.lists(st.sampled_from(order), max_size=3))
+        sets = {}
+        for index in order:
+            _file_part(sets, origin, len(parts), index, parts[index])
+        submissions[origin] = sets[origin].ordered()
+        assert submissions[origin] == parts
+    return submissions
+
+
+M2, W1 = pair_symbol("man", 2), pair_symbol("woman", 1)
 
 
 @settings(max_examples=300, deadline=None)
-@given(submissions=st.dictionaries(st.integers(1, 5), SUBMISSION,
-                                   max_size=5),
+@given(submissions=filed_submissions(),
        watermarks=st.dictionaries(st.integers(1, 6), st.integers(-1, 12),
                                   max_size=6))
-# Unsorted and repeated sequences around watermark 3; an origin with
-# nothing new keeps its watermark, one with neither gets no ack.
-@example(submissions={1: [(WOMAN, 9), (WOMAN, 3), (WOMAN, 3), (WOMAN, 5),
-                          (MAN, 4), (MAN, 1), (WOMAN, 2), (WOMAN, 7)],
-                      2: [], 3: [(MAN, 0)]},
+# Parts around watermark 3: one under it, one across it, one repeated
+# and one empty; an origin with nothing new keeps its watermark, one
+# with neither gets no ack.
+@example(submissions={1: [(9, W1), (1, M2 + W1 * 4), (1, M2 + W1 * 4),
+                          (2, "")],
+                      2: [(0, "")], 3: [(0, M2)]},
          watermarks={1: 3, 3: 0})
 def test_consolidation_matches_per_entry_count(submissions, watermarks):
     ordered = sorted(submissions.items())
-    old_pairs, old_acks = old_consolidate(ordered, watermarks)
-    pairs, acks = consolidate_runs(
-        ((origin, as_runs(entries)) for origin, entries in ordered),
+    old_pairs, old_acks = old_consolidate(
+        ((origin, expand_parts(parts)) for origin, parts in ordered),
         watermarks)
+    pairs, acks = consolidate_runs(ordered, watermarks)
     assert pairs == old_pairs
     assert list(acks.items()) == list(old_acks.items())
 
@@ -297,7 +339,8 @@ def test_consolidation_matches_per_entry_count(submissions, watermarks):
 # -- the client buffer --------------------------------------------------------
 
 READING = st.builds(SensorReading, tag=st.sampled_from(list(TagCategory)),
-                    room=st.integers(1, 4), timestamp=st.integers(0, 6))
+                    room=st.integers(1, 4) | st.sampled_from(ROOMS),
+                    timestamp=st.integers(0, 6))
 BUFFER_OPS = st.lists(
     st.tuples(st.just("ingest"), st.lists(READING, max_size=12))
     | st.tuples(st.just("prune"), st.integers(-2, 40)),
@@ -315,6 +358,9 @@ def test_buffer_matches_per_reading_buffer(ops):
             assert new.prune_through(arg) == old.prune_through(arg)
         assert new.entries() == old.entries()
         assert expand(new.runs()) == old.entries()
+        # The trace is the pending range in sequence order.
+        assert expand_parts([(new.base, new.trace)]) == sorted(
+            old.entries(), key=operator.itemgetter(1))
         assert len(new) == len(old.pending)
         assert (new.next_seq, new.committed_through) == \
             (old.next_seq, old.committed_through)

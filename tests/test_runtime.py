@@ -6,7 +6,6 @@ from a hand count (visitor man=10, woman=21, other=12; room counts
 """
 
 import dataclasses
-import itertools
 import operator
 
 import pytest
@@ -26,6 +25,7 @@ from crowdmw.mapreduce import (
     sort_pairs,
 )
 from crowdmw.runtime import (
+    MAX_ROOM,
     ClientBuffer,
     CycleAborted,
     CycleConfig,
@@ -44,8 +44,10 @@ from crowdmw.runtime import (
     integrity_check,
     leader_cycle,
     parse_reduce_result,
+    pair_symbol,
     parse_success_acks,
     reduce_check_merge,
+    symbol_pair,
 )
 from crowdmw.simgen import VisitorModel, dedupe_readings, generate_stream, replay_fixture
 from crowdmw.transport import (MAX_PAYLOAD, Message, MessageKind,
@@ -127,6 +129,19 @@ def test_buffer_entries_sorted_canonically():
     assert pairs == [("man", 1), ("man", 2), ("other", 3), ("woman", 4)]
 
 
+def test_ingest_refuses_a_room_past_the_symbol_table():
+    buffer = ClientBuffer()
+    buffer.ingest([_reading(TagCategory.MAN, 1, 0)])
+    with pytest.raises(ValueError):
+        buffer.ingest([_reading(TagCategory.WOMAN, 2, 1),
+                       _reading(TagCategory.MAN, MAX_ROOM + 1, 2)])
+    # Nothing of the refused batch is kept.
+    assert (buffer.trace, buffer.next_seq) == ("<", 1)
+    buffer.ingest([_reading(TagCategory.WOMAN, MAX_ROOM, 3)])
+    assert buffer.trace == "<\U0010ffff"
+    assert buffer.entries()[-1] == (KeyValuePair("woman", MAX_ROOM), 1)
+
+
 def test_buffer_prune_watermark():
     buffer = ClientBuffer()
     buffer.ingest([_reading(TagCategory.MAN, 1, t) for t in range(5)])
@@ -162,16 +177,15 @@ def _entries(count):
     return out
 
 
-def _expand(runs):
-    """Runs of (pair, sequences) as the flat (pair, sequence) entries."""
-    return [(pair, seq) for pair, seqs in runs for seq in seqs]
+def _expand(parts):
+    """(base, trace) parts as the flat (pair, sequence) entries."""
+    return [(symbol_pair(symbol), base + offset)
+            for base, trace in parts for offset, symbol in enumerate(trace)]
 
 
-def _as_runs(entries):
-    """Neighbouring entries of one pair as one run of sequences."""
-    return [(pair, [seq for _, seq in group])
-            for pair, group in itertools.groupby(entries,
-                                                 operator.itemgetter(0))]
+def _trace(entries):
+    """The symbols of (pair, sequence) entries, in their order."""
+    return "".join(pair_symbol(pair.key, pair.value) for pair, _ in entries)
 
 
 def _reassemble(messages, body, header=lambda fields: ()):
@@ -193,14 +207,14 @@ def _reassemble(messages, body, header=lambda fields: ()):
 
 
 def _reassemble_submission(messages):
-    holder = _reassemble(messages,
-                         lambda fields: _parse_entries(fields["entries"]))
-    return _expand(itertools.chain.from_iterable(holder.ordered()))
+    holder = _reassemble(messages, lambda fields: _parse_entries(
+        fields["base"], fields["trace"]))
+    return _expand(holder.ordered())
 
 
 def test_submission_roundtrip_single_part():
     entries = _entries(5)
-    messages = build_submission_parts(7, 3, _as_runs(entries))
+    messages = build_submission_parts(7, 3, 0, _trace(entries))
     assert len(messages) == 1
     assert messages[0].kind is MessageKind.DATA_SUBMIT
     assert messages[0].sender == 7
@@ -211,16 +225,17 @@ def test_submission_roundtrip_single_part():
 
 def test_submission_split_by_entry_cap():
     entries = _entries(6)
-    messages = build_submission_parts(2, 0, _as_runs(entries),
+    messages = build_submission_parts(2, 0, 0, _trace(entries),
                                       max_entries_per_part=1)
     assert len(messages) == 6
     assert _reassemble_submission(messages) == entries
 
 
 def test_submission_split_by_byte_budget():
-    entries = _entries(3_000)
-    messages = build_submission_parts(4, 1, _as_runs(entries))
-    assert len(messages) > 1
+    # One byte per reading: 20 000 readings need three parts.
+    entries = _entries(20_000)
+    messages = build_submission_parts(4, 1, 0, _trace(entries))
+    assert len(messages) == 3
     for message in messages:
         assert len(message.payload) <= MAX_PAYLOAD
         # And the full frame survives the codec.
@@ -228,18 +243,34 @@ def test_submission_split_by_byte_budget():
     assert _reassemble_submission(messages) == entries
 
 
+def test_submission_split_by_bytes_of_wide_symbols():
+    # Symbols of two, three and four UTF-8 bytes: a part is cut between
+    # symbols, never inside one, and still fits the budget.
+    pairs = [KeyValuePair("woman", 600), KeyValuePair("man", 18000),
+             KeyValuePair("other", 30000)]
+    entries = [(pairs[seq % 3], seq + 10) for seq in range(7_000)]
+    messages = build_submission_parts(4, 1, 10, _trace(entries))
+    assert len(messages) == 3
+    for message in messages:
+        assert len(message.payload) <= MAX_PAYLOAD
+        assert decode_message(encode_message(message)) == message
+    assert _reassemble_submission(messages) == entries
+
+
 def test_submission_empty_buffer_still_sends_one_part():
-    messages = build_submission_parts(1, 0, [])
-    assert len(messages) == 1
+    messages = build_submission_parts(1, 0, 12, "")
+    assert [m.payload for m in messages] == [
+        b"origin=1;part=0/1;base=12;trace="]
     assert _reassemble_submission(messages) == []
 
 
-def test_submission_writes_nothing_for_an_empty_run():
-    man, woman = KeyValuePair("man", 1), KeyValuePair("woman", 2)
-    messages = build_submission_parts(1, 0, [(man, []), (woman, [4, 6]),
-                                             (man, [])])
-    assert [m.payload for m in messages] == [
-        b"origin=1;part=0/1;entries=woman=2@4,woman=2@6"]
+def test_submission_writes_base_and_one_symbol_per_reading():
+    # Room 1 man, other, woman, then room 2 man: code points 0x3C on.
+    trace = "".join(pair_symbol(key, room) for key, room in (
+        ("man", 1), ("other", 1), ("woman", 1), ("man", 2), ("man", 1)))
+    assert trace == "<=>?<"
+    assert [m.payload for m in build_submission_parts(1, 0, 4, trace)] == [
+        b"origin=1;part=0/1;base=4;trace=<=>?<"]
 
 
 # -- assignment wire grammar -------------------------------------------------
@@ -514,13 +545,20 @@ def test_reduce_check_merge_refuses_unconserved_partials():
 @pytest.mark.parametrize("item", ["Room0=1@1", "x=1@1", "man =1@1",
                                   "man=-1@1", "man=True@1", "man1@1"])
 def test_parse_entries_rejects_before_and_after_caching(item):
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            _parse_entries(item)
-    assert _expand(_parse_entries("man=1@0,Room1=1@1")) == [
-        (KeyValuePair("man", 1), 0), (KeyValuePair("Room1", 1), 1)]
+    # Wire v2 entry text is no trace: each holds a digit, below the
+    # symbol table, whether or not its other symbols were decoded.
     with pytest.raises(ValueError):
-        _parse_entries(f"man=1@0,{item}")
+        _parse_entries("0", item)
+    for symbol in item:
+        if symbol > ";":
+            symbol_pair(symbol)
+    with pytest.raises(ValueError):
+        _parse_entries("0", item)
+    valid = pair_symbol("man", 1) + pair_symbol("other", 1)
+    assert _expand([_parse_entries("7", valid)]) == [
+        (KeyValuePair("man", 1), 7), (KeyValuePair("other", 1), 8)]
+    with pytest.raises(ValueError):
+        _parse_entries("7", valid + item)
 
 
 def test_parse_entries_many_distinct_keys_stay_bounded():
@@ -528,12 +566,13 @@ def test_parse_entries_many_distinct_keys_stay_bounded():
     from crowdmw.domain import INTERN_LIMIT
 
     count = 20_000
-    text = ",".join(f"Room{i}=1@{i}" for i in range(1, count + 1))
-    entries = _expand(_parse_entries(text))
-    assert entries == [(KeyValuePair(f"Room{i}", 1), i)
-                       for i in range(1, count + 1)]
-    info = runtime._entry_pair.cache_info()
-    assert info.maxsize == INTERN_LIMIT and info.currsize <= info.maxsize
+    trace = "".join(pair_symbol("man", room) for room in range(1, count + 1))
+    entries = _expand([_parse_entries("1", trace)])
+    assert entries == [(KeyValuePair("man", room), room)
+                       for room in range(1, count + 1)]
+    for cached in (runtime.pair_symbol, runtime.symbol_pair):
+        info = cached.cache_info()
+        assert info.maxsize == INTERN_LIMIT and info.currsize <= info.maxsize
 
 
 class _Outbox:
@@ -566,28 +605,79 @@ def _idle_node(events, phase, *, leader):
     return node
 
 
-@pytest.mark.parametrize("entries", ["Room0=1@1", "x=1@1", "man =1@1",
-                                     "man=-1@1", "man=1"])
-def test_malformed_submit_is_logged_after_valid_one(entries):
+# Wire v2 entry text where a trace goes: each holds a non-symbol.
+@pytest.mark.parametrize("trace", ["Room0=1@1", "x=1@1", "man =1@1",
+                                   "man=-1@1", "man=1"])
+def test_malformed_submit_is_logged_after_valid_one(trace):
     events = []
     node = _idle_node(events, NodePhase.COLLECTING, leader=True)
-    valid = build_submission_parts(2, 0, [(KeyValuePair("man", 1), [0])])
+    valid = build_submission_parts(2, 0, 0, pair_symbol("man", 1))
     node._on_data_submit(valid[0], "node2:7000", 0.0)
-    assert node._slot.submissions[2].ordered() == [
-        [(KeyValuePair("man", 1), [0])]]
+    assert node._slot.submissions[2].ordered() == [(0, "<")]
     for _ in range(2):
         bad = Message(kind=MessageKind.DATA_SUBMIT, sender=3, cycle_id=0,
-                      payload=f"origin=3;part=0/1;entries={entries}".encode())
+                      payload=f"origin=3;part=0/1;base=0;"
+                              f"trace={trace}".encode())
         node._on_data_submit(bad, "node3:7000", 1.0)
         assert events[-1] == "t=1.000 node=1 malformed_submit from=3"
     assert 3 not in node._slot.submissions
+
+
+@pytest.mark.parametrize("base, trace", [
+    ("+5", "<"), (" 5", "<"), ("0_5", "<"), ("05", "<"), ("\u0665", "<"),
+    ("", "<"), ("-0", ""), (str(2 ** 63), ""), (str(2 ** 63 - 1), "<<"),
+    (str(10 ** 3000), "<"), ("0", "<0"), ("0", "<;<"), ("0", "<,<"),
+    ("0", "< "), ("0", "\x00"),
+])
+def test_submit_with_a_bad_base_or_trace_is_refused(base, trace):
+    events = []
+    node = _idle_node(events, NodePhase.COLLECTING, leader=True)
+    node._on_data_submit(Message(
+        kind=MessageKind.DATA_SUBMIT, sender=2, cycle_id=0,
+        payload=f"origin=2;part=0/1;base={base};trace={trace}".encode()),
+        "node2:7000", 1.0)
+    assert events[-1] == "t=1.000 node=1 malformed_submit from=2"
+    assert node._slot.submissions == {}
+
+
+@pytest.mark.parametrize("payload", [
+    b"part=0/1;origin=2;base=0;trace=<",
+    b"origin=2;part=0/1;trace=<;base=0",
+    b"origin=2;part=0/1;base=0",
+    b"origin=2;part=0/1;entries=man=1@0",
+    b"origin=2;part=0/1;base=0;trace=\xff",
+])
+def test_submit_out_of_its_field_grammar_is_refused(payload):
+    events = []
+    node = _idle_node(events, NodePhase.COLLECTING, leader=True)
+    node._on_data_submit(Message(kind=MessageKind.DATA_SUBMIT, sender=2,
+                                 cycle_id=0, payload=payload),
+                         "node2:7000", 1.0)
+    assert events[-1] == "t=1.000 node=1 malformed_submit from=2"
+    assert node._slot.submissions == {}
+
+
+@pytest.mark.parametrize("base, trace", [
+    ("0", ""), ("12", ""), (str(2 ** 63 - 1), "<"), (str(2 ** 63 - 2), "<<"),
+    ("3", pair_symbol("woman", 600) + pair_symbol("man", 18000)
+     + pair_symbol("woman", MAX_ROOM)),
+])
+def test_submit_at_the_edges_of_its_grammar_is_filed(base, trace):
+    events = []
+    node = _idle_node(events, NodePhase.COLLECTING, leader=True)
+    node._on_data_submit(Message(
+        kind=MessageKind.DATA_SUBMIT, sender=2, cycle_id=0,
+        payload=f"origin=2;part=0/1;base={base};trace={trace}".encode()),
+        "node2:7000", 1.0)
+    assert node._slot.submissions[2].ordered() == [(int(base), trace)]
 
 
 def test_submit_for_another_origin_is_dropped():
     events = []
     node = _idle_node(events, NodePhase.COLLECTING, leader=True)
     forged = Message(kind=MessageKind.DATA_SUBMIT, sender=1, cycle_id=0,
-                     payload=b"origin=9;part=0/1;entries=man=3@0,man=3@1")
+                     # Two readings of (man, 3), symbol "B".
+                     payload=b"origin=9;part=0/1;base=0;trace=BB")
     node._on_data_submit(forged, "node1:7000", 1.0)
     assert events[-1] == "t=1.000 node=1 malformed_submit from=1"
     assert node._slot.submissions == {}
@@ -614,7 +704,7 @@ def _forged_submission_events(tmp_path, sender, origin):
         leader.on_message(
             Message(kind=MessageKind.DATA_SUBMIT, sender=sender, cycle_id=0,
                     payload=f"origin={origin};part=0/1;"
-                            f"entries=man=3@0,man=3@1".encode()),
+                            f"base=0;trace=BB".encode()),
             "node1:7000", cluster.clock.now_ms())
         cluster.run(2000.0)
     finally:
@@ -820,7 +910,7 @@ def test_late_advance_fires_each_timer_at_its_due_time(make_leader):
 
 def _submission(origin, count, parts, cycle=0):
     entries = [(KeyValuePair("man", origin), seq) for seq in range(count)]
-    messages = build_submission_parts(origin, cycle, _as_runs(entries),
+    messages = build_submission_parts(origin, cycle, 0, _trace(entries),
                                       max_entries_per_part=count // parts)
     assert len(messages) == parts
     return messages

@@ -9,9 +9,11 @@ occurrences matters: a stale deadline only costs an empty
 ``Node.advance``, which leaves the event log as it was.
 
 The same schedules also check that no leader claims a slot that has
-already ended.
+already ended, and that under every one of 200 of them readings are
+conserved and no cycle commits twice.
 """
 
+import collections
 import random
 
 import pytest
@@ -143,3 +145,20 @@ def test_no_claim_at_or_after_its_slot_boundary(seed, tmp_path):
     assert claims
     assert [c for c in claims if float(c["t"]) >= (
         int(c["cycle"]) + 1) * config.cycle_duration_ms] == []
+
+
+def test_schedules_conserve_readings_and_commit_each_cycle_once(tmp_path):
+    # Under loss, kills and partitions, every injected reading ends up
+    # committed, pending on a live node, stranded on a killed one,
+    # deduplicated or undelivered, exactly once (``conserves``).
+    broken = []
+    for seed in range(200):
+        report = run_scenario(_random_config(seed),
+                              str(tmp_path / f"{seed}.journal"))
+        commits = collections.Counter(
+            fields["cycle"] for fields in map(_parse_event, report.events)
+            if fields["event"] == "commit")
+        if not report.reconciliation.conserves() or any(
+                count > 1 for count in commits.values()):
+            broken.append(seed)
+    assert broken == []
