@@ -18,24 +18,29 @@ backends; each takes the network to work on.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import os
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from crowdmw import election, simgen
 from crowdmw.clock import VirtualClock, WallClock
 from crowdmw.domain import (
     DEFAULT_ROOM_COUNT,
+    KEY_SHIFT,
+    MAX_ROOM,
+    SYMBOL_MASK,
     MiddlewareError,
     SensorReading,
     TagCategory,
+    key_reading,
+    reading_key,
 )
 from crowdmw.runtime import (
-    MAX_ROOM,
     CycleConfig,
     ListReadingSource,
     Node,
@@ -298,32 +303,38 @@ def load_scenario(path: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def route_readings(readings: Iterable[SensorReading],
-                   node_ids: Sequence[int]
-                   ) -> dict[int, list[SensorReading]]:
-    """Assign each reading's room to a node, round-robin, keeping order."""
-    targets: list[list[SensorReading]] = [[] for _ in node_ids]
-    for reading in readings:
-        targets[(reading.room - 1) % len(targets)].append(reading)
+def route_readings(keys: Iterable[int], node_ids: Sequence[int]
+                   ) -> dict[int, list[int]]:
+    """Assign each reading key's room to a node, round-robin, keeping order."""
+    targets: list[list[int]] = [[] for _ in node_ids]
+
+    @functools.cache
+    def target(code: int) -> int:
+        return (key_reading(code).room - 1) % len(targets)
+
+    for key in keys:
+        targets[target(key & SYMBOL_MASK)].append(key)
     return dict(zip(sorted(node_ids), targets))
 
 
 def build_workload(config: ScenarioConfig) -> tuple[
-        dict[int, list[SensorReading]], Optional[simgen.GenerationLedger]]:
-    """Each node's readings, due at their timestamps, and the ledger.
+        dict[int, list[int]], Optional[simgen.GenerationLedger]]:
+    """Each node's reading keys in timestamp order, and the ledger.
 
     A fixture stream goes first on the lowest-id node, which keeps
-    single-source totals easy to audit; ``ListReadingSource`` sorts.
+    single-source totals easy to audit: its readings are checked and
+    packed here, and go before the generated ones of their millisecond.
     """
-    readings: list[SensorReading] = []
+    keys: list[int] = []
     ledger = None
     if config.visitors > 0:
-        readings, ledger = simgen.generate_stream(
+        keys, ledger = simgen.generate_stream(
             config.visitor_model(), config.injection_window_ms())
-    routed = route_readings(readings, config.node_ids())
+    routed = route_readings(keys, config.node_ids())
     if config.fixture is not None:
-        routed[config.node_ids()[0]][:0] = simgen.replay_fixture(
-            config.fixture)
+        fixture = map(reading_key, simgen.replay_fixture(config.fixture))
+        routed[1] = sorted([*fixture, *routed[1]],
+                           key=lambda key: key >> KEY_SHIFT)
     return routed, ledger
 
 
@@ -331,8 +342,18 @@ def build_workload(config: ScenarioConfig) -> tuple[
 # Cluster wiring and faults, shared by both backends.
 # ---------------------------------------------------------------------------
 
-# Each node's ingested readings with their buffer sequences, in order.
-IngestRecord = dict[int, list[tuple[int, SensorReading]]]
+class Ingested(list):
+    """The reading keys one node's ingests kept, in ingest order.
+
+    Sequences are dense from 0, so a key's sequence is its index.
+    Iterating builds (sequence, reading) pairs, for audits after a run.
+    """
+
+    def __iter__(self) -> Iterator[tuple[int, SensorReading]]:
+        return enumerate(map(key_reading, super().__iter__()))
+
+
+IngestRecord = dict[int, Ingested]
 
 
 def build_nodes(config: ScenarioConfig, store: JournalStore,
@@ -351,10 +372,8 @@ def build_nodes(config: ScenarioConfig, store: JournalStore,
     routed, ledger = build_workload(config)
     nodes: dict[int, Node] = {}
     sources: dict[int, ListReadingSource] = {}
-    ingested: IngestRecord = {node_id: [] for node_id in config.node_ids()}
-
-    def record(node_id: int, added: list[tuple[int, SensorReading]]) -> None:
-        ingested[node_id].extend(added)
+    ingested: IngestRecord = {node_id: Ingested()
+                              for node_id in config.node_ids()}
 
     for node_id in config.node_ids():
         endpoint = network.open(address.format(node_id=node_id))
@@ -366,7 +385,7 @@ def build_nodes(config: ScenarioConfig, store: JournalStore,
             event_sink=event_sink,
             max_entries_per_part=config.entries_per_part,
         )
-        node.ingest_listener = record
+        node.ingest_listener = ingested[node_id].extend
         nodes[node_id] = node
         sources[node_id] = source
         election.register_node(store, node_id, endpoint.address, 0,
@@ -745,7 +764,7 @@ def _reconcile(store: JournalStore, cluster_nodes: dict[int, Node],
     stranded = 0
     for node_id, node in cluster_nodes.items():
         watermark = watermarks.get(node_id, -1)
-        committed += sum(seq <= watermark for seq, _ in ingested[node_id])
+        committed += min(len(ingested[node_id]), watermark + 1)
         buffer = node.buffer
         held = len(buffer) - max(0, watermark - buffer.base + 1)
         if node.killed:
@@ -941,9 +960,11 @@ def sweep_load(request_counts: Sequence[int], *, seed: int = 0,
                 count, config.rooms,
                 config.cycle_duration_ms - config.mapreduce_window_ms, seed,
             )
-            routed = route_readings(readings, config.node_ids())
-            for node_id, node_readings in routed.items():
-                cluster.sources[node_id] = ListReadingSource(node_readings)
+            keys = sorted(map(reading_key, readings),
+                          key=lambda key: key >> KEY_SHIFT)
+            for node_id, node_keys in route_readings(
+                    keys, config.node_ids()).items():
+                cluster.sources[node_id] = ListReadingSource(node_keys)
                 cluster.nodes[node_id].source = cluster.sources[node_id]
             cluster.start()
             cluster.run(float(config.cycles * config.cycle_duration_ms))

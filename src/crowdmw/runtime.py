@@ -24,25 +24,25 @@ from __future__ import annotations
 import bisect
 import collections
 import enum
-import functools
 import itertools
+import math
 import operator
 import random
 import re
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from crowdmw import election
 from crowdmw.domain import (
-    CANONICAL_TAG_ORDER,
-    INTERN_LIMIT,
+    KEY_SHIFT,
+    SYMBOL_MASK,
     CountMode,
     KeyValuePair,
     MiddlewareError,
-    SensorReading,
     TagCategory,
+    pair_symbol,
     room_key,
+    symbol_pair,
 )
 from crowdmw.mapreduce import (
     MAX_PAIR_COUNT,
@@ -66,6 +66,8 @@ from crowdmw.mapreduce import (
     # this module's name.
     sort_pairs,
 )
+# Unused here; bound for the benchmark's tracer, which wraps it by this
+# module's name.
 from crowdmw.simgen import dedupe_readings
 from crowdmw.store import ConflictingCommit
 from crowdmw.transport import (
@@ -79,7 +81,6 @@ NodeId = int
 # One run: a visitor pair and the sequences of its readings.
 Run = tuple[KeyValuePair, list[int]]
 
-_TIMESTAMP = operator.attrgetter("timestamp")
 _PAIR_ORDER = operator.attrgetter("key", "value")
 
 
@@ -189,9 +190,9 @@ class ClientBuffer:
     ``committed_through + 1`` (``base``) on: an ingest appends to it and
     a prune cuts a prefix.  So the buffer keeps only ``trace``, whose
     symbol j is the visitor pair of the reading with sequence base + j
-    (see ``pair_symbol``); the readings themselves are not kept, since
-    only their pairs are ever submitted.  Double reads (same tag, room
-    and timestamp) collapse within one ingest batch, never across
+    (see ``domain.pair_symbol``); the readings themselves are not kept,
+    since only their pairs are ever submitted.  Double reads (same tag,
+    room and timestamp) collapse within one ingest batch, never across
     batches.
     """
 
@@ -211,53 +212,17 @@ class ClientBuffer:
     def next_seq(self) -> int:
         return self.committed_through + 1 + len(self.trace)
 
-    def ingest(self, readings: Iterable[SensorReading]
-               ) -> list[tuple[int, SensorReading]]:
-        """Append deduplicated readings, assigning dense sequences.
+    def ingest(self, keys: Iterable[int]) -> list[int]:
+        """Append a batch of reading keys; return the keys it kept.
 
-        A double read shares its original's timestamp, so in a batch in
-        time order, as ``ListReadingSource.take_due`` returns it, a
-        reading is compared only with those kept at its timestamp.
-        From a batch's first reading out of time order on, the rest
-        goes through ``dedupe_readings`` after the readings kept so
-        far: any order keeps what deduplicating the whole batch keeps.
-        Raises ValueError, keeping nothing of the batch, for a room
-        the symbol table cannot encode.
+        A key (``domain.reading_key``, checked where its reading entered
+        the run) is a symbol code point under a timestamp, so a double
+        read has its original's key: the first of equal keys is kept, in
+        any batch order, and kept keys take the next sequences.
         """
-        symbols: list[str] = []
-        added: list[tuple[int, SensorReading]] = []
-        seq = self.next_seq
-        stamp = -1
-        # Symbols kept at timestamp ``stamp``.
-        at_stamp: list[str] = []
-        readings = iter(readings)
-        for reading in readings:
-            symbol = pair_symbol(reading.tag._value_, reading.room)
-            timestamp = reading.timestamp
-            if timestamp == stamp:
-                if symbol in at_stamp:
-                    continue
-                at_stamp.append(symbol)
-            elif timestamp > stamp:
-                stamp = timestamp
-                at_stamp = [symbol]
-            else:
-                readings = itertools.chain((reading,), readings)
-                break
-            symbols.append(symbol)
-            added.append((seq, reading))
-            seq += 1
-        else:
-            self.trace += "".join(symbols)
-            return added
-        kept = [reading for _, reading in added]
-        for reading in dedupe_readings(
-                itertools.chain(kept, readings))[len(kept):]:
-            symbols.append(pair_symbol(reading.tag._value_, reading.room))
-            added.append((seq, reading))
-            seq += 1
-        self.trace += "".join(symbols)
-        return added
+        kept = list(dict.fromkeys(keys))
+        self.trace += "".join(map(chr, map(SYMBOL_MASK.__and__, kept)))
+        return kept
 
     def runs(self) -> list[Run]:
         """Pending runs, a pair with its ascending sequences, in pair order."""
@@ -268,6 +233,8 @@ class ClientBuffer:
                        for symbol, run in seqs.items()),
                       key=lambda run: _PAIR_ORDER(run[0]))
 
+    # No caller on the run path; kept for tests and for the benchmark's
+    # tracer, which wraps it by name until the benchmark is re-based.
     def entries(self) -> list[tuple[KeyValuePair, int]]:
         """Pending readings as sorted visitor pairs with sequences."""
         return list(itertools.chain.from_iterable(
@@ -290,30 +257,28 @@ class ClientBuffer:
 
 
 class ListReadingSource:
-    """Reading source backed by routed readings, due at their timestamps."""
+    """Reading keys routed to one node, in timestamp order, kept as given.
 
-    def __init__(self, readings: Iterable[SensorReading]) -> None:
-        self._readings = sorted(readings, key=_TIMESTAMP)
+    A key's high bits are its timestamp, so the keys due by a time are a
+    prefix that one bisection on the whole key finds.
+    """
+
+    def __init__(self, keys: list[int]) -> None:
+        self._keys = keys
         self._cursor = 0
 
-    def take_due(self, now_ms: float) -> list[SensorReading]:
-        """Readings due by ``now_ms``, in timestamp order.
-
-        Equal timestamps keep their routed order (the sort is stable).
-        ``ClientBuffer.ingest`` relies on timestamp order to compare a
-        reading only with those at its timestamp (any other order gives
-        the same result, more slowly).
-        """
+    def take_due(self, now_ms: float) -> list[int]:
+        """Keys due by ``now_ms``: the next ones with timestamp <= it."""
         start = self._cursor
-        self._cursor = bisect.bisect_right(self._readings, now_ms, start,
-                                           key=_TIMESTAMP)
-        return self._readings[start:self._cursor]
+        self._cursor = bisect.bisect_left(
+            self._keys, (math.floor(now_ms) + 1) << KEY_SHIFT, start)
+        return self._keys[start:self._cursor]
 
-    def remaining(self) -> list[SensorReading]:
-        return self._readings[self._cursor:]
+    def remaining(self) -> list[int]:
+        return self._keys[self._cursor:]
 
     def injected_count(self) -> int:
-        return len(self._readings)
+        return len(self._keys)
 
 
 # ---------------------------------------------------------------------------
@@ -321,43 +286,11 @@ class ListReadingSource:
 # ---------------------------------------------------------------------------
 
 
-# Submission symbols: visitor pair (tag, room) is symbol number
-# 3 * (room - 1) + the tag's index in canonical order, written as code
-# point _FIRST_SYMBOL + number with the UTF-16 surrogates skipped, since
-# UTF-8 cannot carry them.  The table fills every code point from '<'
-# up; ';' and ',' lie below it, so a trace never holds a separator.
-_FIRST_SYMBOL = 0x3C
-_SURROGATES = 0xE000 - 0xD800
-_TAG_INDEX = {tag.value: index
-              for index, tag in enumerate(CANONICAL_TAG_ORDER)}
-# The highest room a symbol can carry.
-MAX_ROOM = (sys.maxunicode + 1 - _FIRST_SYMBOL - _SURROGATES) // 3
+# A trace holds only pair symbols (see ``domain.pair_symbol``).
 _NOT_SYMBOL = re.compile("[\x00-;\ud800-\udfff]")
 
 # The fixed field order of a submission part.
 _SUBMIT_FIELDS = ("origin=", "part=", "base=", "trace=")
-
-
-@functools.lru_cache(maxsize=INTERN_LIMIT)
-def pair_symbol(tag: str, room: int) -> str:
-    """The symbol of visitor pair (tag, room); ValueError if it has none."""
-    if tag not in _TAG_INDEX or not 1 <= room <= MAX_ROOM:
-        raise ValueError(f"no symbol for ({tag!r}, {room!r}): a room "
-                         f"must be 1..{MAX_ROOM}")
-    point = _FIRST_SYMBOL + 3 * (room - 1) + _TAG_INDEX[tag]
-    return chr(point if point < 0xD800 else point + _SURROGATES)
-
-
-@functools.lru_cache(maxsize=INTERN_LIMIT)
-def symbol_pair(symbol: str) -> KeyValuePair:
-    """The visitor pair ``symbol`` encodes: ``pair_symbol`` inverted."""
-    point = ord(symbol)
-    if point < _FIRST_SYMBOL or 0xD800 <= point < 0xE000:
-        raise ValueError(f"not a pair symbol: {symbol!r}")
-    if point >= 0xE000:
-        point -= _SURROGATES
-    room, tag = divmod(point - _FIRST_SYMBOL, 3)
-    return KeyValuePair(CANONICAL_TAG_ORDER[tag].value, room + 1)
 
 
 def _submission_fields(payload: bytes) -> list[str]:
@@ -798,8 +731,8 @@ class Node:
         self.commits = 0
         self.aborts = 0
         self.dedupe_dropped = 0
-        self.ingest_listener: Optional[Callable[
-            [NodeId, list[tuple[int, SensorReading]]], None]] = None
+        # Called with the keys each ingest kept.
+        self.ingest_listener: Optional[Callable[[list[int]], None]] = None
 
         self._timers: dict[str, float] = {}
         # The leader this node last confirmed or became; it outlives
@@ -1003,7 +936,7 @@ class Node:
                     f"kept={len(added)}",
                 )
             if self.ingest_listener is not None:
-                self.ingest_listener(self.node_id, added)
+                self.ingest_listener(added)
         if self.phase is not NodePhase.COLLECTING:
             # Never confirmed a leader this slot; keep buffering.
             return

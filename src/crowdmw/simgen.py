@@ -16,17 +16,20 @@ import bisect
 import collections
 import functools
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from crowdmw.domain import (
+    KEY_SHIFT,
+    TAG_KEYS,
     CountMode,
     MiddlewareError,
     SensorReading,
     TagCategory,
+    key_reading,
+    pair_symbol,
 )
 from crowdmw.mapreduce import parse_pairs, sequential_oracle
 
@@ -85,31 +88,35 @@ class LedgerEntry:
 
 @dataclass
 class GenerationLedger:
-    """Every generated reading, duplicates flagged, sequences dense.
+    """Every generated reading as its key, in stream order.
 
-    Holds the readings and their duplicate flags, index-aligned.  A run
-    mostly needs only ``len()``, so the ``LedgerEntry`` values are built
-    the first time ``entries`` (or anything reading it) asks, then
-    cached; the sequence of an entry is its index.
+    A run mostly needs only ``len()``, so the ``LedgerEntry`` values are
+    built the first time ``entries`` (or anything reading it) asks, then
+    cached; the sequence of an entry is its index.  Distinct visits
+    never share a key, so a key seen earlier in the stream is a double
+    read, read by its room's odd reader.
     """
 
-    readings: tuple[SensorReading, ...] = ()
-    duplicates: tuple[bool, ...] = ()
+    keys: Sequence[int] = ()
 
     def __len__(self) -> int:
-        return len(self.readings)
+        return len(self.keys)
 
     def __iter__(self) -> Iterator[LedgerEntry]:
         return iter(self.entries)
 
     @functools.cached_property
     def entries(self) -> list[LedgerEntry]:
-        return [
-            LedgerEntry(sequence, r.tag, r.room, r.timestamp, r.reader_id,
-                        duplicate)
-            for sequence, (r, duplicate) in enumerate(
-                zip(self.readings, self.duplicates))
-        ]
+        seen: set[int] = set()
+        entries = []
+        for sequence, key in enumerate(self.keys):
+            read = key_reading(key)
+            duplicate = key in seen
+            seen.add(key)
+            entries.append(LedgerEntry(sequence, read.tag, read.room,
+                                       read.timestamp,
+                                       2 * read.room + duplicate, duplicate))
+        return entries
 
     def non_duplicates(self) -> list[LedgerEntry]:
         return [e for e in self.entries if not e.is_duplicate]
@@ -131,13 +138,13 @@ class GenerationLedger:
 
 
 def generate_stream(model: VisitorModel,
-                    duration_ms: int) -> tuple[list[SensorReading],
-                                               GenerationLedger]:
-    """Generate the reading stream and its ground-truth ledger.
+                    duration_ms: int) -> tuple[list[int], GenerationLedger]:
+    """Generate the reading stream, as keys, and its ground-truth ledger.
 
-    Returned readings and ledger entries are index-aligned.  Distinct
-    visits never collide on (tag, room, timestamp); only an injected
-    double read shares all three with its original, which is exactly
+    A key packs a reading's tag, room and timestamp
+    (``domain.reading_key``); the ledger holds the returned list itself.
+    Distinct visits never collide on (tag, room, timestamp); only an
+    injected double read shares its original's key, which is exactly
     the collision collection-side dedupe collapses.
 
     A visit takes the first free millisecond of its (tag, room) lane at
@@ -151,10 +158,11 @@ def generate_stream(model: VisitorModel,
     when the museum has one room, so such a walk ends there.
 
     The stream is ordered by (timestamp, visitor, ordinal).  A reading
-    is filed in its millisecond's bucket as it is drawn, in that order
-    within the millisecond, so the buckets in time order are the stream
-    with no sort.  Rooms and walk lengths are the ``getrandbits`` draws
-    of ``Random.choice`` and ``randint`` (``_randbelow``), inlined.
+    is filed in its millisecond's bucket as its lane when it is drawn,
+    in that order within the millisecond, so the buckets in time order
+    are the stream with no sort.  Nothing is built per room or lane in
+    advance.  Rooms and walk lengths are the ``getrandbits`` draws of
+    ``Random.choice`` and ``randint`` (``_randbelow``), inlined.
     """
     if duration_ms < 1:
         raise ValueError("duration_ms must be >= 1")
@@ -165,20 +173,13 @@ def generate_stream(model: VisitorModel,
     # Running sums of the mix: a roll picks the first category whose sum
     # exceeds it, the last one if rounding leaves the roll past them all.
     cumulative = list(itertools.accumulate(model.tag_mix[:len(_MIX_ORDER)]))
-    # choices[r]: the rooms a visitor in room r may walk to (0: outside).
-    choices = [tuple(r for r in range(1, rooms + 1) if r != room)
-               for room in range(rooms + 1)]
     walks = 2 * rooms
     walk_bits = walks.bit_length()
     low, high = model.dwell_ms
     after: dict[int, int] = {}
-    # by_ms[timestamp] files each reading of that millisecond as the int
-    # ``2 * lane + is_duplicate``, in draw order; kinds maps the int back
-    # to (category, room, reader, is_duplicate).
+    # by_ms[timestamp] files each reading of that millisecond as its
+    # lane, in draw order; a double read files its lane twice.
     by_ms: dict[int, list[int]] = collections.defaultdict(list)
-    kinds = [(_MIX_ORDER[lane // (rooms + 1)], lane % (rooms + 1),
-              2 * (lane % (rooms + 1)) + duplicate, bool(duplicate))
-             for lane in range(lanes) for duplicate in (0, 1)]
 
     for _ in range(model.visitor_count):
         tag = min(bisect.bisect_right(cumulative, rng.random()),
@@ -190,14 +191,16 @@ def generate_stream(model: VisitorModel,
             steps = getrandbits(walk_bits)
         room = 0
         for _ in range(1 + steps):
-            options = choices[room]
-            if at >= duration_ms or not options:
+            # The walk goes to any room but the one it is in (0: outside).
+            count = rooms - 1 if room else rooms
+            if at >= duration_ms or not count:
                 break
-            count = len(options)
             draw = getrandbits(count.bit_length())
             while draw >= count:
                 draw = getrandbits(count.bit_length())
-            room = options[draw]
+            # Draw d picks the (d + 1)th of those rooms in order.
+            draw += 1
+            room = draw + (0 < room <= draw)
             lane = tag * (rooms + 1) + room
             slot = int(at) * lanes + lane
             passed = []
@@ -209,37 +212,30 @@ def generate_stream(model: VisitorModel,
             after[slot] = slot + lanes
             timestamp = slot // lanes
             bucket = by_ms[timestamp]
-            bucket.append(2 * lane)
+            bucket.append(lane)
             if rng.random() < model.double_read_rate:
-                bucket.append(2 * lane + 1)
+                bucket.append(lane)
             at += low + (high - low) * rng.random()
 
-    readings = []
-    duplicates = []
+    @functools.cache
+    def code(lane: int) -> int:
+        tag, room = divmod(lane, rooms + 1)
+        return ord(pair_symbol(_MIX_ORDER[tag].value, room))
+
+    keys: list[int] = []
     for timestamp in sorted(by_ms):
-        for kind in by_ms[timestamp]:
-            category, room, reader, duplicate = kinds[kind]
-            readings.append(SensorReading(category, room, timestamp, reader))
-            duplicates.append(duplicate)
-    return readings, GenerationLedger(tuple(readings), tuple(duplicates))
-
-
-# A reading's dedupe key.  The tag is keyed by ``_value_``, the member's
-# plain attribute: its text has a cached hash, unlike the enum.
-_DEDUPE_KEY = operator.attrgetter("tag._value_", "room", "timestamp")
+        keys += map((timestamp << KEY_SHIFT).__or__,
+                    map(code, by_ms[timestamp]))
+    return keys, GenerationLedger(keys)
 
 
 def dedupe_readings(readings: Iterable[SensorReading]) -> list[SensorReading]:
     """Collapse paired-reader double reads: same tag, room, timestamp."""
-    seen: set[tuple[str, int, int]] = set()
-    kept = []
+    kept: dict[tuple[TagCategory, int, int], SensorReading] = {}
     for reading in readings:
-        slot = _DEDUPE_KEY(reading)
-        if slot in seen:
-            continue
-        seen.add(slot)
-        kept.append(reading)
-    return kept
+        kept.setdefault((reading.tag, reading.room, reading.timestamp),
+                        reading)
+    return list(kept.values())
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +265,13 @@ def replay_fixture(name: str) -> list[SensorReading]:
         )
     except (FileNotFoundError, OSError):
         raise UnknownFixture(f"no fixture named {name!r}") from None
-    pairs = parse_pairs(text)
     readings = []
-    for index, pair in enumerate(pairs):
-        tag = None
-        for candidate in TagCategory:
-            if candidate.value == pair.key:
-                tag = candidate
-                break
-        if tag is None:
+    for index, pair in enumerate(parse_pairs(text)):
+        if pair.key not in TAG_KEYS:
             raise ValueError(
                 f"fixture {name!r} holds non-visitor key {pair.key!r}"
             )
-        readings.append(SensorReading(tag=tag, room=pair.value,
+        readings.append(SensorReading(tag=TagCategory(pair.key),
+                                      room=pair.value,
                                       timestamp=index * _FIXTURE_SPACING_MS))
     return readings

@@ -2,13 +2,18 @@ import pytest
 
 from crowdmw.domain import (
     CANONICAL_TAG_ORDER,
+    KEY_SHIFT,
+    MAX_ROOM,
     CountMode,
     KeyValuePair,
     SensorReading,
     TagCategory,
     UnknownTag,
     _check_key,
+    key_reading,
+    pair_symbol,
     parse_tag,
+    reading_key,
     room_key,
 )
 
@@ -64,13 +69,20 @@ def test_pair_rejects_key_with_trailing_newline(key):
 
 
 def test_reading_validation():
-    SensorReading(tag=TagCategory.MAN, room=2, timestamp=10, reader_id=4)
-    with pytest.raises(ValueError):
-        SensorReading(tag=TagCategory.MAN, room=0, timestamp=10)
-    with pytest.raises(ValueError):
-        SensorReading(tag=TagCategory.MAN, room=1, timestamp=-1)
-    with pytest.raises(ValueError):
-        SensorReading(tag="man", room=1, timestamp=0)
+    # A reading is checked when it is packed into its key.
+    reading = SensorReading(tag=TagCategory.MAN, room=2, timestamp=10,
+                            reader_id=4)
+    assert reading_key(reading) == 10 << KEY_SHIFT | ord(pair_symbol("man", 2))
+    assert key_reading(reading_key(reading)) == SensorReading(
+        TagCategory.MAN, 2, 10)
+    for bad in (dict(tag=TagCategory.MAN, room=0, timestamp=10),
+                dict(tag=TagCategory.MAN, room=MAX_ROOM + 1, timestamp=10),
+                dict(tag=TagCategory.MAN, room=2.0, timestamp=10),
+                dict(tag=TagCategory.MAN, room=1, timestamp=-1),
+                dict(tag=TagCategory.MAN, room=1, timestamp=1.5),
+                dict(tag="man", room=1, timestamp=0)):
+        with pytest.raises(ValueError):
+            reading_key(SensorReading(**bad))
 
 
 def test_count_mode_values():

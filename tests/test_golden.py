@@ -67,6 +67,24 @@ GOLDEN = {
         "6d51d5e3bf4006d90d2ae884f7c2730f36a58b2aa63d0717d0e638e84bb8e78b",
         "1f57beb9152326128abe680f963f52d3b9045a2dc2eb82c1c54d73086c10961c",
     ),
+    # The fixture on node 1 shares six milliseconds with generated
+    # readings, and readings of one millisecond mix one- and two-byte
+    # symbols in four-symbol parts.  A source must keep readings of a
+    # millisecond in their routed order: sorting them by symbol moves
+    # bytes between parts.
+    "fixture-and-visitors": (
+        dict(nodes=3, cycles=3, visitors=400, seed=11, fixture="table1",
+             inject_ms=300.0, rooms=40, entries_per_part=4),
+        "0e353046253ef47dcd862074793e01e5d8c326e065c7eb945b0da8512c268ed5",
+        "ff62034f7b81f9aaaa866e038d93c010b9370c266aa68a9674826a8a4073e0fe",
+    ),
+    # 20 000 rooms: symbols of three UTF-8 bytes on both sides of the
+    # UTF-16 surrogate gap (rooms past 18 412 skip it).
+    "wide-rooms": (
+        dict(nodes=3, cycles=3, visitors=300, rooms=20000, seed=4),
+        "1d918739cfdcd0cc90ff699517d7ff79e2c8fe647556b67f4d13db197dbdf5c6",
+        "113828803a8eaa79f6c62328a4fb93d622a838e855c19d2ab441d443efdc6f45",
+    ),
     "trickle-full": (
         dict(nodes=5, cycles=24, visitors=1750, seed=1, entries_per_part=1,
              transmission_us_per_byte=15.0),

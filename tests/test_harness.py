@@ -14,7 +14,15 @@ import threading
 import pytest
 
 from crowdmw import harness
-from crowdmw.domain import CountMode, SensorReading, TagCategory
+from crowdmw.domain import (
+    KEY_SHIFT,
+    MAX_ROOM,
+    CountMode,
+    SensorReading,
+    TagCategory,
+    key_reading,
+    reading_key,
+)
 from crowdmw.harness import (
     ConfigError,
     FaultSpec,
@@ -35,7 +43,8 @@ from crowdmw.harness import (
     sweep_csv,
     sweep_load,
 )
-from crowdmw.runtime import MAX_ROOM, ListReadingSource
+from crowdmw.runtime import ListReadingSource
+from crowdmw.simgen import replay_fixture
 from crowdmw.store import JournalStore
 from crowdmw.transport import TransportMode
 
@@ -189,18 +198,20 @@ def test_bad_workload_setting_is_config_error(setting):
 
 
 def test_route_readings_round_robin_by_room():
-    readings = [SensorReading(tag=TagCategory.MAN, room=room, timestamp=room)
-                for room in (1, 2, 3, 4, 5)]
-    routed = route_readings(readings, [30, 10, 20])
-    assert [r.room for r in routed[10]] == [1, 4]
-    assert [r.room for r in routed[20]] == [2, 5]
-    assert [r.room for r in routed[30]] == [3]
+    keys = [reading_key(SensorReading(tag=TagCategory.MAN, room=room,
+                                      timestamp=room))
+            for room in (1, 2, 3, 4, 5)]
+    routed = route_readings(keys, [30, 10, 20])
+    assert [key_reading(k).room for k in routed[10]] == [1, 4]
+    assert [key_reading(k).room for k in routed[20]] == [2, 5]
+    assert [key_reading(k).room for k in routed[30]] == [3]
     # A source releases each routed reading at its own timestamp.
     for node in routed.values():
-        for reading in node:
+        for key in node:
+            timestamp = key_reading(key).timestamp
             source = ListReadingSource(node)
-            assert reading not in source.take_due(reading.timestamp - 0.5)
-            assert reading in source.take_due(float(reading.timestamp))
+            assert key not in source.take_due(timestamp - 0.5)
+            assert key in source.take_due(float(timestamp))
 
 
 def test_build_workload_fixture_lands_on_lowest_id():
@@ -209,6 +220,23 @@ def test_build_workload_fixture_lands_on_lowest_id():
     assert len(routed[1]) == 16
     assert routed[2] == [] and routed[3] == []
     assert ledger is None
+
+
+def test_fixture_keys_go_first_within_their_millisecond():
+    # Keys of one millisecond keep their order: the fixture's first,
+    # then the generated ones in stream order, never sorted by symbol.
+    config = ScenarioConfig(visitors=400, seed=11, fixture="table1",
+                            inject_ms=300.0, rooms=40)
+    routed, ledger = build_workload(config)
+    fixture = [reading_key(r) for r in replay_fixture("table1")]
+    generated = route_readings(ledger.keys, config.node_ids())[1]
+    stamps = {key >> KEY_SHIFT for key in fixture}
+    assert stamps & {key >> KEY_SHIFT for key in generated}
+    assert routed[1] == sorted(fixture + generated,
+                               key=lambda key: key >> KEY_SHIFT)
+    for stamp in stamps:
+        due = [key for key in routed[1] if key >> KEY_SHIFT == stamp]
+        assert due[0] in fixture
 
 
 def test_build_workload_generated_ledger_alignment():

@@ -17,11 +17,18 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crowdmw.domain import TAG_KEYS, CountMode, KeyValuePair, SensorReading
-from crowdmw.domain import TagCategory
+from crowdmw.domain import (
+    KEY_SHIFT,
+    MAX_ROOM,
+    TAG_KEYS,
+    CountMode,
+    KeyValuePair,
+    SensorReading,
+    TagCategory,
+    reading_key,
+)
 from crowdmw.mapreduce import MAX_PAIR_COUNT, map_reading, sort_pairs
 from crowdmw.runtime import (
-    MAX_ROOM,
     ClientBuffer,
     ListReadingSource,
     _chunk,
@@ -173,6 +180,11 @@ def old_consolidate(submissions, watermarks):
         if top >= 0:
             acks[origin] = top
     return sort_pairs(pairs), acks
+
+
+def keys_of(readings):
+    """The keys of readings, as their source hands them to a buffer."""
+    return [reading_key(reading) for reading in readings]
 
 
 def expand(runs):
@@ -341,6 +353,9 @@ def test_consolidation_matches_per_entry_count(submissions, watermarks):
 READING = st.builds(SensorReading, tag=st.sampled_from(list(TagCategory)),
                     room=st.integers(1, 4) | st.sampled_from(ROOMS),
                     timestamp=st.integers(0, 6))
+READING_A = SensorReading(TagCategory.MAN, 1, 0)
+READING_B = SensorReading(TagCategory.WOMAN, 2, 0)
+READING_C = SensorReading(TagCategory.OTHER, MAX_ROOM, 1)
 BUFFER_OPS = st.lists(
     st.tuples(st.just("ingest"), st.lists(READING, max_size=12))
     | st.tuples(st.just("prune"), st.integers(-2, 40)),
@@ -353,7 +368,8 @@ def test_buffer_matches_per_reading_buffer(ops):
     old, new = OldClientBuffer(), ClientBuffer()
     for op, arg in ops:
         if op == "ingest":
-            assert new.ingest(arg) == old.ingest(arg)
+            assert new.ingest(keys_of(arg)) == keys_of(
+                reading for _, reading in old.ingest(arg))
         else:
             assert new.prune_through(arg) == old.prune_through(arg)
         assert new.entries() == old.entries()
@@ -364,6 +380,85 @@ def test_buffer_matches_per_reading_buffer(ops):
         assert len(new) == len(old.pending)
         assert (new.next_seq, new.committed_through) == \
             (old.next_seq, old.committed_through)
+
+
+# -- prunes inside the pending range --------------------------------------------
+
+
+class PendingModel:
+    """The buffer as (sequence, reading) pairs: a batch keeps the first
+    reading of each (tag, room, timestamp), and a prune drops what the
+    watermark covers, clamped to the highest sequence issued."""
+
+    def __init__(self):
+        self.pending = []
+        self.next_seq = 0
+        self.committed_through = -1
+
+    def ingest(self, batch):
+        kept = {}
+        for reading in batch:
+            kept.setdefault((reading.tag, reading.room, reading.timestamp),
+                            reading)
+        for reading in kept.values():
+            self.pending.append((self.next_seq, reading))
+            self.next_seq += 1
+        return list(kept.values())
+
+    def prune_through(self, watermark):
+        watermark = min(watermark, self.next_seq - 1)
+        if watermark <= self.committed_through:
+            return 0
+        before = len(self.pending)
+        self.pending = [(s, r) for s, r in self.pending if s > watermark]
+        self.committed_through = watermark
+        return before - len(self.pending)
+
+    def runs(self):
+        seqs = {}
+        for seq, reading in self.pending:
+            pair = KeyValuePair(reading.tag.value, reading.room)
+            seqs.setdefault(pair, []).append(seq)
+        return sorted(seqs.items())
+
+
+@st.composite
+def shuffled_batches(draw):
+    """A batch in any order, some readings read twice."""
+    batch = draw(st.lists(READING, max_size=10))
+    batch += draw(st.lists(st.sampled_from(batch), max_size=4)) if batch \
+        else []
+    return draw(st.permutations(batch))
+
+
+# A prune's watermark counts from the buffer's base, so most land
+# inside the pending range; a few fall below it or past its top.
+PRUNE_OPS = st.lists(
+    st.tuples(st.just("ingest"), shuffled_batches())
+    | st.tuples(st.just("prune"), st.integers(-2, 12)),
+    max_size=14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=PRUNE_OPS)
+@example(ops=[("ingest", [READING_A, READING_B, READING_A, READING_C]),
+              ("prune", 1), ("ingest", [READING_C, READING_B]),
+              ("prune", 1)])
+def test_partial_prunes_match_the_pending_model(ops):
+    model, buffer = PendingModel(), ClientBuffer()
+    for op, arg in ops:
+        if op == "ingest":
+            assert buffer.ingest(keys_of(arg)) == keys_of(model.ingest(arg))
+        else:
+            watermark = buffer.base - 1 + arg
+            assert buffer.prune_through(watermark) == \
+                model.prune_through(watermark)
+        assert (buffer.base, buffer.next_seq) == (
+            model.committed_through + 1, model.next_seq)
+        assert buffer.trace == "".join(
+            pair_symbol(reading.tag.value, reading.room)
+            for _, reading in model.pending)
+        assert buffer.runs() == model.runs()
 
 
 # -- ingest in one pass over a batch -------------------------------------------
@@ -403,8 +498,9 @@ def _ingest_both(batches, as_iterator):
     """Ingest each batch into both buffers; they must agree throughout."""
     old, new = OldClientBuffer(), ClientBuffer()
     for batch in batches:
-        assert new.ingest(iter(batch) if as_iterator else batch) == \
-            old.ingest(batch)
+        keys = keys_of(batch)
+        assert new.ingest(iter(keys) if as_iterator else keys) == \
+            keys_of(reading for _, reading in old.ingest(batch))
         assert expand(new.runs()) == new.entries() == old.entries()
         assert (len(new), new.next_seq) == (len(old.pending), old.next_seq)
 
@@ -470,15 +566,18 @@ TIME = st.integers(0, 20).map(float) | st.floats(0, 20, allow_nan=False)
 
 
 @settings(max_examples=300, deadline=None)
-@given(times=st.lists(TIME, max_size=25),
-       nows=st.lists(TIME | st.just(-1.0), max_size=8))
+@given(times=st.lists(st.integers(0, 20), max_size=25),
+       nows=st.lists(TIME | st.sampled_from([-1.0, -0.5]), max_size=8))
 def test_take_due_matches_per_reading_scan(times, nows):
-    # Each reading is due at its timestamp; reader ids tell equal
-    # timestamps apart.
-    readings = [SensorReading(TagCategory.MAN, 1, t, index)
+    # Each reading is due at its timestamp; rooms tell equal timestamps
+    # apart.  A source takes keys in timestamp order, as routing leaves
+    # them: here a stable sort by timestamp, as the old source did.
+    readings = [SensorReading(TagCategory.MAN, index + 1, t)
                 for index, t in enumerate(times)]
-    old, new = OldListReadingSource(readings), ListReadingSource(readings)
+    old = OldListReadingSource(readings)
+    new = ListReadingSource(sorted(keys_of(readings),
+                                   key=lambda key: key >> KEY_SHIFT))
     assert new.injected_count() == len(readings)
     for now in nows:
-        assert new.take_due(now) == old.take_due(now)
-        assert new.remaining() == old.remaining()
+        assert new.take_due(now) == keys_of(old.take_due(now))
+        assert new.remaining() == keys_of(old.remaining())

@@ -10,7 +10,14 @@ import operator
 
 import pytest
 
-from crowdmw.domain import CountMode, SensorReading, TagCategory
+from crowdmw.domain import (
+    MAX_ROOM,
+    CountMode,
+    SensorReading,
+    TagCategory,
+    key_reading,
+    reading_key,
+)
 from crowdmw.mapreduce import (
     KeyValuePair,
     PartialResult,
@@ -25,7 +32,6 @@ from crowdmw.mapreduce import (
     sort_pairs,
 )
 from crowdmw.runtime import (
-    MAX_ROOM,
     ClientBuffer,
     CycleAborted,
     CycleConfig,
@@ -97,23 +103,26 @@ def test_config_rejects_bad_values(kwargs):
 # -- client buffer ----------------------------------------------------------
 
 
-def _reading(tag, room, timestamp):
-    return SensorReading(tag=tag, room=room, timestamp=timestamp)
+def _key(tag, room, timestamp):
+    """The key of a reading: what a node's buffer ingests."""
+    return reading_key(SensorReading(tag=tag, room=room, timestamp=timestamp))
 
 
 def test_buffer_assigns_dense_sequences():
     buffer = ClientBuffer()
-    first = buffer.ingest([_reading(TagCategory.MAN, 1, 0),
-                           _reading(TagCategory.WOMAN, 2, 5)])
-    second = buffer.ingest([_reading(TagCategory.OTHER, 3, 9)])
-    assert [seq for seq, _ in first + second] == [0, 1, 2]
-    assert len(buffer) == 3
+    first = buffer.ingest([_key(TagCategory.MAN, 1, 0),
+                           _key(TagCategory.WOMAN, 2, 5)])
+    second = buffer.ingest([_key(TagCategory.OTHER, 3, 9)])
+    assert first + second == [_key(TagCategory.MAN, 1, 0),
+                              _key(TagCategory.WOMAN, 2, 5),
+                              _key(TagCategory.OTHER, 3, 9)]
+    assert (buffer.base, buffer.next_seq, len(buffer)) == (0, 3, 3)
 
 
 def test_buffer_collapses_double_reads_within_batch():
-    double = _reading(TagCategory.MAN, 1, 40)
+    double = _key(TagCategory.MAN, 1, 40)
     buffer = ClientBuffer()
-    added = buffer.ingest([double, double, _reading(TagCategory.MAN, 1, 41)])
+    added = buffer.ingest([double, double, _key(TagCategory.MAN, 1, 41)])
     assert len(added) == 2
     # A later batch is a fresh collection window: no cross-batch state.
     assert len(buffer.ingest([double])) == 1
@@ -121,30 +130,31 @@ def test_buffer_collapses_double_reads_within_batch():
 
 def test_buffer_entries_sorted_canonically():
     buffer = ClientBuffer()
-    buffer.ingest([_reading(TagCategory.WOMAN, 4, 0),
-                   _reading(TagCategory.MAN, 2, 1),
-                   _reading(TagCategory.MAN, 1, 2),
-                   _reading(TagCategory.OTHER, 3, 3)])
+    buffer.ingest([_key(TagCategory.WOMAN, 4, 0),
+                   _key(TagCategory.MAN, 2, 1),
+                   _key(TagCategory.MAN, 1, 2),
+                   _key(TagCategory.OTHER, 3, 3)])
     pairs = [(pair.key, pair.value) for pair, _ in buffer.entries()]
     assert pairs == [("man", 1), ("man", 2), ("other", 3), ("woman", 4)]
 
 
-def test_ingest_refuses_a_room_past_the_symbol_table():
-    buffer = ClientBuffer()
-    buffer.ingest([_reading(TagCategory.MAN, 1, 0)])
+def test_reading_key_refuses_a_room_past_the_symbol_table():
+    # A reading is checked where it enters the run: a room past the
+    # table has no key, so no buffer ever sees it.
     with pytest.raises(ValueError):
-        buffer.ingest([_reading(TagCategory.WOMAN, 2, 1),
-                       _reading(TagCategory.MAN, MAX_ROOM + 1, 2)])
-    # Nothing of the refused batch is kept.
-    assert (buffer.trace, buffer.next_seq) == ("<", 1)
-    buffer.ingest([_reading(TagCategory.WOMAN, MAX_ROOM, 3)])
+        _key(TagCategory.MAN, MAX_ROOM + 1, 2)
+    buffer = ClientBuffer()
+    buffer.ingest([_key(TagCategory.MAN, 1, 0)])
+    buffer.ingest([_key(TagCategory.WOMAN, MAX_ROOM, 3)])
     assert buffer.trace == "<\U0010ffff"
     assert buffer.entries()[-1] == (KeyValuePair("woman", MAX_ROOM), 1)
+    assert key_reading(_key(TagCategory.WOMAN, MAX_ROOM, 3)) == \
+        SensorReading(TagCategory.WOMAN, MAX_ROOM, 3)
 
 
 def test_buffer_prune_watermark():
     buffer = ClientBuffer()
-    buffer.ingest([_reading(TagCategory.MAN, 1, t) for t in range(5)])
+    buffer.ingest([_key(TagCategory.MAN, 1, t) for t in range(5)])
     assert buffer.prune_through(2) == 3
     assert buffer.committed_through == 2
     assert [seq for _, seq in buffer.entries()] == [3, 4]
@@ -154,10 +164,40 @@ def test_buffer_prune_watermark():
     assert buffer.committed_through == 2
 
 
+def test_partial_prune_keeps_the_unacked_rest():
+    # An ack strictly inside the pending range: the run's sweep never
+    # makes one, since every ack there covers all that was pending.
+    man1, woman2, other3 = (pair_symbol("man", 1), pair_symbol("woman", 2),
+                            pair_symbol("other", 3))
+    buffer = ClientBuffer()
+    buffer.ingest([_key(TagCategory.MAN, 1, 0), _key(TagCategory.WOMAN, 2, 0),
+                   _key(TagCategory.OTHER, 3, 1), _key(TagCategory.MAN, 1, 2)])
+    assert buffer.prune_through(1) == 2
+    assert (buffer.base, buffer.next_seq) == (2, 4)
+    assert buffer.trace == other3 + man1
+    # The next batch, a double read in it, follows the unacked rest.
+    double = _key(TagCategory.WOMAN, 2, 5)
+    assert buffer.ingest([double, _key(TagCategory.MAN, 1, 5), double]) == [
+        double, _key(TagCategory.MAN, 1, 5)]
+    assert (buffer.base, buffer.next_seq) == (2, 6)
+    assert buffer.trace == other3 + man1 + woman2 + man1
+    assert buffer.runs() == [(KeyValuePair("man", 1), [3, 5]),
+                             (KeyValuePair("other", 3), [2]),
+                             (KeyValuePair("woman", 2), [4])]
+    # A second ack inside the range, then one past the top.
+    assert buffer.prune_through(3) == 2
+    assert (buffer.base, buffer.next_seq, buffer.trace) == (
+        4, 6, woman2 + man1)
+    assert buffer.runs() == [(KeyValuePair("man", 1), [5]),
+                             (KeyValuePair("woman", 2), [4])]
+    assert buffer.prune_through(99) == 2
+    assert (buffer.base, buffer.next_seq, buffer.trace) == (6, 6, "")
+
+
 def test_reading_source_releases_by_time():
-    stream = [_reading(TagCategory.MAN, 1, 10),
-              _reading(TagCategory.WOMAN, 2, 20),
-              _reading(TagCategory.OTHER, 3, 20)]
+    stream = [_key(TagCategory.MAN, 1, 10),
+              _key(TagCategory.WOMAN, 2, 20),
+              _key(TagCategory.OTHER, 3, 20)]
     source = ListReadingSource(stream)
     assert source.injected_count() == 3
     assert source.take_due(9.9) == []
@@ -469,9 +509,9 @@ def test_leader_cycle_aborts_below_minimum():
 
 
 def test_leader_cycle_matches_oracle_on_generated_stream():
-    readings, _ = generate_stream(VisitorModel(seed=11, visitor_count=120),
-                                  30_000)
-    deduped = dedupe_readings(readings)
+    keys, _ = generate_stream(VisitorModel(seed=11, visitor_count=120),
+                              30_000)
+    deduped = dedupe_readings(map(key_reading, keys))
     submissions = []
     for origin in (1, 2, 3, 4):
         chunk = deduped[origin - 1::4]
@@ -1129,10 +1169,10 @@ def test_assignment_count_must_match_the_runs():
 
 def test_buffer_prune_clamps_to_issued_sequences():
     buffer = ClientBuffer()
-    buffer.ingest([_reading(TagCategory.MAN, 1, t) for t in range(3)])
+    buffer.ingest([_key(TagCategory.MAN, 1, t) for t in range(3)])
     assert buffer.prune_through(10 ** 6) == 3
     assert buffer.committed_through == 2
-    buffer.ingest([_reading(TagCategory.WOMAN, 2, t) for t in range(3, 6)])
+    buffer.ingest([_key(TagCategory.WOMAN, 2, t) for t in range(3, 6)])
     # A later honest ack still prunes what it covers.
     assert buffer.prune_through(4) == 2
     assert buffer.committed_through == 4
@@ -1210,7 +1250,7 @@ def test_forged_announcement_does_not_redirect_a_follower(tmp_path, sender,
 def test_forged_outcome_from_a_non_leader_is_dropped():
     events = []
     node = _idle_node(events, NodePhase.AWAITING_RESULT, leader=False)
-    node.buffer.ingest([_reading(TagCategory.MAN, 1, t) for t in range(3)])
+    node.buffer.ingest([_key(TagCategory.MAN, 1, t) for t in range(3)])
     success = build_success(3, 0, {1: 2})
     abort = Message(kind=MessageKind.CYCLE_ABORT, sender=3, cycle_id=0,
                     payload=b"reason=min_responding")

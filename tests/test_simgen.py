@@ -2,19 +2,26 @@
 
 The generator must be a pure function of its model: same seed, same
 stream.  The ledger is ground truth for fault tests, so its alignment
-with the emitted readings and its duplicate flags get checked exactly.
-``probe_generate_stream`` below keeps the generator as it was before
-the next-free-slot map, probing a set one millisecond at a time; the
-generator must reproduce it reading for reading.
+with the emitted reading keys and its duplicate flags get checked
+exactly.  ``probe_generate_stream`` below keeps the generator as it was
+before the next-free-slot map, probing a set one millisecond at a time;
+the generator must reproduce it reading for reading, key for key.
 """
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdmw.domain import CountMode, TagCategory
+from crowdmw.domain import (
+    MAX_ROOM,
+    CountMode,
+    TagCategory,
+    key_reading,
+    reading_key,
+)
 from crowdmw.mapreduce import sequential_oracle
 from crowdmw.simgen import (
     GenerationLedger,
@@ -76,6 +83,10 @@ def probe_generate_stream(model, duration_ms):
     return [e.to_reading() for e in entries], entries
 
 
+def _keys(readings):
+    return [reading_key(reading) for reading in readings]
+
+
 def _model(**overrides):
     base = dict(seed=7, visitor_count=40)
     base.update(overrides)
@@ -96,11 +107,11 @@ def test_different_seeds_differ():
 
 
 def test_ledger_aligned_with_readings():
-    readings, ledger = generate_stream(_model(), 5_000)
-    assert len(readings) == len(ledger)
-    for index, (reading, entry) in enumerate(zip(readings, ledger)):
+    keys, ledger = generate_stream(_model(), 5_000)
+    assert len(keys) == len(ledger)
+    for index, (key, entry) in enumerate(zip(keys, ledger)):
         assert entry.sequence == index
-        assert entry.to_reading() == reading
+        assert reading_key(entry.to_reading()) == key
 
 
 def test_duplicates_share_slot_with_original():
@@ -124,17 +135,17 @@ def test_non_duplicates_unique_on_dedupe_key():
 
 
 def test_dedupe_recovers_exactly_the_non_duplicates():
-    readings, ledger = generate_stream(
+    keys, ledger = generate_stream(
         _model(visitor_count=150, double_read_rate=0.15), 10_000)
-    kept = dedupe_readings(readings)
-    expected = [e.to_reading() for e in ledger.non_duplicates()]
-    assert sorted(kept, key=lambda r: (r.timestamp, r.tag.value, r.room)) == \
-        sorted(expected, key=lambda r: (r.timestamp, r.tag.value, r.room))
+    # A buffer keeps the first of equal keys, in stream order.
+    kept = list(dict.fromkeys(keys))
+    assert kept == _keys(e.to_reading() for e in ledger.non_duplicates())
+    assert _keys(dedupe_readings(map(key_reading, keys))) == kept
 
 
 def test_expected_counts_match_oracle():
-    readings, ledger = generate_stream(_model(visitor_count=80), 8_000)
-    deduped = dedupe_readings(readings)
+    keys, ledger = generate_stream(_model(visitor_count=80), 8_000)
+    deduped = dedupe_readings(map(key_reading, keys))
     for mode in CountMode:
         assert ledger.expected_counts(mode) == sequential_oracle(deduped, mode)
 
@@ -235,11 +246,11 @@ def test_generator_matches_probing_generator(model, duration):
         # In a one-room museum the old walk drew its second room from
         # an empty list; the walk now ends in its only room instead.
         assert model.rooms == 1
-        readings, ledger = generate_stream(model, duration)
-        assert {r.room for r in readings} == {1}
+        _, ledger = generate_stream(model, duration)
+        assert {e.room for e in ledger} == {1}
         return
-    readings, ledger = generate_stream(model, duration)
-    assert readings == expected
+    keys, ledger = generate_stream(model, duration)
+    assert keys == _keys(expected)
     assert ledger.entries == entries
 
 
@@ -250,33 +261,60 @@ def _saturated(visitors):
                         rooms=2, double_read_rate=0.0)
 
 
-def _assert_lanes_dense(readings):
+def _assert_lanes_dense(ledger):
     for room in (1, 2):
-        stamps = sorted(r.timestamp for r in readings if r.room == room)
+        stamps = sorted(e.timestamp for e in ledger if e.room == room)
         assert stamps == list(range(len(stamps)))
 
 
 def test_saturated_lanes_match_probing_generator():
-    readings, ledger = generate_stream(_saturated(1_500), 1)
-    assert (readings, ledger.entries) == probe_generate_stream(
-        _saturated(1_500), 1)
-    _assert_lanes_dense(readings)
+    keys, ledger = generate_stream(_saturated(1_500), 1)
+    expected, entries = probe_generate_stream(_saturated(1_500), 1)
+    assert (keys, ledger.entries) == (_keys(expected), entries)
+    _assert_lanes_dense(ledger)
 
 
 def test_saturated_lanes_cost_linear_time():
     # The probing generator walks a lane from its start on every visit,
     # about 10**8 steps here; the slot map jumps to the lane's end.
-    readings, _ = generate_stream(_saturated(20_000), 1)
-    assert len(readings) == 20_000
-    _assert_lanes_dense(readings)
+    keys, ledger = generate_stream(_saturated(20_000), 1)
+    assert len(keys) == 20_000
+    _assert_lanes_dense(ledger)
 
 
 def test_one_room_walk_ends_in_its_room():
-    readings, ledger = generate_stream(
+    keys, ledger = generate_stream(
         _model(visitor_count=50, rooms=1, double_read_rate=0.0), 5_000)
-    assert {r.room for r in readings} == {1}
+    assert {e.room for e in ledger} == {1}
     # Arrivals fall inside the stream, so every visitor reads once.
-    assert len(readings) == 50
+    assert len(keys) == 50
+
+
+# -- set-up does not grow with the square of the room count -------------------
+
+
+def test_walk_matches_table_choice_at_300_rooms():
+    # The probe draws each room with rng.choice from the list of the
+    # other rooms, a row of the table the generator no longer builds.
+    model = _model(visitor_count=200, rooms=300, double_read_rate=0.1)
+    keys, ledger = generate_stream(model, 8_000)
+    expected, entries = probe_generate_stream(model, 8_000)
+    assert (keys, ledger.entries) == (_keys(expected), entries)
+    assert max(e.room for e in ledger) > 250
+
+
+def test_max_room_stream_needs_no_room_table():
+    # A table per room (or per lane) would hold ~10**11 entries here.
+    model = VisitorModel(seed=1, visitor_count=50, rooms=MAX_ROOM)
+    tracemalloc.start()
+    try:
+        _, ledger = generate_stream(model, 4_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ledger) > 50
+    assert max(e.room for e in ledger) > MAX_ROOM // 2
+    assert peak < 5 * 2 ** 20
 
 
 # -- the ledger builds entries on demand --------------------------------------
