@@ -286,43 +286,29 @@ class ListReadingSource:
 # ---------------------------------------------------------------------------
 
 
-# A trace holds only pair symbols (see ``domain.pair_symbol``).
-_NOT_SYMBOL = re.compile("[\x00-;\ud800-\udfff]")
+# A submission part: its four fields in this order, origin, i, n and
+# base as canonical decimals (ASCII digits, no sign, space, ``_`` or
+# leading zero), and a trace of pair symbols (see ``domain.pair_symbol``)
+# that runs to the end of the payload.
+_SUBMISSION = re.compile(
+    "origin=(0|[1-9][0-9]*);part=(0|[1-9][0-9]*)/(0|[1-9][0-9]*);"
+    "base=(0|[1-9][0-9]*);trace=([^\x00-;\ud800-\udfff]*)")
 
-# The fixed field order of a submission part.
-_SUBMIT_FIELDS = ("origin=", "part=", "base=", "trace=")
 
+def _parse_submission(payload: bytes) -> tuple[int, int, int, int, str]:
+    """A submission part as (origin, i, n, base, trace).
 
-def _submission_fields(payload: bytes) -> list[str]:
-    """A submission part's origin, part, base and trace texts.
-
-    The fields come in one order, and the trace runs to the end of the
-    payload, so a ';' in it is a non-symbol, not a field separator.
+    Reading base + j has symbol j of the trace.  The base and the
+    part's last sequence are at most MAX_PAIR_COUNT.
     """
-    chunks = payload.decode("utf-8").split(";", 3)
-    if len(chunks) != 4 or not all(map(str.startswith, chunks,
-                                       _SUBMIT_FIELDS)):
+    match = _SUBMISSION.fullmatch(payload.decode("utf-8"))
+    if match is None:
         raise ValueError("not a submission part")
-    return [chunk[len(name):] for chunk, name in zip(chunks, _SUBMIT_FIELDS)]
-
-
-def _parse_entries(base_text: str, trace: str) -> tuple[int, str]:
-    """A part's entries as (base, trace): reading base + j has symbol j.
-
-    The base is canonical decimal, as run counts are: ASCII digits
-    without a sign, a space, ``_`` or a leading zero.  The base and the
-    part's last sequence are at most MAX_PAIR_COUNT, and every symbol
-    encodes a visitor pair.
-    """
-    if not (base_text.isascii() and base_text.isdigit()
-            and (base_text[0] != "0" or base_text == "0")):
-        raise ValueError(f"non-canonical base: {base_text!r}")
+    origin, index, total, base_text, trace = match.groups()
     base = int(base_text)
     if max(base, base + len(trace) - 1) > MAX_PAIR_COUNT:
         raise ValueError(f"sequences past {MAX_PAIR_COUNT}")
-    if _NOT_SYMBOL.search(trace):
-        raise ValueError("trace holds a non-symbol")
-    return base, trace
+    return int(origin), int(index), int(total), base, trace
 
 
 def _parse_fields(payload: bytes) -> dict[str, str]:
@@ -630,6 +616,10 @@ _TIMER_PRIORITY = {"slot": 0, "ping": 1, "collect": 2, "consolidate": 3}
 
 # Event-line names, so logging a datagram skips the enum descriptors.
 _KIND_NAMES = {kind: kind.name.lower() for kind in MessageKind}
+
+# Phases in which a leader files submission parts.
+_SUBMIT_PHASES = frozenset({NodePhase.COLLECTING, NodePhase.SUBMITTING,
+                            NodePhase.CONSOLIDATING})
 
 # Kinds a node acts on only from its confirmed leader's address.
 _FROM_LEADER = frozenset({MessageKind.SEGMENT_ASSIGN,
@@ -970,26 +960,21 @@ class Node:
         slot = self._slot
         if not slot.is_leader or message.cycle_id != self.cycle_id:
             return
-        if self.phase not in (NodePhase.COLLECTING, NodePhase.SUBMITTING,
-                              NodePhase.CONSOLIDATING):
+        if self.phase not in _SUBMIT_PHASES:
             return
         try:
-            origin_text, part_text, base_text, trace = _submission_fields(
+            origin, index, total, base, trace = _parse_submission(
                 message.payload)
-            origin = int(origin_text)
-            index_str, total_str = part_text.split("/")
-            index, total = int(index_str), int(total_str)
-            entries = _parse_entries(base_text, trace)
             # A node submits its own readings only, from the address it
             # registered (the header's sender is whatever it claims).
             if not (slot.origin_addresses.get(origin) == source
-                    and 0 <= index < total):
+                    and index < total):
                 raise ValueError("not the origin's submission part")
         except ValueError:
             self._log(now, f"malformed_submit from={message.sender}")
             return
         submission, fresh = _file_part(slot.submissions, origin, total,
-                                       index, entries)
+                                       index, (base, trace))
         # Only a part that completes its submission can complete the
         # expected set; a repeat of a stored part changes nothing.
         if fresh and submission.complete():
@@ -1217,6 +1202,10 @@ class Node:
         self._log(now, f"recv kind={_KIND_NAMES[message.kind]} "
                        f"from={message.sender} cycle={message.cycle_id}")
         kind = message.kind
+        # The busiest kind first: one datagram per submission part.
+        if kind is MessageKind.DATA_SUBMIT:
+            self._on_data_submit(message, source, now)
+            return
         if kind is MessageKind.PING:
             # Always answer: availability is phase-independent.
             self.endpoint.send(source, election.pong_for(message,
@@ -1253,9 +1242,7 @@ class Node:
             self._log(now, f"not_leader kind={_KIND_NAMES[kind]} "
                            f"from={message.sender}")
             return
-        if kind is MessageKind.DATA_SUBMIT:
-            self._on_data_submit(message, source, now)
-        elif kind is MessageKind.SEGMENT_ASSIGN:
+        if kind is MessageKind.SEGMENT_ASSIGN:
             self._on_segment_assign(message, now)
         elif kind is MessageKind.REDUCE_RESULT:
             self._on_reduce_result(message, source, now)

@@ -6,11 +6,13 @@ Wire format, big-endian, 12-byte header::
 
 A whole datagram never exceeds 8192 bytes.  The simulated backend
 delivers through a seeded virtual network (loss, uniform latency,
-reordering, never duplication) on a virtual clock, handing each frame
-to its endpoint's handler; the UDP backend uses real sockets on a
-wall clock, and its endpoints are polled with ``recv_from``.  Node
-code uses only ``address``, ``send`` and ``close``, which both
-endpoint types share.
+reordering, never duplication) on a virtual clock, handing the
+sender's immutable message to its endpoint's handler; the UDP backend
+uses real sockets on a wall clock, and its endpoints are polled with
+``recv_from``.  Both backends encode each message once at send, for
+its checks and its byte count; only bytes that arrive from outside, a
+UDP socket's, are decoded.  Node code uses only ``address``, ``send``
+and ``close``, which both endpoint types share.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import random
 import socket
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from crowdmw.clock import VirtualClock
 from crowdmw.domain import MiddlewareError
@@ -60,19 +62,23 @@ class MessageKind(enum.IntEnum):
 _KINDS = {int(kind): kind for kind in MessageKind}
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One protocol datagram; payload semantics depend on kind."""
 
     kind: MessageKind
     sender: int
     cycle_id: int
     payload: bytes = b""
-    version: int = WIRE_VERSION
 
 
 def encode_message(message: Message) -> bytes:
-    """Serialize a message to datagram bytes."""
+    """Serialize a message to datagram bytes, always of ``WIRE_VERSION``.
+
+    It refuses every message that ``decode_message`` would not give
+    back, so a message that passes may be delivered as it is.
+    """
+    if type(message.kind) is not MessageKind:
+        raise ValueError(f"kind {message.kind!r} is not a MessageKind")
     if len(message.payload) > MAX_PAYLOAD:
         raise PayloadTooLarge(
             f"payload of {len(message.payload)} bytes exceeds {MAX_PAYLOAD}"
@@ -82,8 +88,8 @@ def encode_message(message: Message) -> bytes:
     if not 0 <= message.cycle_id < 2 ** 32:
         raise ValueError(f"cycle_id {message.cycle_id} outside uint32 range")
     header = _HEADER.pack(
-        message.version,
-        int(message.kind),
+        WIRE_VERSION,
+        message.kind,
         message.sender,
         message.cycle_id,
         len(message.payload),
@@ -152,9 +158,11 @@ class SimulatedNetwork:
 
     Every send draws from one seeded RNG in send order, so a run is a
     pure function of (config, send sequence).  Messages are dropped or
-    reordered, never duplicated or corrupted.  In-flight frames are
-    ``(due_ms, seq, dest, src, frame)`` tuples in a heap; ``seq`` is
-    unique, so ordering never looks past it.
+    reordered, never duplicated or corrupted.  A send encodes its
+    message for the codec's checks and the frame's length, which sets
+    its transmission cost; the message itself flies.  In-flight
+    messages are ``(due_ms, seq, dest, src, message)`` tuples in a
+    heap; ``seq`` is unique, so ordering never looks past it.
     """
 
     def __init__(self, config: NetConfig, clock: VirtualClock) -> None:
@@ -163,7 +171,7 @@ class SimulatedNetwork:
         self._rng = random.Random(config.seed)
         self._loss_rate = config.loss_rate
         self._endpoints: dict[str, "SimEndpoint"] = {}
-        self._in_flight: list[tuple[float, int, str, str, bytes]] = []
+        self._in_flight: list[tuple[float, int, str, str, Message]] = []
         self._seq = 0
         self._partitions: list[tuple[frozenset[str], float, float]] = []
         self.sent = 0
@@ -198,15 +206,16 @@ class SimulatedNetwork:
     # -- traffic ------------------------------------------------------------
 
     def _send(self, src: "SimEndpoint", dest: str, message: Message) -> None:
-        frame = encode_message(message)
+        size = len(encode_message(message))
         now = self.clock.now_ms()
         self.sent += 1
-        if self._partitioned(src.address, dest, now) or (
+        if (self._partitions
+                and self._partitioned(src.address, dest, now)) or (
             self._loss_rate > 0.0 and self._rng.random() < self._loss_rate
         ):
             self.dropped += 1
             return
-        tx_ms = len(frame) * self.config.transmission_us_per_byte / 1000.0
+        tx_ms = size * self.config.transmission_us_per_byte / 1000.0
         depart = max(now, src.next_free_ms) + tx_ms
         src.next_free_ms = depart
         low, high = self.config.latency_ms
@@ -214,7 +223,7 @@ class SimulatedNetwork:
         self._seq += 1
         heapq.heappush(
             self._in_flight,
-            (depart + latency, self._seq, dest, src.address, frame),
+            (depart + latency, self._seq, dest, src.address, message),
         )
 
     def next_due_ms(self) -> Optional[float]:
@@ -222,7 +231,7 @@ class SimulatedNetwork:
 
     def dispatch_next(self) -> None:
         """Advance the clock to the next in-flight message and land it."""
-        due_ms, _, dest, src, frame = heapq.heappop(self._in_flight)
+        due_ms, _, dest, src, message = heapq.heappop(self._in_flight)
         self.clock.advance_to(due_ms)
         endpoint = self._endpoints.get(dest)
         if endpoint is None or endpoint.closed:
@@ -230,13 +239,13 @@ class SimulatedNetwork:
             self.dropped += 1
             return
         self.delivered += 1
-        endpoint.handler(decode_message(frame), src)
+        endpoint.handler(message, src)
 
 
 class SimEndpoint:
     """One bound address on the simulated network.
 
-    The network hands every frame that lands here to ``handler``,
+    The network hands every message that lands here to ``handler``,
     which whoever drives the endpoint sets before traffic flows.
     """
 

@@ -294,3 +294,44 @@ def test_on_message_never_raises(kind):
                 store.close()
 
     check()
+
+
+# -- canonical submission fields ----------------------------------------------
+
+
+# Each names node 2's part 0 of 1 to ``int``, so only its spelling lies.
+@pytest.mark.parametrize("origin, part", [
+    pytest.param("+2", "0/1", id="origin-plus"),
+    pytest.param(" 2", "0/1", id="origin-leading-space"),
+    pytest.param("2 ", "0/1", id="origin-trailing-space"),
+    pytest.param("02", "0/1", id="origin-leading-zero"),
+    pytest.param("0_2", "0/1", id="origin-underscore"),
+    pytest.param("\u0662", "0/1", id="origin-arabic-indic-digit"),
+    pytest.param("\uff12", "0/1", id="origin-fullwidth-digit"),
+    pytest.param("2", "+0/1", id="index-plus"),
+    pytest.param("2", " 0/1", id="index-leading-space"),
+    pytest.param("2", "00/1", id="index-leading-zero"),
+    pytest.param("2", "\u0660/1", id="index-arabic-indic-digit"),
+    pytest.param("2", "0/+1", id="total-plus"),
+    pytest.param("2", "0/1 ", id="total-trailing-space"),
+    pytest.param("2", "0/01", id="total-leading-zero"),
+    pytest.param("2", "0/0_1", id="total-underscore"),
+    pytest.param("2", "0/\u0661", id="total-arabic-indic-digit"),
+])
+def test_non_canonical_origin_or_part_is_malformed(origin, part, tmp_path):
+    store = JournalStore(str(tmp_path / "canonical.journal"))
+    try:
+        cluster = SimCluster(ScenarioConfig(**CLUSTER), store)
+        cluster.start()
+        cluster.run(1000.0)
+        leader = cluster.nodes[3]
+        assert leader._slot.is_leader and leader._slot.submissions == {}
+        leader.on_message(
+            Message(kind=MessageKind.DATA_SUBMIT, sender=2, cycle_id=0,
+                    payload=f"origin={origin};part={part};base=0;"
+                            f"trace=<".encode()),
+            SOURCES[MessageKind.DATA_SUBMIT], cluster.clock.now_ms())
+    finally:
+        store.close()
+    assert cluster.events[-1].endswith(" node=3 malformed_submit from=2")
+    assert leader._slot.submissions == {}

@@ -33,8 +33,7 @@ from crowdmw.runtime import (
     ListReadingSource,
     _chunk,
     _file_part,
-    _parse_entries,
-    _submission_fields,
+    _parse_submission,
     build_submission_parts,
     consolidate_runs,
     pair_symbol,
@@ -151,11 +150,17 @@ def per_reading_parts(origin, base, trace, max_entries_per_part):
     return payloads
 
 
+def canonical_decimal(text):
+    """The value of decimal text that ``str`` would write back as is."""
+    value = int(text)
+    if value < 0 or str(value) != text:
+        raise ValueError(f"non-canonical decimal: {text!r}")
+    return value
+
+
 def per_reading_parse(base_text, trace):
     """A part's (pair, sequence) entries, checked one reading at a time."""
-    base = int(base_text)
-    if base < 0 or str(base) != base_text:
-        raise ValueError(f"non-canonical base: {base_text!r}")
+    base = canonical_decimal(base_text)
     if base > MAX_PAIR_COUNT:
         raise ValueError("base too large")
     entries = []
@@ -243,10 +248,10 @@ def test_submission_payloads_match_per_entry_build(base, trace, cap, origin):
     assert all(m.sender == origin and m.cycle_id == 7 for m in messages)
     assert all(len(payload) <= MAX_PAYLOAD for payload in payloads)
     # The leader's parse gives back the range, part by part.
-    parts = []
-    for payload in payloads:
-        _, _, base_text, part_trace = _submission_fields(payload)
-        parts.append(_parse_entries(base_text, part_trace))
+    parsed = [_parse_submission(payload) for payload in payloads]
+    assert [fields[:3] for fields in parsed] == [
+        (origin, index, len(payloads)) for index in range(len(payloads))]
+    parts = [fields[3:] for fields in parsed]
     assert "".join(part for _, part in parts) == trace
     assert expand_parts(parts) == expand_parts([(base, trace)])
 
@@ -277,6 +282,12 @@ ENTRY_TEXT = st.one_of(
 )
 
 
+def _payload(origin, index, total, base, trace):
+    """Part text with these fields; a lone surrogate stays undecodable."""
+    return (f"origin={origin};part={index}/{total};base={base};"
+            f"trace={trace}").encode("utf-8", "surrogatepass")
+
+
 def _outcome(parse, *args):
     try:
         return parse(*args)
@@ -291,14 +302,31 @@ def _outcome(parse, *args):
 @example(base_text=str(MAX_PAIR_COUNT + 1), trace="")
 def test_parse_entries_matches_per_entry_parse(base_text, trace):
     old = _outcome(per_reading_parse, base_text, trace)
-    new = _outcome(_parse_entries, base_text, trace)
+    new = _outcome(_parse_submission, _payload("2", "0", "1", base_text,
+                                               trace))
     if old is ValueError:
         assert new is ValueError
         return
-    assert new == (int(base_text), trace)
-    assert expand_parts([new]) == old
+    assert new == (2, 0, 1, int(base_text), trace)
+    assert expand_parts([new[3:]]) == old
     # Every entry is a visitor pair: a tag and a room >= 1.
     assert all(pair.key in TAG_KEYS and pair.value > 0 for pair, _ in old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(origin=BASE_TEXT, index=BASE_TEXT, total=BASE_TEXT)
+@example(origin="\u0662", index="0", total="1")
+@example(origin="2", index="0", total="0_1")
+def test_parse_submission_takes_canonical_origin_and_part(origin, index,
+                                                          total):
+    new = _outcome(_parse_submission, _payload(origin, index, total, "0",
+                                               "<"))
+    try:
+        fields = tuple(map(canonical_decimal, (origin, index, total)))
+    except ValueError:
+        assert new is ValueError
+        return
+    assert new == (*fields, 0, "<")
 
 
 # -- consolidation ------------------------------------------------------------

@@ -40,8 +40,8 @@ from crowdmw.runtime import (
     NodePhase,
     PHASE_EDGES,
     _file_part,
-    _parse_entries,
     _parse_fields,
+    _parse_submission,
     _reduce_both,
     build_assignment_parts,
     build_reduce_result,
@@ -247,8 +247,15 @@ def _reassemble(messages, body, header=lambda fields: ()):
 
 
 def _reassemble_submission(messages):
-    holder = _reassemble(messages, lambda fields: _parse_entries(
-        fields["base"], fields["trace"]))
+    """A submission's entries, as a leader files its parts."""
+    sets = {}
+    for message in messages:
+        origin, index, total, base, trace = _parse_submission(
+            message.payload)
+        _, fresh = _file_part(sets, origin, total, index, (base, trace))
+        assert fresh
+    (holder,) = sets.values()
+    assert holder.complete() and holder.total == len(messages)
     return _expand(holder.ordered())
 
 
@@ -582,23 +589,29 @@ def test_reduce_check_merge_refuses_unconserved_partials():
 # -- validation survives the pair caches ----------------------------------
 
 
+def _parse_part(base, trace):
+    """(base, trace) of a part of node 2 with these fields."""
+    return _parse_submission(
+        f"origin=2;part=0/1;base={base};trace={trace}".encode())[3:]
+
+
 @pytest.mark.parametrize("item", ["Room0=1@1", "x=1@1", "man =1@1",
                                   "man=-1@1", "man=True@1", "man1@1"])
 def test_parse_entries_rejects_before_and_after_caching(item):
     # Wire v2 entry text is no trace: each holds a digit, below the
     # symbol table, whether or not its other symbols were decoded.
     with pytest.raises(ValueError):
-        _parse_entries("0", item)
+        _parse_part("0", item)
     for symbol in item:
         if symbol > ";":
             symbol_pair(symbol)
     with pytest.raises(ValueError):
-        _parse_entries("0", item)
+        _parse_part("0", item)
     valid = pair_symbol("man", 1) + pair_symbol("other", 1)
-    assert _expand([_parse_entries("7", valid)]) == [
+    assert _expand([_parse_part("7", valid)]) == [
         (KeyValuePair("man", 1), 7), (KeyValuePair("other", 1), 8)]
     with pytest.raises(ValueError):
-        _parse_entries("7", valid + item)
+        _parse_part("7", valid + item)
 
 
 def test_parse_entries_many_distinct_keys_stay_bounded():
@@ -607,7 +620,7 @@ def test_parse_entries_many_distinct_keys_stay_bounded():
 
     count = 20_000
     trace = "".join(pair_symbol("man", room) for room in range(1, count + 1))
-    entries = _expand([_parse_entries("1", trace)])
+    entries = _expand([_parse_part("1", trace)])
     assert entries == [(KeyValuePair("man", room), room)
                        for room in range(1, count + 1)]
     for cached in (runtime.pair_symbol, runtime.symbol_pair):

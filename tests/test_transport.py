@@ -1,6 +1,7 @@
 """Wire codec and simulated network behaviour."""
 
 import random
+import socket
 
 import pytest
 
@@ -110,6 +111,50 @@ def test_simulated_delivery_and_latency_bounds():
     network.dispatch_next()
     assert clock.now_ms() == due
     assert received == [(message, "a:1")]
+
+
+def test_simulated_receiver_gets_the_senders_message():
+    network, _ = _network()
+    a = network.open("a:1")
+    _, received = _open(network, "b:1")
+    message = Message(kind=MessageKind.DATA_SUBMIT, sender=1, cycle_id=7,
+                      payload=b"origin=1;part=0/1;base=0;trace=<")
+    a.send("b:1", message)
+    _drain(network)
+    assert received == [(message, "a:1")]
+    # The same object: the network delivers it without a decode.
+    assert received[0][0] is message
+
+
+@pytest.mark.parametrize("message, error", [
+    (Message(kind=MessageKind.DATA_SUBMIT, sender=1, cycle_id=0,
+             payload=b"x" * (MAX_PAYLOAD + 1)), PayloadTooLarge),
+    (Message(kind=MessageKind.PING, sender=2 ** 32, cycle_id=0), ValueError),
+    (Message(kind=MessageKind.PING, sender=1, cycle_id=2 ** 32), ValueError),
+    (Message(kind=int(MessageKind.PING), sender=1, cycle_id=0), ValueError),
+], ids=["oversized-payload", "sender-2**32", "cycle-2**32", "int-kind"])
+def test_simulated_send_refuses_what_the_codec_refuses(message, error):
+    network, _ = _network(tx=15.0)
+    a = network.open("a:1")
+    _open(network, "b:1")
+    with pytest.raises(error):
+        a.send("b:1", message)
+    assert network.next_due_ms() is None
+    assert (network.sent, network.dropped) == (0, 0)
+    assert a.next_free_ms == 0.0
+
+
+def test_transmission_cost_is_the_frame_length():
+    us_per_byte = 15.0
+    network, _ = _network(tx=us_per_byte)
+    a = network.open("a:1")
+    _open(network, "b:1")
+    payload = b"origin=1;part=0/1;base=0;trace=<"
+    step = (HEADER_LEN + len(payload)) * us_per_byte / 1000.0
+    for expected in (step, step + step):
+        a.send("b:1", Message(kind=MessageKind.DATA_SUBMIT, sender=1,
+                              cycle_id=0, payload=payload))
+        assert a.next_free_ms == expected
 
 
 def test_loss_rate_statistics():
@@ -222,4 +267,27 @@ def test_udp_recv_from_socket_closed_under_it_reads_nothing():
         endpoint._sock.close()
         assert endpoint.recv_from(timeout_ms=10.0) is None
     finally:
+        endpoint.close()
+
+
+def test_udp_recv_from_reads_bad_datagrams_as_nothing():
+    # Bytes from outside are decoded: a short datagram, a v2 frame and
+    # a payload shorter than its header says each read as nothing, and
+    # the next good frame still arrives.
+    endpoint = UdpNetwork(NetConfig()).open()
+    raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        raw.bind(("127.0.0.1", 0))
+        host, port = endpoint.address.rsplit(":", 1)
+        good = encode_message(Message(kind=MessageKind.PONG, sender=2,
+                                      cycle_id=1, payload=b"abcd"))
+        for bad in (good[:HEADER_LEN - 1], bytes([2]) + good[1:], good[:-1]):
+            raw.sendto(bad, (host, int(port)))
+            assert endpoint.recv_from(timeout_ms=2000.0) is None
+        raw.sendto(good, (host, int(port)))
+        got = endpoint.recv_from(timeout_ms=2000.0)
+        assert got == (decode_message(good),
+                       f"127.0.0.1:{raw.getsockname()[1]}")
+    finally:
+        raw.close()
         endpoint.close()
