@@ -18,7 +18,6 @@ backends; each takes the network to work on.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 import os
@@ -307,13 +306,16 @@ def route_readings(keys: Iterable[int], node_ids: Sequence[int]
                    ) -> dict[int, list[int]]:
     """Assign each reading key's room to a node, round-robin, keeping order."""
     targets: list[list[int]] = [[] for _ in node_ids]
-
-    @functools.cache
-    def target(code: int) -> int:
-        return (key_reading(code).room - 1) % len(targets)
-
+    # A symbol code's target list's append, filled on first use.
+    appends: dict[int, Callable[[int], None]] = {}
     for key in keys:
-        targets[target(key & SYMBOL_MASK)].append(key)
+        try:
+            appends[key & SYMBOL_MASK](key)
+        except KeyError:
+            code = key & SYMBOL_MASK
+            target = targets[(key_reading(code).room - 1) % len(targets)]
+            appends[code] = target.append
+            target.append(key)
     return dict(zip(sorted(node_ids), targets))
 
 

@@ -4,10 +4,11 @@ Models badge-wearing visitors walking a small set of rooms: each
 visitor gets a category from the tag mix, enters at a random time,
 then random-walks rooms (never re-entering the room just left) with a
 uniform dwell per room.  Readers fire on entry only.  At a small rate
-the paired doorway antenna double-reads a pass; those extra readings
-are flagged in the ledger so downstream dedupe can be verified
-exactly.  Everything is a pure function of the model, so one seed
-always yields one stream.
+the paired doorway antenna double-reads a pass.  The ledger holds the
+stream's keys; distinct visits never share a key, so a repeated key is
+the double read, and downstream dedupe can be verified exactly.
+Everything is a pure function of the model, so one seed always yields
+one stream.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import bisect
 import collections
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -50,6 +52,9 @@ class VisitorModel:
     double_read_rate: float = 0.02
 
     def __post_init__(self) -> None:
+        if len(self.tag_mix) != len(_MIX_ORDER):
+            raise ValueError(f"tag_mix needs {len(_MIX_ORDER)} weights "
+                             f"(man, woman, other), got {self.tag_mix}")
         if self.visitor_count < 0:
             raise ValueError("visitor_count must be >= 0")
         if self.rooms < 1:
@@ -149,20 +154,25 @@ def generate_stream(model: VisitorModel,
 
     A visit takes the first free millisecond of its (tag, room) lane at
     or after its arrival.  Lanes are numbered ``tag * (rooms + 1) +
-    room`` and a slot is ``timestamp * lanes + lane``, so a lane's next
-    millisecond is ``slot + lanes``.  ``after`` maps each taken slot to
-    a later slot of its lane with every slot between them taken; a
-    probe follows it and points the slots it passed at the slot after
-    the one it takes, so a run of taken slots is crossed once, not once
-    per visit that lands on it.  A room has no other room to walk to
-    when the museum has one room, so such a walk ends there.
+    room`` and a millisecond's bucket holds the lanes taken in it, so
+    one lookup places a visit whose lane is free.  A slot is
+    ``timestamp * lanes + lane``, so a lane's next millisecond is
+    ``slot + lanes``.  ``after`` maps a slot that a probe crossed to a
+    later slot of its lane with every slot between them taken.  A probe
+    from a taken slot follows it (one millisecond on where it has no
+    entry) to a bucket that lacks the lane, then points the slots it
+    passed at the slot after the one it takes, so a run of taken slots
+    is crossed once, not once per visit that lands on it.  A room has
+    no other room to walk to when the museum has one room, so such a
+    walk ends there.
 
     The stream is ordered by (timestamp, visitor, ordinal).  A reading
     is filed in its millisecond's bucket as its lane when it is drawn,
     in that order within the millisecond, so the buckets in time order
-    are the stream with no sort.  Nothing is built per room or lane in
-    advance.  Rooms and walk lengths are the ``getrandbits`` draws of
-    ``Random.choice`` and ``randint`` (``_randbelow``), inlined.
+    are the stream with no sort; each is dropped as its keys are
+    emitted.  Nothing is built per room or lane in advance.  Rooms and
+    walk lengths are the ``getrandbits`` draws of ``Random.choice`` and
+    ``randint`` (``_randbelow``), inlined.
     """
     if duration_ms < 1:
         raise ValueError("duration_ms must be >= 1")
@@ -171,51 +181,64 @@ def generate_stream(model: VisitorModel,
     rooms = model.rooms
     lanes = len(_MIX_ORDER) * (rooms + 1)
     # Running sums of the mix: a roll picks the first category whose sum
-    # exceeds it, the last one if rounding leaves the roll past them all.
-    cumulative = list(itertools.accumulate(model.tag_mix[:len(_MIX_ORDER)]))
+    # exceeds it.  The last sum is open-ended, so a roll that rounding
+    # leaves past them all picks the last category.
+    cumulative = [*itertools.accumulate(model.tag_mix[:-1]), math.inf]
     walks = 2 * rooms
     walk_bits = walks.bit_length()
+    room_bits = rooms.bit_length()
+    others = rooms - 1
+    other_bits = others.bit_length()
     low, high = model.dwell_ms
+    span = high - low
+    double_read_rate = model.double_read_rate
+    rand = rng.random
     after: dict[int, int] = {}
     # by_ms[timestamp] files each reading of that millisecond as its
     # lane, in draw order; a double read files its lane twice.
     by_ms: dict[int, list[int]] = collections.defaultdict(list)
 
     for _ in range(model.visitor_count):
-        tag = min(bisect.bisect_right(cumulative, rng.random()),
-                  len(_MIX_ORDER) - 1)
+        base = (rooms + 1) * bisect.bisect_right(cumulative, rand())
         # rng.uniform(a, b) is a + (b - a) * random(): the same draws.
-        at = duration_ms * rng.random()
+        at = duration_ms * rand()
         steps = getrandbits(walk_bits)
         while steps >= walks:
             steps = getrandbits(walk_bits)
-        room = 0
-        for _ in range(1 + steps):
-            # The walk goes to any room but the one it is in (0: outside).
-            count = rooms - 1 if room else rooms
-            if at >= duration_ms or not count:
-                break
-            draw = getrandbits(count.bit_length())
-            while draw >= count:
-                draw = getrandbits(count.bit_length())
-            # Draw d picks the (d + 1)th of those rooms in order.
-            draw += 1
-            room = draw + (0 < room <= draw)
-            lane = tag * (rooms + 1) + room
-            slot = int(at) * lanes + lane
-            passed = []
-            while (later := after.get(slot)) is not None:
-                passed.append(slot)
-                slot = later
-            for taken in passed:
-                after[taken] = slot + lanes
-            after[slot] = slot + lanes
-            timestamp = slot // lanes
-            bucket = by_ms[timestamp]
+        # The first step enters from outside, so any room will do.  It
+        # starts before duration_ms: a float below 1 times an integer
+        # below 2**53 rounds to below that integer.
+        room = getrandbits(room_bits)
+        while room >= rooms:
+            room = getrandbits(room_bits)
+        room += 1
+        while True:
+            lane = base + room
+            bucket = by_ms[int(at)]
+            if lane in bucket:
+                slot = int(at) * lanes + lane
+                passed = []
+                while lane in bucket:
+                    passed.append(slot)
+                    slot = after.get(slot, slot + lanes)
+                    bucket = by_ms[slot // lanes]
+                beyond = slot + lanes
+                for taken in passed:
+                    after[taken] = beyond
             bucket.append(lane)
-            if rng.random() < model.double_read_rate:
+            if rand() < double_read_rate:
                 bucket.append(lane)
-            at += low + (high - low) * rng.random()
+            at += low + span * rand()
+            if not steps or at >= duration_ms or not others:
+                break
+            steps -= 1
+            # Any room but this one: draw d picks the (d + 1)th of them.
+            draw = getrandbits(other_bits)
+            while draw >= others:
+                draw = getrandbits(other_bits)
+            draw += 1
+            room = draw + (room <= draw)
+    after.clear()
 
     @functools.cache
     def code(lane: int) -> int:
@@ -225,7 +248,7 @@ def generate_stream(model: VisitorModel,
     keys: list[int] = []
     for timestamp in sorted(by_ms):
         keys += map((timestamp << KEY_SHIFT).__or__,
-                    map(code, by_ms[timestamp]))
+                    map(code, by_ms.pop(timestamp)))
     return keys, GenerationLedger(keys)
 
 

@@ -12,6 +12,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdmw import harness
 from crowdmw.domain import (
@@ -212,6 +214,24 @@ def test_route_readings_round_robin_by_room():
             source = ListReadingSource(node)
             assert key not in source.take_due(timestamp - 0.5)
             assert key in source.take_due(float(timestamp))
+
+
+_READINGS = st.builds(SensorReading, tag=st.sampled_from(TagCategory),
+                      room=st.integers(1, MAX_ROOM),
+                      timestamp=st.integers(0, 10**6))
+
+
+@given(readings=st.lists(_READINGS, max_size=60),
+       node_ids=st.sets(st.integers(1, 100), min_size=1, max_size=7))
+@settings(max_examples=200, deadline=None)
+def test_route_readings_matches_per_key_reference(readings, node_ids):
+    keys = [reading_key(reading) for reading in readings]
+    order = sorted(node_ids)
+    expected = {node_id: [] for node_id in order}
+    for key in keys:
+        room = key_reading(key).room
+        expected[order[(room - 1) % len(order)]].append(key)
+    assert route_readings(keys, list(node_ids)) == expected
 
 
 def test_build_workload_fixture_lands_on_lowest_id():

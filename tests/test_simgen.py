@@ -9,6 +9,7 @@ the generator must reproduce it reading for reading, key for key.
 """
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -189,6 +190,11 @@ def test_model_validation():
         VisitorModel(seed=0, visitor_count=1, rooms=0)
     with pytest.raises(ValueError):
         VisitorModel(seed=0, visitor_count=1, tag_mix=(0.5, 0.5, 0.5))
+    # Weights map to man, woman, other: with two, other is never
+    # drawn; a fourth weight's share would fall to other.
+    for tag_mix in ((0.5, 0.5), (0.25, 0.25, 0.25, 0.25)):
+        with pytest.raises(ValueError, match="3 weights"):
+            VisitorModel(seed=0, visitor_count=1, tag_mix=tag_mix)
     with pytest.raises(ValueError):
         VisitorModel(seed=0, visitor_count=1, dwell_ms=(0, 10))
     with pytest.raises(ValueError):
@@ -282,6 +288,24 @@ def test_saturated_lanes_cost_linear_time():
     _assert_lanes_dense(ledger)
 
 
+def test_crowded_milliseconds_match_probing_generator():
+    # Six lanes share a 200 ms window, so probes run far past it across
+    # milliseconds that other lanes hold, and half the readings double,
+    # filing their lane twice in one bucket.
+    model = VisitorModel(seed=5, visitor_count=3_000, rooms=2,
+                         double_read_rate=0.5)
+    keys, ledger = generate_stream(model, 200)
+    expected, entries = probe_generate_stream(model, 200)
+    assert (keys, ledger.entries) == (_keys(expected), entries)
+    late = [e for e in ledger if e.timestamp >= 200 and not e.is_duplicate]
+    assert len(late) > len(ledger) // 3
+    lanes_late = {}
+    for e in late:
+        lanes_late.setdefault(e.timestamp, set()).add((e.tag, e.room))
+    assert max(map(len, lanes_late.values())) >= 4
+    assert len(keys) - len(set(keys)) > len(keys) // 4
+
+
 def test_one_room_walk_ends_in_its_room():
     keys, ledger = generate_stream(
         _model(visitor_count=50, rooms=1, double_read_rate=0.0), 5_000)
@@ -315,6 +339,22 @@ def test_max_room_stream_needs_no_room_table():
     assert len(ledger) > 50
     assert max(e.room for e in ledger) > MAX_ROOM // 2
     assert peak < 5 * 2 ** 20
+
+
+def test_stream_memory_stays_near_its_keys():
+    # crowd-peak's density (15 000 visitors over 14 000 ms) at a third
+    # of its size.  A map with an entry per reading, next to the
+    # millisecond buckets, would put the peak past 4x the keys.
+    model = VisitorModel(seed=1, visitor_count=5_000, rooms=4)
+    tracemalloc.start()
+    try:
+        keys, _ = generate_stream(model, 14_000 // 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sys.getsizeof(keys) + sum(map(sys.getsizeof, keys))
+    assert len(keys) > 4 * model.visitor_count
+    assert peak < 2 * size
 
 
 # -- the ledger builds entries on demand --------------------------------------
