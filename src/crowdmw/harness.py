@@ -2,18 +2,17 @@
 
 A scenario is a plain-text file of ``key=value`` lines describing the
 cluster (size, cycle timing, network behaviour, workload) plus any
-number of ``fault=`` lines injecting failures at given times.  Each
-backend has one driver.  On the simulated backend ``SimCluster``
-executes the whole cluster on one virtual clock and receives every
-datagram through the handler it sets on each endpoint, so a run is a
-pure function of the scenario and seed: the same inputs produce
-byte-identical event logs and CSV reports.  On the UDP backend each
-node runs ``runtime.drive_node`` in its own thread over a loopback
-socket, and one lock lets one node handler or one fault run at a time;
-it exists to show the protocol works on a real transport, and makes
-no determinism promise.  One builder (``build_nodes``) wires the nodes
-and one applier (``apply_fault``) injects the faults for both
-backends; each takes the network to work on.
+number of ``fault=`` lines injecting failures at given times.  One
+event loop, ``SimCluster``, runs both backends on one thread: it orders
+faults and node timers by time, waits for each through its network,
+and receives every datagram through the handler it sets on each
+endpoint.  On the simulated backend the clock is virtual and datagrams
+are scheduled occurrences too, so a run is a pure function of the
+scenario and seed: the same inputs produce byte-identical event logs
+and CSV reports.  On the UDP backend the clock is the wall clock and
+the wait is a ``selectors`` wait on the nodes' loopback sockets; it
+exists to show the protocol works on a real transport, and makes no
+determinism promise.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import heapq
 import math
 import os
 import random
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -39,12 +37,7 @@ from crowdmw.domain import (
     key_reading,
     reading_key,
 )
-from crowdmw.runtime import (
-    CycleConfig,
-    ListReadingSource,
-    Node,
-    drive_node,
-)
+from crowdmw.runtime import CycleConfig, ListReadingSource, Node
 from crowdmw.store import JournalStore
 from crowdmw.transport import (
     Message,
@@ -341,7 +334,7 @@ def build_workload(config: ScenarioConfig) -> tuple[
 
 
 # ---------------------------------------------------------------------------
-# Cluster wiring and faults, shared by both backends.
+# The cluster's event loop.
 # ---------------------------------------------------------------------------
 
 class Ingested(list):
@@ -356,43 +349,6 @@ class Ingested(list):
 
 
 IngestRecord = dict[int, Ingested]
-
-
-def build_nodes(config: ScenarioConfig, store: JournalStore,
-                network: SimulatedNetwork | UdpNetwork, *,
-                address: str, event_sink: Callable[[str], None]
-                ) -> tuple[dict[int, Node], dict[int, ListReadingSource],
-                           IngestRecord, Optional[simgen.GenerationLedger]]:
-    """Build the scenario's nodes on ``network``, with their workload.
-
-    Each node binds ``address`` formatted with its ``node_id`` and is
-    pre-registered at t=0, so the first slot already sees the full
-    membership.  Returns the nodes, their reading sources, the ingest
-    record every node appends to, and the generation ledger.
-    """
-    cycle_config = config.cycle_config()
-    routed, ledger = build_workload(config)
-    nodes: dict[int, Node] = {}
-    sources: dict[int, ListReadingSource] = {}
-    ingested: IngestRecord = {node_id: Ingested()
-                              for node_id in config.node_ids()}
-
-    for node_id in config.node_ids():
-        endpoint = network.open(address.format(node_id=node_id))
-        source = ListReadingSource(routed[node_id])
-        node = Node(
-            node_id, cycle_config, endpoint, store, source,
-            rng=random.Random((config.seed << 16) ^ node_id),
-            override=config.override_leader,
-            event_sink=event_sink,
-            max_entries_per_part=config.entries_per_part,
-        )
-        node.ingest_listener = ingested[node_id].extend
-        nodes[node_id] = node
-        sources[node_id] = source
-        election.register_node(store, node_id, endpoint.address, 0,
-                               cycle_config.liveness_window_ms)
-    return nodes, sources, ingested, ledger
 
 
 def _leader_id(store: JournalStore) -> Optional[int]:
@@ -413,48 +369,24 @@ def _current_leader(nodes: dict[int, Node],
     return max(live) if live else None
 
 
-def apply_fault(fault: FaultSpec, now: float, nodes: dict[int, Node],
-                store: JournalStore, network: SimulatedNetwork | UdpNetwork,
-                log: Callable[[str], None]) -> Optional[int]:
-    """Apply one fault at ``now``; the id of the node it killed, if any.
-
-    Killing a node that is already dead does nothing.  A partition
-    needs a SimulatedNetwork; the UDP backend refuses it up front.
-    """
-    target = None
-    if fault.kind == "kill_leader":
-        target = _current_leader(nodes, store)
-    elif fault.kind == "kill_node":
-        target = fault.node_id
-    elif fault.kind == "set_loss":
-        network.set_loss_rate(fault.rate)
-        log(f"t={now:.3f} node=0 set_loss rate={fault.rate}")
-    elif fault.kind == "partition":
-        addresses = frozenset(nodes[n].endpoint.address
-                              for n in fault.nodes if n in nodes)
-        network.add_partition(addresses, now, now + fault.duration_ms)
-        ids = ",".join(str(n) for n in sorted(fault.nodes))
-        log(f"t={now:.3f} node=0 partition nodes={ids} "
-            f"until={now + fault.duration_ms:.3f}")
-    if target not in nodes or nodes[target].killed:
-        return None
-    nodes[target].kill()
-    log(f"t={now:.3f} node={target} killed")
-    return target
-
-
-# ---------------------------------------------------------------------------
-# Simulated cluster driver.
-# ---------------------------------------------------------------------------
-
-
 class SimCluster:
-    """Single-threaded executor for a whole cluster on a virtual clock.
+    """Single-threaded executor for a whole cluster, on either backend.
+
+    ``config.backend`` picks the clock and network: a virtual clock and
+    ``SimulatedNetwork``, or the wall clock and ``UdpNetwork``.  The
+    name predates the UDP backend and stays, because benchmarks and
+    tools bind it.
 
     Every pending occurrence (fault, datagram delivery, node timer) is
     globally ordered by time; ties break faults first, deliveries
     second, timers last, then lowest node id.  One occurrence runs per
-    step, so any run is exactly reproducible.
+    step, so a simulated run is exactly reproducible.  A fault or timer
+    first waits for its time through ``network.wait_until``: on the
+    simulated network that moves the clock, and its deliveries are
+    occurrences of their own; on UDP it delivers what arrives in the
+    meantime, and after any delivery the step starts over, since a
+    handler may have moved a deadline.  A node is only ever touched
+    from this loop, so a kill never lands inside a handler.
 
     Node timers sit in one heap of ``(deadline, node_id)`` beside each
     node's last known deadline; an entry whose deadline no longer
@@ -471,23 +403,48 @@ class SimCluster:
     def __init__(self, config: ScenarioConfig, store: JournalStore) -> None:
         self.config = config
         self.store = store
-        self.clock = VirtualClock()
-        self.network = SimulatedNetwork(config.net_config(), self.clock)
+        if config.backend is TransportMode.UDP:
+            self.clock = WallClock()
+            self.network = UdpNetwork(config.net_config(), self.clock)
+            address = "127.0.0.1:0"
+        else:
+            self.clock = VirtualClock()
+            self.network = SimulatedNetwork(config.net_config(), self.clock)
+            address = "node{node_id}:7000"
         self.events: list[str] = []
         self._faults = sorted(config.faults, key=lambda f: f.at_ms)
         self._fault_cursor = 0
         self._last_progress_ms = 0.0
         self._timer_heap: list[tuple[float, int]] = []
         self._deadlines: dict[int, Optional[float]] = {}
-        self.nodes, self.sources, self.ingested, self.ledger = build_nodes(
-            config, store, self.network, address="node{node_id}:7000",
-            event_sink=self._sink)
-        for node in self.nodes.values():
-            node.endpoint.handler = (
+        cycle_config = config.cycle_config()
+        routed, self.ledger = build_workload(config)
+        self.nodes: dict[int, Node] = {}
+        self.sources: dict[int, ListReadingSource] = {}
+        self.ingested: IngestRecord = {}
+        # Each node is pre-registered at t=0, so the first slot already
+        # sees the full membership.
+        for node_id in config.node_ids():
+            endpoint = self.network.open(address.format(node_id=node_id))
+            source = ListReadingSource(routed[node_id])
+            node = Node(
+                node_id, cycle_config, endpoint, store, source,
+                rng=random.Random((config.seed << 16) ^ node_id),
+                override=config.override_leader,
+                event_sink=self._sink,
+                max_entries_per_part=config.entries_per_part,
+            )
+            self.ingested[node_id] = Ingested()
+            node.ingest_listener = self.ingested[node_id].extend
+            endpoint.handler = (
                 lambda message, src, bound=node: self._deliver(
                     bound, message, src
                 )
             )
+            self.nodes[node_id] = node
+            self.sources[node_id] = source
+            election.register_node(store, node_id, endpoint.address, 0,
+                                   cycle_config.liveness_window_ms)
 
     def _sink(self, line: str) -> None:
         self.events.append(line)
@@ -498,6 +455,31 @@ class SimCluster:
     def _deliver(self, node: Node, message: Message, src: str) -> None:
         node.on_message(message, src, self.clock.now_ms())
         self._refresh(node.node_id)
+
+    def _apply_fault(self, fault: FaultSpec) -> None:
+        """Apply one fault now; killing a node that is dead does nothing."""
+        now, nodes, log = self.clock.now_ms(), self.nodes, self._sink
+        target = None
+        if fault.kind == "kill_leader":
+            target = _current_leader(nodes, self.store)
+        elif fault.kind == "kill_node":
+            target = fault.node_id
+        elif fault.kind == "set_loss":
+            self.network.set_loss_rate(fault.rate)
+            log(f"t={now:.3f} node=0 set_loss rate={fault.rate}")
+        elif fault.kind == "partition":
+            addresses = frozenset(nodes[n].endpoint.address
+                                  for n in fault.nodes if n in nodes)
+            self.network.add_partition(addresses, now,
+                                       now + fault.duration_ms)
+            ids = ",".join(str(n) for n in sorted(fault.nodes))
+            log(f"t={now:.3f} node=0 partition nodes={ids} "
+                f"until={now + fault.duration_ms:.3f}")
+        if target not in nodes or nodes[target].killed:
+            return
+        nodes[target].kill()
+        log(f"t={now:.3f} node={target} killed")
+        self._refresh(target)
 
     # -- occurrence scheduling ------------------------------------------
 
@@ -537,34 +519,32 @@ class SimCluster:
     def run(self, until_ms: float) -> None:
         """Execute occurrences strictly before ``until_ms``."""
         budget = self.DEADLOCK_FACTOR * self.config.cycle_duration_ms
+        wait_until = self.network.wait_until
         for node_id in self.nodes:
             self._refresh(node_id)
         while True:
             occurrence = self._next_occurrence()
             if occurrence is None or occurrence[0] >= until_ms:
-                break
+                if wait_until(until_ms):
+                    return
+                continue
             at, kind, node_id = occurrence
             if at - self._last_progress_ms > budget:
                 raise ScenarioDeadlock(
                     f"no cycle outcome between {self._last_progress_ms:.0f}"
                     f" and {at:.0f} ms"
                 )
-            if kind == 0:
-                self.clock.advance_to(at)
+            if kind == 1:
+                self.network.dispatch_next()
+            elif not wait_until(at):
+                continue
+            elif kind == 0:
                 fault = self._faults[self._fault_cursor]
                 self._fault_cursor += 1
-                killed = apply_fault(fault, self.clock.now_ms(), self.nodes,
-                                     self.store, self.network, self._sink)
-                if killed is not None:
-                    self._refresh(killed)
-            elif kind == 1:
-                self.network.dispatch_next()
+                self._apply_fault(fault)
             else:
-                self.clock.advance_to(at)
                 self.nodes[node_id].advance(at)
                 self._refresh(node_id)
-        if until_ms > self.clock.now_ms():
-            self.clock.advance_to(until_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -797,12 +777,6 @@ def _reconcile(store: JournalStore, cluster_nodes: dict[int, Node],
 # ---------------------------------------------------------------------------
 
 
-def run_scenario(config: ScenarioConfig, store_path: str) -> ScenarioReport:
-    if config.backend is TransportMode.SIMULATED:
-        return _run_simulated(config, store_path)
-    return _run_udp(config, store_path)
-
-
 def _build_report(config: ScenarioConfig, store: JournalStore,
                   events: list[str], nodes: dict[int, Node],
                   sources: dict[int, ListReadingSource],
@@ -824,64 +798,18 @@ def _build_report(config: ScenarioConfig, store: JournalStore,
     )
 
 
-def _run_simulated(config: ScenarioConfig,
-                   store_path: str) -> ScenarioReport:
+def run_scenario(config: ScenarioConfig, store_path: str) -> ScenarioReport:
     store = JournalStore(store_path)
     try:
         cluster = SimCluster(config, store)
-        cluster.start()
-        cluster.run(float(config.cycles * config.cycle_duration_ms))
+        try:
+            cluster.start()
+            cluster.run(float(config.cycles * config.cycle_duration_ms))
+        finally:
+            cluster.network.close()
         return _build_report(config, store, cluster.events, cluster.nodes,
                              cluster.sources, cluster.ingested,
                              cluster.ledger)
-    finally:
-        store.close()
-
-
-def _run_udp(config: ScenarioConfig, store_path: str) -> ScenarioReport:
-    if any(f.kind == "partition" for f in config.faults):
-        raise ConfigError("partition faults need the simulated backend")
-    store = JournalStore(store_path)
-    clock = WallClock()
-    network = UdpNetwork(config.net_config())
-    events: list[str] = []
-    nodes, sources, ingested, ledger = build_nodes(
-        config, store, network, address="127.0.0.1:0",
-        event_sink=events.append)
-    # One node handler or one fault runs at a time, and every event
-    # line and ingest is written under this lock.
-    lock = threading.Lock()
-    stop = threading.Event()
-    threads = [
-        threading.Thread(target=drive_node, args=(node,),
-                         kwargs={"clock": clock, "stop": stop, "lock": lock},
-                         daemon=True)
-        for node in nodes.values()
-    ]
-
-    def fire(fault: FaultSpec) -> None:
-        with lock:
-            apply_fault(fault, clock.now_ms(), nodes, store, network,
-                        events.append)
-
-    timers = [threading.Timer(fault.at_ms / 1000.0, fire, args=(fault,))
-              for fault in config.faults]
-    for thread in threads:
-        thread.start()
-    for timer in timers:
-        timer.start()
-    stop.wait(config.cycles * config.cycle_duration_ms / 1000.0)
-    stop.set()
-    for timer in timers:
-        timer.cancel()
-    for thread in threads:
-        thread.join(timeout=5.0)
-    for node in nodes.values():
-        if not node.killed:
-            node.endpoint.close()
-    try:
-        return _build_report(config, store, events, nodes, sources,
-                             ingested, ledger)
     finally:
         store.close()
 

@@ -692,8 +692,8 @@ class Node:
     """One middleware node: event-driven, single logical actor.
 
     Drive it by calling ``on_message`` and ``advance``; ``next_deadline``
-    exposes the earliest pending timer so a driver (simulated cluster
-    or blocking loop) knows how long it may wait.
+    exposes the earliest pending timer so whatever runs the node
+    (``SimCluster``, on either backend) knows how long it may wait.
     """
 
     def __init__(self, node_id: NodeId, config: CycleConfig, endpoint,
@@ -1251,35 +1251,3 @@ class Node:
         elif kind is MessageKind.CYCLE_ABORT:
             self._on_cycle_abort(message, now)
 
-
-def drive_node(node: Node, *, clock, stop, lock) -> Node:
-    """Blocking receive-and-fire loop around an already-built node.
-
-    Runs until ``stop`` (a threading.Event) is set or the node is
-    killed.  ``lock`` is held around every call into the node, and
-    whatever kills the node from another thread holds it too, so a
-    kill never lands inside a handler; only the wait for a datagram
-    runs outside it.
-    """
-    with lock:
-        if node.killed:
-            return node
-        node.start(clock.now_ms())
-    while not stop.is_set():
-        with lock:
-            if node.killed:
-                break
-            deadline = node.next_deadline()
-        now = clock.now_ms()
-        timeout = 50.0 if deadline is None else max(deadline - now, 0.0)
-        try:
-            received = node.endpoint.recv_from(min(timeout, 100.0))
-        except MiddlewareError:
-            break
-        with lock:
-            if node.killed:
-                break
-            if received is not None:
-                node.on_message(received[0], received[1], clock.now_ms())
-            node.advance(clock.now_ms())
-    return node

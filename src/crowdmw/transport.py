@@ -8,11 +8,13 @@ A whole datagram never exceeds 8192 bytes.  The simulated backend
 delivers through a seeded virtual network (loss, uniform latency,
 reordering, never duplication) on a virtual clock, handing the
 sender's immutable message to its endpoint's handler; the UDP backend
-uses real sockets on a wall clock, and its endpoints are polled with
-``recv_from``.  Both backends encode each message once at send, for
-its checks and its byte count; only bytes that arrive from outside, a
-UDP socket's, are decoded.  Node code uses only ``address``, ``send``
-and ``close``, which both endpoint types share.
+uses real sockets on a wall clock, and hands each datagram that
+arrives while its ``wait_until`` waits to the handler of the endpoint
+it reached.  Loss and partitions apply at send on both.  Both
+backends encode each message once at send, for its checks and its
+byte count; only bytes that arrive from outside, a UDP socket's, are
+decoded.  Node code uses only ``address``, ``send`` and ``close``,
+which both endpoint types share.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from __future__ import annotations
 import enum
 import heapq
 import random
+import selectors
 import socket
 import struct
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from crowdmw.clock import VirtualClock
+from crowdmw.clock import VirtualClock, WallClock
 from crowdmw.domain import MiddlewareError
 
 WIRE_VERSION = 3
@@ -149,11 +152,56 @@ class NetConfig:
 
 
 # ---------------------------------------------------------------------------
+# Faults both backends apply at send.
+# ---------------------------------------------------------------------------
+
+
+class _FaultyNetwork:
+    """Loss and partitions, drawn at send, with the send counters.
+
+    A send checks the partitions first and draws from the seeded RNG
+    only when the loss rate is positive, so a lossless run draws
+    nothing here.
+    """
+
+    def __init__(self, config: NetConfig) -> None:
+        self.config = config
+        self._rng = random.Random(config.seed)
+        self._loss_rate = config.loss_rate
+        self._partitions: list[tuple[frozenset[str], float, float]] = []
+        self.sent = 0
+        self.delivered = 0
+        self.dropped = 0
+
+    def set_loss_rate(self, rate: float) -> None:
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"loss_rate {rate} outside [0, 1]")
+        self._loss_rate = rate
+
+    def add_partition(self, addresses: frozenset[str], start_ms: float,
+                      end_ms: float) -> None:
+        """Drop traffic crossing the given address set during [start, end)."""
+        self._partitions.append((addresses, start_ms, end_ms))
+
+    def _lost(self, src: str, dest: str, now: float) -> bool:
+        """Count one send; True if a partition or the loss rate drops it."""
+        self.sent += 1
+        for group, start, end in self._partitions:
+            if start <= now < end and (src in group) != (dest in group):
+                self.dropped += 1
+                return True
+        if self._loss_rate > 0.0 and self._rng.random() < self._loss_rate:
+            self.dropped += 1
+            return True
+        return False
+
+
+# ---------------------------------------------------------------------------
 # Simulated backend.
 # ---------------------------------------------------------------------------
 
 
-class SimulatedNetwork:
+class SimulatedNetwork(_FaultyNetwork):
     """Deterministic in-process network on a virtual clock.
 
     Every send draws from one seeded RNG in send order, so a run is a
@@ -166,17 +214,11 @@ class SimulatedNetwork:
     """
 
     def __init__(self, config: NetConfig, clock: VirtualClock) -> None:
-        self.config = config
+        super().__init__(config)
         self.clock = clock
-        self._rng = random.Random(config.seed)
-        self._loss_rate = config.loss_rate
         self._endpoints: dict[str, "SimEndpoint"] = {}
         self._in_flight: list[tuple[float, int, str, str, Message]] = []
         self._seq = 0
-        self._partitions: list[tuple[frozenset[str], float, float]] = []
-        self.sent = 0
-        self.delivered = 0
-        self.dropped = 0
 
     # -- wiring -------------------------------------------------------------
 
@@ -187,33 +229,16 @@ class SimulatedNetwork:
         self._endpoints[address] = endpoint
         return endpoint
 
-    def set_loss_rate(self, rate: float) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"loss_rate {rate} outside [0, 1]")
-        self._loss_rate = rate
-
-    def add_partition(self, addresses: frozenset[str], start_ms: float,
-                      end_ms: float) -> None:
-        """Drop traffic crossing the given address set during [start, end)."""
-        self._partitions.append((addresses, start_ms, end_ms))
-
-    def _partitioned(self, src: str, dest: str, now: float) -> bool:
-        for group, start, end in self._partitions:
-            if start <= now < end and (src in group) != (dest in group):
-                return True
-        return False
+    def close(self) -> None:
+        for endpoint in self._endpoints.values():
+            endpoint.close()
 
     # -- traffic ------------------------------------------------------------
 
     def _send(self, src: "SimEndpoint", dest: str, message: Message) -> None:
         size = len(encode_message(message))
         now = self.clock.now_ms()
-        self.sent += 1
-        if (self._partitions
-                and self._partitioned(src.address, dest, now)) or (
-            self._loss_rate > 0.0 and self._rng.random() < self._loss_rate
-        ):
-            self.dropped += 1
+        if self._lost(src.address, dest, now):
             return
         tx_ms = size * self.config.transmission_us_per_byte / 1000.0
         depart = max(now, src.next_free_ms) + tx_ms
@@ -228,6 +253,11 @@ class SimulatedNetwork:
 
     def next_due_ms(self) -> Optional[float]:
         return self._in_flight[0][0] if self._in_flight else None
+
+    def wait_until(self, at: float) -> bool:
+        """Move the clock to ``at``; datagrams land through ``dispatch_next``."""
+        self.clock.advance_to(at)
+        return True
 
     def dispatch_next(self) -> None:
         """Advance the clock to the next in-flight message and land it."""
@@ -278,29 +308,66 @@ def _split_address(address: str) -> tuple[str, int]:
     return host, int(port)
 
 
-class UdpNetwork:
-    """Real-socket backend; loss injection still applies sender-side."""
+class UdpNetwork(_FaultyNetwork):
+    """Real sockets on a wall clock, all waited on through one selector.
 
-    def __init__(self, config: NetConfig) -> None:
-        self.config = config
-        self._rng = random.Random(config.seed)
-        self._loss_rate = config.loss_rate
+    Loss and partitions apply at send, as in the simulated backend.
+    ``wait_until`` is the only place datagrams are read: each one that
+    arrives is decoded and handed to its endpoint's handler.
+    """
+
+    def __init__(self, config: NetConfig, clock: WallClock) -> None:
+        super().__init__(config)
+        self.clock = clock
+        self._selector = selectors.DefaultSelector()
 
     def open(self, address: str = "127.0.0.1:0") -> "UdpEndpoint":
         host, port = _split_address(address)
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.bind((host, port))
-        return UdpEndpoint(self, sock)
+        sock.setblocking(False)
+        endpoint = UdpEndpoint(self, sock)
+        self._selector.register(sock, selectors.EVENT_READ, endpoint)
+        return endpoint
 
-    def set_loss_rate(self, rate: float) -> None:
-        self._loss_rate = rate
+    def close(self) -> None:
+        for key in list(self._selector.get_map().values()):
+            key.data.close()
+        self._selector.close()
 
-    def _drop(self) -> bool:
-        return self._loss_rate > 0.0 and self._rng.random() < self._loss_rate
+    def next_due_ms(self) -> Optional[float]:
+        # Arrivals are not scheduled; ``wait_until`` hands them over.
+        return None
+
+    def wait_until(self, at: float) -> bool:
+        """Deliver what arrives before ``at``, in one wait at most.
+
+        True once ``at`` has come, at once and without reading anything
+        if it already has; False after a delivery, whose handler may
+        have moved the caller's deadlines.
+        """
+        timeout_ms = at - self.clock.now_ms()
+        if timeout_ms <= 0:
+            return True
+        ready = self._selector.select(timeout_ms / 1000.0)
+        for key, _ in ready:
+            endpoint = key.data
+            try:
+                data, peer = endpoint._sock.recvfrom(MAX_DATAGRAM * 2)
+                message = decode_message(data)
+            except (OSError, Malformed):
+                # No datagram after all, an ICMP error, or bad bytes.
+                continue
+            self.delivered += 1
+            endpoint.handler(message, f"{peer[0]}:{peer[1]}")
+        return not ready and self.clock.now_ms() >= at
 
 
 class UdpEndpoint:
-    """One bound UDP socket speaking the datagram wire format."""
+    """One bound, non-blocking UDP socket speaking the wire format.
+
+    Its network hands every datagram that arrives to ``handler``.
+    """
 
     def __init__(self, network: UdpNetwork, sock: socket.socket) -> None:
         self.network = network
@@ -308,12 +375,14 @@ class UdpEndpoint:
         host, port = sock.getsockname()[:2]
         self.address = f"{host}:{port}"
         self.closed = False
+        self.handler: Optional[Callable[[Message, str], None]] = None
 
     def send(self, dest: str, message: Message) -> None:
         if self.closed:
             raise EndpointClosed(f"endpoint {self.address} is closed")
         frame = encode_message(message)
-        if self.network._drop():
+        network = self.network
+        if network._lost(self.address, dest, network.clock.now_ms()):
             return
         try:
             self._sock.sendto(frame, _split_address(dest))
@@ -321,23 +390,10 @@ class UdpEndpoint:
             # Unreachable peers look like loss, as UDP intends.
             pass
 
-    def recv_from(self, timeout_ms: float) -> Optional[tuple[Message, str]]:
-        if self.closed:
-            raise EndpointClosed(f"endpoint {self.address} is closed")
-        try:
-            # Inside the try: a socket closed under this call raises
-            # OSError (EBADF), which reads as nothing received, as does
-            # a timeout (socket.timeout is an OSError).
-            self._sock.settimeout(max(timeout_ms, 0.0) / 1000.0 or 0.000001)
-            data, peer = self._sock.recvfrom(MAX_DATAGRAM * 2)
-        except OSError:
-            return None
-        try:
-            message = decode_message(data)
-        except Malformed:
-            return None
-        return message, f"{peer[0]}:{peer[1]}"
-
     def close(self) -> None:
+        if self.closed:
+            return
         self.closed = True
+        self.handler = None
+        self.network._selector.unregister(self._sock)
         self._sock.close()

@@ -1378,8 +1378,8 @@ def test_leader_check_keeps_other_traffic(tmp_path):
 
 
 def test_live_override_is_checked_whatever_later_registrations_say(tmp_path):
-    # Node 9 registered later than node 1's clock reads (nodes on
-    # threads over one store).  At t=4000 node 1 counts node 2 as live
+    # Node 9 registered later than node 1's clock reads (nodes whose
+    # clocks disagree over one store, as on separate devices).  At t=4000 node 1 counts node 2 as live
     # (0 + 4000 >= 4000); re-checking liveness at node 9's 4100 instead
     # dropped node 2 and raised because the override was not live.
     from crowdmw import election

@@ -1,11 +1,12 @@
-"""Wire codec and simulated network behaviour."""
+"""Wire codec and both networks' behaviour."""
 
 import random
 import socket
+import time
 
 import pytest
 
-from crowdmw.clock import VirtualClock
+from crowdmw.clock import VirtualClock, WallClock
 from crowdmw.transport import (
     HEADER_LEN,
     MAX_PAYLOAD,
@@ -242,52 +243,105 @@ def test_send_to_closed_endpoint_is_silent_drop():
     assert network.delivered == 0
 
 
+def _udp_pair():
+    """A UDP network with two endpoints, each recording what reaches it."""
+    network = UdpNetwork(NetConfig(), WallClock())
+    endpoints, received = [], []
+    for _ in range(2):
+        endpoint = network.open()
+        got = []
+        endpoint.handler = lambda message, src, got=got: got.append(
+            (message, src))
+        endpoints.append(endpoint)
+        received.append(got)
+    return network, endpoints, received
+
+
 def test_udp_roundtrip_over_loopback():
-    network = UdpNetwork(NetConfig())
-    a = network.open()
-    b = network.open()
+    network, (a, b), (_, received) = _udp_pair()
     try:
         message = Message(kind=MessageKind.PONG, sender=2, cycle_id=1,
                           payload=b"feedbeeffeedbeef")
         a.send(b.address, message)
-        got = b.recv_from(timeout_ms=2000.0)
-        assert got is not None
-        assert got[0] == message
-        assert got[1] == a.address
+        deadline = network.clock.now_ms() + 2000.0
+        while not received and not network.wait_until(deadline):
+            pass
+        assert received == [(message, a.address)]
+        assert (network.sent, network.dropped, network.delivered) == (1, 0, 1)
     finally:
-        a.close()
-        b.close()
+        network.close()
+    assert a.closed and b.closed
 
 
-def test_udp_recv_from_socket_closed_under_it_reads_nothing():
-    # A kill closes the socket while the node's thread waits to
-    # receive: the wait ends with nothing received, not with EBADF.
-    endpoint = UdpNetwork(NetConfig()).open()
+def test_udp_wait_until_a_passed_time_returns_before_traffic():
+    # A due fault or timer goes first: with a datagram pending, a wait
+    # for a time already passed reads nothing; the next wait delivers.
+    network, (a, b), (_, received) = _udp_pair()
     try:
-        endpoint._sock.close()
-        assert endpoint.recv_from(timeout_ms=10.0) is None
+        a.send(b.address, Message(kind=MessageKind.PING, sender=1,
+                                  cycle_id=0))
+        time.sleep(0.05)
+        now = network.clock.now_ms()
+        assert network.wait_until(now - 1) is True
+        assert received == []
+        assert network.wait_until(now + 500) is False
+        assert [message.kind for message, _ in received] == [
+            MessageKind.PING]
     finally:
-        endpoint.close()
+        network.close()
+
+
+def test_udp_partition_and_loss_apply_at_send():
+    network, (a, b), (_, received) = _udp_pair()
+    try:
+        now = network.clock.now_ms()
+        network.add_partition(frozenset({a.address}), now, now + 60_000)
+        a.send(b.address, Message(kind=MessageKind.PING, sender=1,
+                                  cycle_id=0))
+        network.set_loss_rate(1.0)
+        network.open().send(b.address, Message(kind=MessageKind.PING,
+                                               sender=3, cycle_id=0))
+        assert network.wait_until(network.clock.now_ms() + 100) is True
+        assert received == []
+        assert (network.sent, network.dropped, network.delivered) == (2, 2, 0)
+    finally:
+        network.close()
+
+
+@pytest.mark.parametrize("backend", ["sim", "udp"])
+def test_set_loss_rate_outside_unit_interval_is_refused(backend):
+    if backend == "sim":
+        network = SimulatedNetwork(NetConfig(), VirtualClock())
+    else:
+        network = UdpNetwork(NetConfig(), WallClock())
+    try:
+        for rate in (1.5, -0.1):
+            with pytest.raises(ValueError):
+                network.set_loss_rate(rate)
+    finally:
+        network.close()
 
 
 def test_udp_recv_from_reads_bad_datagrams_as_nothing():
-    # Bytes from outside are decoded: a short datagram, a v2 frame and
-    # a payload shorter than its header says each read as nothing, and
-    # the next good frame still arrives.
-    endpoint = UdpNetwork(NetConfig()).open()
+    # Bytes from outside are decoded where a socket is read: a short
+    # datagram, a v2 frame and a payload shorter than its header says
+    # reach no handler, and the next good frame still arrives.
+    network, (endpoint, _), (received, _) = _udp_pair()
     raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
         raw.bind(("127.0.0.1", 0))
         host, port = endpoint.address.rsplit(":", 1)
         good = encode_message(Message(kind=MessageKind.PONG, sender=2,
                                       cycle_id=1, payload=b"abcd"))
-        for bad in (good[:HEADER_LEN - 1], bytes([2]) + good[1:], good[:-1]):
-            raw.sendto(bad, (host, int(port)))
-            assert endpoint.recv_from(timeout_ms=2000.0) is None
-        raw.sendto(good, (host, int(port)))
-        got = endpoint.recv_from(timeout_ms=2000.0)
-        assert got == (decode_message(good),
-                       f"127.0.0.1:{raw.getsockname()[1]}")
+        for frame in (good[:HEADER_LEN - 1], bytes([2]) + good[1:],
+                      good[:-1], good):
+            raw.sendto(frame, (host, int(port)))
+        deadline = network.clock.now_ms() + 2000.0
+        while not received and not network.wait_until(deadline):
+            pass
+        assert received == [(decode_message(good),
+                             f"127.0.0.1:{raw.getsockname()[1]}")]
+        assert network.delivered == 1
     finally:
         raw.close()
-        endpoint.close()
+        network.close()
