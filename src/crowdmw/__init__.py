@@ -13,7 +13,6 @@ from crowdmw.domain import (
     MiddlewareError,
     SensorReading,
     TagCategory,
-    parse_tag,
 )
 from crowdmw.mapreduce import (
     Segment,
@@ -42,7 +41,6 @@ __all__ = [
     "TagCategory",
     "map_reading",
     "merge_partials",
-    "parse_tag",
     "partition",
     "reduce_segment",
     "sequential_oracle",

@@ -27,10 +27,6 @@ class MiddlewareError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-class UnknownTag(MiddlewareError):
-    """Token does not name one of the badge categories."""
-
-
 class TagCategory(enum.Enum):
     """Badge category on a visitor's wristband."""
 
@@ -52,18 +48,6 @@ CANONICAL_TAG_ORDER: tuple[TagCategory, ...] = tuple(
 )
 
 
-def parse_tag(token: str) -> TagCategory:
-    """Parse a category token, case-insensitively.
-
-    Raises UnknownTag for anything that is not man/woman/other.
-    """
-    normalized = token.strip().lower()
-    for tag in TagCategory:
-        if tag.value == normalized:
-            return tag
-    raise UnknownTag(f"unknown tag category: {token!r}")
-
-
 def room_key(room: int) -> str:
     """Serialize a room number as a counting key, e.g. 3 -> 'Room3'."""
     if room < 1:
@@ -71,8 +55,12 @@ def room_key(room: int) -> str:
     return f"Room{room}"
 
 
-# Valid counting keys: a canonical tag or RoomN (no zero padding).
-_KEY_RE = re.compile(r"man|woman|other|Room[1-9][0-9]*")
+# Room-mode pair keys: RoomN with no zero padding, so two spellings of
+# one room never merge into one room number and break the room sum.
+ROOM_KEY_RE = re.compile(r"Room[1-9][0-9]*")
+
+# Valid counting keys: a tag key or a room key.
+_KEY_RE = re.compile("|".join([*sorted(TAG_KEYS), ROOM_KEY_RE.pattern]))
 
 # Bound of every pair and key cache.  A full cache drops its least
 # recently used entry; whatever is not cached is checked and built

@@ -176,6 +176,13 @@ class ScenarioConfig:
             raise ConfigError(str(exc)) from None
         if self.visitors > 0 and self.injection_window_ms() < 1:
             raise ConfigError("injection window must be >= 1 ms")
+        named = {self.override_leader}
+        for fault in self.faults:
+            named |= {fault.node_id, *fault.nodes}
+        stray = sorted(named - {None} - set(self.node_ids()))
+        if stray:
+            raise ConfigError(f"node ids {stray} name no scenario node "
+                              f"(1..{self.nodes})")
 
     def node_ids(self) -> list[int]:
         return list(range(1, self.nodes + 1))
@@ -469,7 +476,7 @@ class SimCluster:
             log(f"t={now:.3f} node=0 set_loss rate={fault.rate}")
         elif fault.kind == "partition":
             addresses = frozenset(nodes[n].endpoint.address
-                                  for n in fault.nodes if n in nodes)
+                                  for n in fault.nodes)
             self.network.add_partition(addresses, now,
                                        now + fault.duration_ms)
             ids = ",".join(str(n) for n in sorted(fault.nodes))

@@ -19,12 +19,12 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from crowdmw.domain import (
     INTERN_LIMIT,
+    ROOM_KEY_RE,
     TAG_KEYS,
     CountMode,
     KeyValuePair,
@@ -210,15 +210,10 @@ class Segment:
                    sum(count for _, count in runs))
 
 
-# A canonical room key: two spellings of one room would merge into one
-# room number and break the room sum.
-_ROOM_KEY = re.compile(r"Room[1-9][0-9]*")
-
-
 def _valid_key_for_mode(key: str, mode: CountMode) -> bool:
     if mode is CountMode.VISITOR:
         return key in TAG_KEYS
-    return _ROOM_KEY.fullmatch(key) is not None
+    return ROOM_KEY_RE.fullmatch(key) is not None
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from crowdmw.domain import (
     KeyValuePair,
     MiddlewareError,
     TagCategory,
-    pair_symbol,
     room_key,
     symbol_pair,
 )
@@ -82,10 +81,6 @@ NodeId = int
 Run = tuple[KeyValuePair, list[int]]
 
 _PAIR_ORDER = operator.attrgetter("key", "value")
-
-
-class CycleAborted(MiddlewareError):
-    """Cycle could not commit; buffers stay put for the next one."""
 
 
 class IntegrityFailure(MiddlewareError):
@@ -402,7 +397,9 @@ def build_assignment_parts(sender: NodeId, cycle_id: int,
             for index, chunk in enumerate(chunks)]
 
 
-def _serialize_aggregates(aggregates: dict[str, int]) -> str:
+# A ``k:v`` list, in ascending key order and joined by commas: the
+# aggregates of a REDUCE_RESULT and the acks of a CYCLE_SUCCESS.
+def _serialize_aggregates(aggregates: Mapping) -> str:
     return ",".join(f"{k}:{aggregates[k]}" for k in sorted(aggregates))
 
 
@@ -455,27 +452,18 @@ def parse_reduce_result(message: Message) -> Optional[dict]:
 
 def build_success(sender: NodeId, cycle_id: int,
                   acks: dict[NodeId, int]) -> Message:
-    text = ",".join(f"{origin}:{acks[origin]}" for origin in sorted(acks))
+    payload = f"acks={_serialize_aggregates(acks)}"
     return Message(kind=MessageKind.CYCLE_SUCCESS, sender=sender,
-                   cycle_id=cycle_id,
-                   payload=f"acks={text}".encode("utf-8"))
+                   cycle_id=cycle_id, payload=payload.encode("utf-8"))
 
 
 def parse_success_acks(message: Message) -> dict[NodeId, int]:
-    fields = _parse_fields(message.payload)
-    acks: dict[NodeId, int] = {}
-    raw = fields.get("acks", "")
-    if raw:
-        for item in raw.split(","):
-            origin, sep, seq = item.partition(":")
-            if not sep:
-                raise ValueError(f"malformed ack: {item!r}")
-            acks[int(origin)] = int(seq)
-    return acks
+    acks = _parse_aggregates(_parse_fields(message.payload).get("acks", ""))
+    return {int(origin): seq for origin, seq in acks.items()}
 
 
 # ---------------------------------------------------------------------------
-# Pure cycle pipeline, also used by the live leader path.
+# The leader's cycle pipeline: consolidate, partition, reduce, check, merge.
 # ---------------------------------------------------------------------------
 
 
@@ -577,32 +565,6 @@ def reduce_check_merge(cycle_id: int, segments: Sequence[Segment],
                        visitor_aggregates=visitor_aggregates,
                        room_aggregates=room_aggregates,
                        total_readings=sum(s.pair_count for s in segments))
-
-
-def leader_cycle(submissions: Sequence[tuple[NodeId, Sequence[KeyValuePair]]],
-                 *, cycle_id: int = 0, min_responding: int = 2
-                 ) -> CycleResult:
-    """Run one full cycle pipeline over collected submissions.
-
-    ``submissions`` holds one (origin, visitor pairs) entry per
-    responding node; a node that sent no data still counts as
-    responding with an empty list.  The pairs go through the live
-    leader's own steps: each origin's pairs are one part for
-    ``consolidate_runs`` (with no watermarks), then ``partition`` and
-    ``reduce_check_merge`` with every segment reduced here.  Raises
-    CycleAborted when fewer than ``min_responding`` distinct nodes
-    responded.
-    """
-    origins = {origin for origin, _ in submissions}
-    if len(origins) < min_responding:
-        raise CycleAborted(
-            f"{len(origins)} responding nodes, need {min_responding}"
-        )
-    consolidated, _ = consolidate_runs(
-        ((origin, [(0, "".join(pair_symbol(pair.key, pair.value)
-                               for pair in pairs))])
-         for origin, pairs in submissions), {})
-    return reduce_check_merge(cycle_id, partition(consolidated, origins), {})
 
 
 # ---------------------------------------------------------------------------

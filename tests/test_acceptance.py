@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from crowdmw.domain import CountMode, SensorReading, TagCategory
+from crowdmw.domain import CountMode, SensorReading, TagCategory, reading_key
 from crowdmw.election import Role
 from crowdmw.harness import (
     FaultSpec,
@@ -24,8 +24,8 @@ from crowdmw.harness import (
     sweep_csv,
     sweep_load,
 )
-from crowdmw.mapreduce import map_reading, sequential_oracle
-from crowdmw.runtime import leader_cycle
+from crowdmw.mapreduce import partition, sequential_oracle
+from crowdmw.runtime import ClientBuffer, consolidate_runs, reduce_check_merge
 from crowdmw.store import JournalStore
 from crowdmw.transport import (
     Message,
@@ -71,6 +71,9 @@ def test_reference_stream_room_commit(tmp_path):
 
 
 def test_distribution_never_changes_totals():
+    # The leader's own steps: each origin's readings enter its buffer
+    # and reach consolidation as two (base, trace) parts cut at a random
+    # point, and each origin has a random watermark, as a commit leaves.
     with _budget("distributed totals match sequential over 200 streams",
                  60.0):
         rng = random.Random(0xC3)
@@ -78,25 +81,35 @@ def test_distribution_never_changes_totals():
         for trial in range(200):
             size = rng.randint(10, 2000)
             clients = rng.randint(1, 8)
-            readings = [
-                SensorReading(tag=rng.choice(tags),
-                              room=rng.randint(1, 6),
-                              timestamp=index)
-                for index in range(size)
-            ]
-            buckets = {origin: [] for origin in range(1, clients + 1)}
-            for reading in readings:
-                origin = rng.randint(1, clients)
-                buckets[origin].append(
-                    map_reading(reading, CountMode.VISITOR))
-            result = leader_cycle(sorted(buckets.items()),
-                                  min_responding=1)
+            routed = {origin: [] for origin in range(1, clients + 1)}
+            for index in range(size):
+                routed[rng.randint(1, clients)].append(
+                    SensorReading(tag=rng.choice(tags),
+                                  room=rng.randint(1, 6),
+                                  timestamp=index))
+            submissions, watermarks, fresh, want_acks = [], {}, [], {}
+            for origin, readings in routed.items():
+                buffer = ClientBuffer()
+                buffer.ingest(map(reading_key, readings))
+                cut = rng.randint(0, len(buffer))
+                submissions.append((origin, [
+                    (buffer.base, buffer.trace[:cut]),
+                    (buffer.base + cut, buffer.trace[cut:])]))
+                watermarks[origin] = rng.randint(-1, len(buffer) - 1)
+                fresh += readings[watermarks[origin] + 1:]
+                if readings:
+                    want_acks[origin] = len(readings) - 1
+            consolidated, acks = consolidate_runs(submissions, watermarks)
+            result = reduce_check_merge(
+                trial, partition(consolidated, routed), {})
+            assert acks == want_acks, trial
+            assert result.total_readings == len(fresh), trial
             assert {t.value: c for t, c
                     in result.visitor_aggregates.items()} == \
-                sequential_oracle(readings, CountMode.VISITOR), trial
+                sequential_oracle(fresh, CountMode.VISITOR), trial
             assert {f"Room{r}": c for r, c
                     in result.room_aggregates.items()} == \
-                sequential_oracle(readings, CountMode.ROOM), trial
+                sequential_oracle(fresh, CountMode.ROOM), trial
 
 
 def test_leader_takeover_safety(tmp_path):

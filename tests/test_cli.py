@@ -62,6 +62,19 @@ def test_run_bad_workload_scenario_is_config_error(tmp_path, capsys):
     assert "rooms must be >= 1" in capsys.readouterr().err
 
 
+def test_run_fault_naming_no_node_is_config_error(tmp_path, capsys):
+    scenario = tmp_path / "stray.scenario"
+    scenario.write_text("nodes = 3\nfault = kill_node@100:9\n",
+                        encoding="utf-8")
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert "[9] name no scenario node" in capsys.readouterr().err
+    # Node 3 exists in the file, but not once --nodes shrinks the run.
+    scenario.write_text("nodes = 3\nfault = kill_node@100:3\n",
+                        encoding="utf-8")
+    assert main(["run", "--scenario", str(scenario), "--nodes", "2"]) == 2
+    assert "[3] name no scenario node" in capsys.readouterr().err
+
+
 def test_flag_beats_environment(tmp_path, capsys, monkeypatch):
     scenario = tmp_path / "seeded.scenario"
     scenario.write_text("visitors = 5\nseed = 1\n", encoding="utf-8")

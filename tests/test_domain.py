@@ -8,27 +8,12 @@ from crowdmw.domain import (
     KeyValuePair,
     SensorReading,
     TagCategory,
-    UnknownTag,
     _check_key,
     key_reading,
     pair_symbol,
-    parse_tag,
     reading_key,
     room_key,
 )
-
-
-def test_parse_tag_accepts_known_categories():
-    assert parse_tag("man") is TagCategory.MAN
-    assert parse_tag("WOMAN") is TagCategory.WOMAN
-    assert parse_tag("Other") is TagCategory.OTHER
-
-
-def test_parse_tag_rejects_unknown():
-    with pytest.raises(UnknownTag):
-        parse_tag("child")
-    with pytest.raises(UnknownTag):
-        parse_tag("")
 
 
 def test_canonical_tag_order_is_lexicographic():

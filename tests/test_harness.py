@@ -8,6 +8,7 @@ byte-stable artifacts for the same seed.
 import os
 import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +162,23 @@ def test_parse_scenario_defaults():
 ])
 def test_parse_scenario_rejects(text):
     with pytest.raises(ConfigError):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize("text, stray", [
+    ("fault = kill_node@100:9", "[9]"),
+    ("fault = partition@100+500:7,8", "[7, 8]"),
+    ("fault = partition@100+500:0,3", "[0]"),
+    ("override_leader = 12", "[12]"),
+    ("override_leader = 0", "[0]"),
+])
+def test_parse_scenario_refuses_ids_that_name_no_node(text, stray):
+    # Three nodes: a fault or override naming any other id would do
+    # nothing at run time, so it is refused before anything runs.
+    assert parse_scenario("fault = kill_node@100:3\n"
+                          "fault = partition@100+500:1,2\n"
+                          "override_leader = 3").nodes == 3
+    with pytest.raises(ConfigError, match=re.escape(stray)):
         parse_scenario(text)
 
 

@@ -17,9 +17,9 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from crowdmw.domain import pair_symbol
 from crowdmw.harness import ScenarioConfig, SimCluster, parse_fault
 from crowdmw.mapreduce import crc64
-from crowdmw.runtime import pair_symbol
 from crowdmw.store import JournalStore
 from crowdmw.transport import (
     HEADER_LEN,

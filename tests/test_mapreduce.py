@@ -241,6 +241,22 @@ def test_bad_key_raises_before_and_after_caching(key):
         KeyValuePair(key, 1)
 
 
+@pytest.mark.parametrize("key", ["Room1", "Room42", "Room0", "Room01",
+                                 "room1", "Room", "Room1 ", "man"])
+def test_pair_keys_and_room_partials_share_one_room_grammar(key):
+    def accepted(build):
+        try:
+            build()
+        except ValueError:
+            return False
+        return True
+
+    as_pair = accepted(lambda: KeyValuePair(key, 1))
+    as_room = accepted(lambda: PartialResult(1, CountMode.ROOM, {key: 1}, 1))
+    assert as_room == (key in ("Room1", "Room42"))
+    assert as_pair == (as_room or key == "man")
+
+
 @pytest.mark.parametrize("value", [True, False, -1])
 def test_bad_value_raises_after_key_was_cached(value):
     KeyValuePair("man", 1)

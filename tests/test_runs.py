@@ -25,6 +25,7 @@ from crowdmw.domain import (
     KeyValuePair,
     SensorReading,
     TagCategory,
+    pair_symbol,
     reading_key,
 )
 from crowdmw.mapreduce import MAX_PAIR_COUNT, map_reading, sort_pairs
@@ -36,7 +37,6 @@ from crowdmw.runtime import (
     _parse_submission,
     build_submission_parts,
     consolidate_runs,
-    pair_symbol,
     symbol_pair,
 )
 from crowdmw.simgen import dedupe_readings

@@ -16,6 +16,7 @@ from crowdmw.domain import (
     SensorReading,
     TagCategory,
     key_reading,
+    pair_symbol,
     reading_key,
 )
 from crowdmw.mapreduce import (
@@ -23,7 +24,6 @@ from crowdmw.mapreduce import (
     PartialResult,
     Segment,
     crc64,
-    map_reading,
     pair_runs,
     parse_runs,
     partition,
@@ -33,7 +33,6 @@ from crowdmw.mapreduce import (
 )
 from crowdmw.runtime import (
     ClientBuffer,
-    CycleAborted,
     CycleConfig,
     IntegrityFailure,
     ListReadingSource,
@@ -47,10 +46,9 @@ from crowdmw.runtime import (
     build_reduce_result,
     build_submission_parts,
     build_success,
+    consolidate_runs,
     integrity_check,
-    leader_cycle,
     parse_reduce_result,
-    pair_symbol,
     parse_success_acks,
     reduce_check_merge,
     symbol_pair,
@@ -64,14 +62,23 @@ TABLE_VISITOR = {TagCategory.MAN: 10, TagCategory.WOMAN: 21,
 TABLE_ROOM = {1: 2, 2: 5, 3: 5, 4: 4}
 
 
-def _table_submissions(origins=(1, 2, 3)):
-    """Reference readings mapped to pairs, dealt round-robin."""
-    readings = replay_fixture("table1")
-    buckets = {origin: [] for origin in origins}
-    for index, reading in enumerate(readings):
-        origin = list(origins)[index % len(origins)]
-        buckets[origin].append(map_reading(reading, CountMode.VISITOR))
-    return list(buckets.items())
+def _leader_steps(cycle_id, readings_by_origin):
+    """One cycle through the steps a live leader runs.
+
+    Each origin's readings enter a ``ClientBuffer`` and are submitted as
+    one (base, trace) part; ``consolidate_runs`` (no watermarks),
+    ``partition`` over the origins and ``reduce_check_merge``, with
+    every segment reduced here, follow as in ``Node._consolidate`` and
+    at the slot boundary.
+    """
+    submissions = []
+    for origin, readings in readings_by_origin.items():
+        buffer = ClientBuffer()
+        buffer.ingest(map(reading_key, readings))
+        submissions.append((origin, [(buffer.base, buffer.trace)]))
+    consolidated, _ = consolidate_runs(submissions, {})
+    return reduce_check_merge(
+        cycle_id, partition(consolidated, readings_by_origin), {})
 
 
 # -- config -----------------------------------------------------------------
@@ -490,45 +497,27 @@ def test_integrity_rejects_colliding_segments():
 # -- full cycle pipeline -------------------------------------------------------
 
 
-def test_leader_cycle_reference_totals():
-    result = leader_cycle(_table_submissions(), cycle_id=4)
+def test_leader_steps_reference_totals():
+    readings = replay_fixture("table1")
+    result = _leader_steps(4, {origin: readings[origin - 1::3]
+                               for origin in (1, 2, 3)})
     assert result.cycle_id == 4
     assert result.visitor_aggregates == TABLE_VISITOR
     assert result.room_aggregates == TABLE_ROOM
     assert result.total_readings == 16
 
 
-def test_leader_cycle_empty_submission_counts_as_responding():
-    submissions = _table_submissions(origins=(1, 2)) + [(3, [])]
-    result = leader_cycle(submissions)
-    assert result.visitor_aggregates == TABLE_VISITOR
-    assert result.total_readings == 16
-
-
-def test_leader_cycle_aborts_below_minimum():
-    with pytest.raises(CycleAborted):
-        leader_cycle(_table_submissions(origins=(1,)))
-    with pytest.raises(CycleAborted):
-        leader_cycle([], min_responding=2)
-    # Duplicate origins collapse before the participation check.
-    with pytest.raises(CycleAborted):
-        leader_cycle([(1, []), (1, [])], min_responding=2)
-
-
-def test_leader_cycle_matches_oracle_on_generated_stream():
+def test_leader_steps_match_oracle_on_generated_stream():
     keys, _ = generate_stream(VisitorModel(seed=11, visitor_count=120),
                               30_000)
     deduped = dedupe_readings(map(key_reading, keys))
-    submissions = []
-    for origin in (1, 2, 3, 4):
-        chunk = deduped[origin - 1::4]
-        submissions.append(
-            (origin, [map_reading(r, CountMode.VISITOR) for r in chunk]))
-    result = leader_cycle(submissions, min_responding=4)
+    result = _leader_steps(0, {origin: deduped[origin - 1::4]
+                               for origin in (1, 2, 3, 4)})
     assert {t.value: c for t, c in result.visitor_aggregates.items()} == \
         sequential_oracle(deduped, CountMode.VISITOR)
     assert {f"Room{n}": c for n, c in result.room_aggregates.items()} == \
         sequential_oracle(deduped, CountMode.ROOM)
+    assert result.total_readings == len(deduped)
 
 
 # -- live phase machine --------------------------------------------------------
@@ -571,8 +560,7 @@ def test_driven_nodes_respect_phase_edges(tmp_path):
 
 
 def test_reduce_check_merge_refuses_unconserved_partials():
-    # The step the live leader and leader_cycle share: a stored partial
-    # replaces the local reduction of its segment, and one that claims
+    # The live leader's last step: a stored partial replaces the local reduction of its segment, and one that claims
     # a pair more than its segment holds fails the conservation check.
     segments, _ = _segments_and_partials()
     local = reduce_check_merge(7, segments, {})
@@ -615,17 +603,16 @@ def test_parse_entries_rejects_before_and_after_caching(item):
 
 
 def test_parse_entries_many_distinct_keys_stay_bounded():
-    from crowdmw import runtime
-    from crowdmw.domain import INTERN_LIMIT
+    from crowdmw import domain
 
     count = 20_000
     trace = "".join(pair_symbol("man", room) for room in range(1, count + 1))
     entries = _expand([_parse_part("1", trace)])
     assert entries == [(KeyValuePair("man", room), room)
                        for room in range(1, count + 1)]
-    for cached in (runtime.pair_symbol, runtime.symbol_pair):
+    for cached in (domain.pair_symbol, domain.symbol_pair):
         info = cached.cache_info()
-        assert info.maxsize == INTERN_LIMIT and info.currsize <= info.maxsize
+        assert info.maxsize == domain.INTERN_LIMIT and info.currsize <= info.maxsize
 
 
 class _Outbox:
@@ -917,8 +904,8 @@ def make_leader(tmp_path):
 
     stores = []
 
-    def make(events):
-        config = CycleConfig()
+    def make(events, config=None):
+        config = config or CycleConfig()
         store = JournalStore(str(tmp_path / f"leader{len(stores)}.journal"))
         stores.append(store)
         for node_id in (1, 2, 3):
@@ -1054,6 +1041,28 @@ def test_consolidation_timer_still_fires_without_every_origin(
     assert _deliver_until_consolidated(node, _submission(1, 2, 2)) is None
     node.advance(1500.0 + CycleConfig().submit_window_ms)
     assert node.phase is NodePhase.MERGING
+
+
+@pytest.mark.parametrize("empty_part, outcome", [
+    (True, "t=2000.000 node=3 commit cycle=0 rows=3 total=3 fallbacks=2"),
+    (False, "t=1700.000 node=3 abort cycle=0 reason=min_responding"),
+], ids=["empty_part", "no_part"])
+def test_an_empty_part_counts_its_origin_as_responding(make_leader,
+                                                       empty_part, outcome):
+    # Three nodes must respond: the leader, node 1 with three readings
+    # and node 2, whose one part holds none.  Without that part only two
+    # have responded when the submission window closes.
+    events = []
+    node = make_leader(events, CycleConfig(min_responding_nodes=3))
+    node.advance(float(node.config.collection_ms))
+    messages = _submission(1, 3, 1)
+    if empty_part:
+        messages += build_submission_parts(2, 0, 0, "")
+    _deliver_until_consolidated(node, messages)
+    node.advance(1500.0 + node.config.submit_window_ms)
+    node.advance(2000.0)
+    assert [line for line in events if " cycle=0 " in line
+            and (" commit " in line or " abort " in line)] == [outcome]
 
 
 # -- run counts off the wire -------------------------------------------------
