@@ -89,6 +89,9 @@ def _print_report(report: ScenarioReport) -> None:
             f"undelivered={recon.undelivered} "
             f"conserved={'yes' if recon.conserves() else 'NO'}"
         )
+    print(f"datagrams: sent={report.datagrams_sent} "
+          f"dropped={report.datagrams_dropped} "
+          f"delivered={report.datagrams_delivered}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -110,13 +113,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        counts = [int(item) for item in args.requests.split(",") if item]
+        counts = [int(item) for item in args.visitors.split(",") if item]
     except ValueError:
-        raise ConfigError(f"bad request counts: {args.requests!r}")
+        raise ConfigError(f"bad visitor counts: {args.visitors!r}")
     seed = args.seed if args.seed is not None else (_env_seed() or 0)
-    with tempfile.TemporaryDirectory() as tmp:
-        rows = harness.sweep_load(counts, seed=seed, store_dir=tmp)
-    text = harness.sweep_csv(rows)
+    text = harness.sweep_csv(harness.sweep_load(counts, seed=seed))
     if args.out is not None:
         directory = os.path.dirname(args.out)
         if directory:
@@ -178,11 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="latency versus request volume",
-        description="Measure latency at each request volume; one request "
-                    "is one submission datagram carrying a single reading.")
-    sweep.add_argument("--requests", default="10,100,500",
-                       help="comma-separated ascending request counts")
+        help="goodput and latency versus offered load",
+        description="Run the trickle shape (5 nodes, 24 two-second "
+                    "cycles, one reading per submission datagram) once "
+                    "per visitor count.")
+    sweep.add_argument("--visitors", default="0,1000,2000,2500,3000",
+                       help="comma-separated visitor counts")
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--out", help="CSV output path (default stdout)")
     sweep.set_defaults(func=_cmd_sweep)

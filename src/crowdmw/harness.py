@@ -21,7 +21,8 @@ import heapq
 import math
 import os
 import random
-from dataclasses import dataclass, field
+import tempfile
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from crowdmw import election, simgen
@@ -33,7 +34,6 @@ from crowdmw.domain import (
     SYMBOL_MASK,
     MiddlewareError,
     SensorReading,
-    TagCategory,
     key_reading,
     reading_key,
 )
@@ -559,6 +559,11 @@ class SimCluster:
 # ---------------------------------------------------------------------------
 
 
+def _mean(samples: Sequence[float]) -> float:
+    """Arithmetic mean; 0.0 for an empty sample set."""
+    return sum(samples) / len(samples) if samples else 0.0
+
+
 def _percentile(samples: Sequence[float], q: float) -> float:
     """Nearest-rank percentile; 0.0 for an empty sample set."""
     if not samples:
@@ -614,9 +619,8 @@ class MetricsReport:
     def metrics_csv(self) -> str:
         lines = ["metric,count,mean_ms,p50_ms,p95_ms,p99_ms"]
         for name, samples in self.metric_rows():
-            mean = sum(samples) / len(samples) if samples else 0.0
             lines.append(
-                f"{name},{len(samples)},{mean:.3f},"
+                f"{name},{len(samples)},{_mean(samples):.3f},"
                 f"{_percentile(samples, 50):.3f},"
                 f"{_percentile(samples, 95):.3f},"
                 f"{_percentile(samples, 99):.3f}"
@@ -740,6 +744,10 @@ class ScenarioReport:
     reconciliation: Optional[Reconciliation]
     nodes: dict[int, Node]
     ledger: Optional[simgen.GenerationLedger]
+    # The network's counters over the run, all nodes and kinds summed.
+    datagrams_sent: int
+    datagrams_dropped: int
+    datagrams_delivered: int
 
 
 def _reconcile(store: JournalStore, cluster_nodes: dict[int, Node],
@@ -784,24 +792,26 @@ def _reconcile(store: JournalStore, cluster_nodes: dict[int, Node],
 # ---------------------------------------------------------------------------
 
 
-def _build_report(config: ScenarioConfig, store: JournalStore,
-                  events: list[str], nodes: dict[int, Node],
-                  sources: dict[int, ListReadingSource],
-                  ingested: IngestRecord, ledger) -> ScenarioReport:
-    metrics = build_metrics(events, config.cycle_duration_ms)
+def _build_report(cluster: SimCluster) -> ScenarioReport:
+    config, store, nodes = cluster.config, cluster.store, cluster.nodes
+    network = cluster.network
     return ScenarioReport(
         config=config,
-        events=list(events),
-        metrics=metrics,
+        events=list(cluster.events),
+        metrics=build_metrics(cluster.events, config.cycle_duration_ms),
         visitor_totals=store.totals("visitor"),
         room_totals=store.totals("room"),
         committed_cycles=store.committed_cycles(),
         leader_id=_leader_id(store),
         commits=sum(node.commits for node in nodes.values()),
         aborts=sum(node.aborts for node in nodes.values()),
-        reconciliation=_reconcile(store, nodes, sources, ingested),
+        reconciliation=_reconcile(store, nodes, cluster.sources,
+                                  cluster.ingested),
         nodes=nodes,
-        ledger=ledger,
+        ledger=cluster.ledger,
+        datagrams_sent=network.sent,
+        datagrams_dropped=network.dropped,
+        datagrams_delivered=network.delivered,
     )
 
 
@@ -814,9 +824,7 @@ def run_scenario(config: ScenarioConfig, store_path: str) -> ScenarioReport:
             cluster.run(float(config.cycles * config.cycle_duration_ms))
         finally:
             cluster.network.close()
-        return _build_report(config, store, cluster.events, cluster.nodes,
-                             cluster.sources, cluster.ingested,
-                             cluster.ledger)
+        return _build_report(cluster)
     finally:
         store.close()
 
@@ -845,79 +853,41 @@ def emit_report(report: ScenarioReport, out_dir: str) -> list[str]:
 # Load sweep.
 # ---------------------------------------------------------------------------
 
-SWEEP_HEADER = "requests,mean_response_ms,rtt_ms,ttfb_ms"
+# The benchmark's trickle shape: one reading per submission datagram and
+# a per-byte send cost, so heavier load queues at the senders.
+SWEEP_SHAPE = ScenarioConfig(nodes=5, cycles=24, entries_per_part=1,
+                             transmission_us_per_byte=15.0)
+
+SWEEP_HEADER = ("visitors,offered_readings,committed_readings,"
+                "committed_slots,datagrams_sent,mean_response_ms,rtt_ms,"
+                "ttfb_ms")
 
 
-def _sweep_workload(count: int, rooms: int,
-                    window_ms: float, seed: int) -> list[SensorReading]:
-    """Synthetic single-cycle workload: ``count`` one-entry requests."""
-    rng = random.Random(seed)
-    tags = sorted(TagCategory, key=lambda tag: tag.value)
-    readings = []
-    used: set[tuple[str, int, int]] = set()
-    for index in range(count):
-        tag = tags[index % len(tags)]
-        room = (index % rooms) + 1
-        at = int(rng.uniform(0.0, window_ms / 2))
-        while (tag.value, room, at) in used:
-            at += 1
-        used.add((tag.value, room, at))
-        readings.append(SensorReading(tag=tag, room=room, timestamp=at,
-                                      reader_id=2 * room))
-    return readings
+def sweep_load(visitor_counts: Sequence[int], *,
+               seed: int = 0) -> list[dict[str, float]]:
+    """Goodput and latency of ``SWEEP_SHAPE``, one run per visitor count.
 
-
-def sweep_load(request_counts: Sequence[int], *, seed: int = 0,
-               store_dir: str) -> list[dict[str, float]]:
-    """Measure latency at increasing request volume, one run per count.
-
-    Each request is one single-entry submission datagram.  Sender-side
-    serialization cost is enabled so heavier load genuinely queues.
+    Each run journals to its own file in a directory that lives as long
+    as the sweep, so no point recovers another point's commits.
     """
-    counts = [int(count) for count in request_counts]
-    if counts != sorted(counts) or any(count < 0 for count in counts):
-        raise ConfigError("request counts must be ascending and >= 0")
     rows = []
-    for count in counts:
-        config = ScenarioConfig(
-            nodes=3,
-            cycles=1,
-            seed=seed,
-            cycle_duration_ms=6000,
-            mapreduce_window_ms=2500,
-            transmission_us_per_byte=15.0,
-            entries_per_part=1,
-            inject_ms=1750.0,
-        )
-        store = JournalStore(
-            os.path.join(store_dir, f"sweep_{count}.journal"))
-        try:
-            cluster = SimCluster(config, store)
-            readings = _sweep_workload(
-                count, config.rooms,
-                config.cycle_duration_ms - config.mapreduce_window_ms, seed,
-            )
-            keys = sorted(map(reading_key, readings),
-                          key=lambda key: key >> KEY_SHIFT)
-            for node_id, node_keys in route_readings(
-                    keys, config.node_ids()).items():
-                cluster.sources[node_id] = ListReadingSource(node_keys)
-                cluster.nodes[node_id].source = cluster.sources[node_id]
-            cluster.start()
-            cluster.run(float(config.cycles * config.cycle_duration_ms))
-            metrics = build_metrics(cluster.events, config.cycle_duration_ms)
-        finally:
-            store.close()
-        response = metrics.response_ms
-        rtt = metrics.rtt_ms
-        ttfb = metrics.ttfb_ms
-        rows.append({
-            "requests": float(count),
-            "mean_response_ms": (sum(response) / len(response)
-                                 if response else 0.0),
-            "rtt_ms": sum(rtt) / len(rtt) if rtt else 0.0,
-            "ttfb_ms": sum(ttfb) / len(ttfb) if ttfb else 0.0,
-        })
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, visitors in enumerate(visitor_counts):
+            config = replace(SWEEP_SHAPE, visitors=visitors, seed=seed)
+            report = run_scenario(
+                config, os.path.join(tmp, f"point{index}.journal"))
+            recon = report.reconciliation
+            metrics = report.metrics
+            rows.append({
+                "visitors": visitors,
+                "offered_readings": recon.injected,
+                "committed_readings": recon.committed,
+                "committed_slots": len(report.committed_cycles),
+                "datagrams_sent": report.datagrams_sent,
+                "mean_response_ms": _mean(metrics.response_ms),
+                "rtt_ms": _mean(metrics.rtt_ms),
+                "ttfb_ms": _mean(metrics.ttfb_ms),
+            })
     return rows
 
 
@@ -925,7 +895,9 @@ def sweep_csv(rows: Sequence[dict[str, float]]) -> str:
     lines = [SWEEP_HEADER]
     for row in rows:
         lines.append(
-            f"{int(row['requests'])},{row['mean_response_ms']:.3f},"
+            f"{row['visitors']},{row['offered_readings']},"
+            f"{row['committed_readings']},{row['committed_slots']},"
+            f"{row['datagrams_sent']},{row['mean_response_ms']:.3f},"
             f"{row['rtt_ms']:.3f},{row['ttfb_ms']:.3f}"
         )
     return "\n".join(lines) + "\n"

@@ -510,9 +510,9 @@ def consolidate_runs(submissions: Iterable[tuple[NodeId,
                 top = max(top, last)
         if top >= 0:
             acks[origin] = top
-    text = "".join(fresh)
-    runs = sorted(((symbol_pair(symbol), text.count(symbol))
-                   for symbol in set(text)),
+    counts = collections.Counter("".join(fresh))
+    runs = sorted(((symbol_pair(symbol), count)
+                   for symbol, count in counts.items()),
                   key=lambda run: _PAIR_ORDER(run[0]))
     consolidated: list[KeyValuePair] = []
     for pair, count in runs:

@@ -18,6 +18,7 @@ from crowdmw.harness import (
     FaultSpec,
     ScenarioConfig,
     SWEEP_HEADER,
+    SWEEP_SHAPE,
     emit_report,
     parse_scenario,
     run_scenario,
@@ -302,13 +303,26 @@ def test_seeded_runs_are_byte_identical(tmp_path):
         assert blobs[0] == blobs[1]
 
 
-def test_latency_grows_with_request_volume(tmp_path):
-    with _budget("mean response rises with request volume", 120.0):
-        rows = sweep_load([0, 500, 1000, 1500], seed=0,
-                          store_dir=str(tmp_path))
+def test_goodput_and_latency_rise_with_offered_load():
+    with _budget("goodput and latency rise with offered load, below the knee",
+                 120.0):
+        rows = sweep_load([0, 1000, 2000, 2500], seed=0)
         lines = sweep_csv(rows).splitlines()
         assert lines[0] == SWEEP_HEADER
         assert len(lines) == 5
+        assert all(row["committed_slots"] == SWEEP_SHAPE.cycles
+                   for row in rows)
+        offered = [row["offered_readings"] / SWEEP_SHAPE.cycles
+                   for row in rows]
+        committed = [row["committed_readings"] / row["committed_slots"]
+                     for row in rows]
+        assert offered == sorted(set(offered)), offered
+        assert committed == sorted(set(committed)), committed
+        # Past the knee a slot's backlog is resent every slot, so the
+        # datagrams outgrow the readings they carry.
+        for row in rows[1:]:
+            assert row["datagrams_sent"] <= 1.2 * row["committed_readings"], (
+                row)
         means = [row["mean_response_ms"] for row in rows]
         # Non-decreasing within a 5 percent noise allowance.
         for before, after in zip(means, means[1:]):

@@ -15,6 +15,7 @@ def test_bare_run_prints_reference_totals(capsys):
     assert "room totals: Room1=2 Room2=5 Room3=5 Room4=4" in out
     assert "leader: node 3" in out
     assert "conserved=yes" in out
+    assert "datagrams: sent=28 dropped=0 delivered=28" in out
 
 
 def test_run_refuses_the_removed_mode_flag(capsys):
@@ -107,7 +108,7 @@ def test_fixtures_verb(capsys):
 
 
 def test_sweep_to_stdout(capsys):
-    assert main(["sweep", "--requests", "0,10", "--seed", "3"]) == 0
+    assert main(["sweep", "--visitors", "0,10", "--seed", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == SWEEP_HEADER
     assert len(lines) == 3
@@ -115,14 +116,18 @@ def test_sweep_to_stdout(capsys):
 
 def test_sweep_to_file(tmp_path, capsys):
     out = str(tmp_path / "sub" / "sweep.csv")
-    assert main(["sweep", "--requests", "5", "--out", out]) == 0
+    assert main(["sweep", "--visitors", "5", "--out", out]) == 0
     with open(out, "r", encoding="utf-8") as handle:
         assert handle.readline().strip() == SWEEP_HEADER
 
 
 def test_sweep_bad_counts(capsys):
-    assert main(["sweep", "--requests", "ten"]) == 2
-    assert "bad request counts" in capsys.readouterr().err
+    assert main(["sweep", "--visitors", "ten"]) == 2
+    assert "bad visitor counts" in capsys.readouterr().err
+    # The old request-count flag is gone: argparse refuses it.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--requests", "0,40"])
+    assert exit_info.value.code == 2
 
 
 def test_election_demo_shows_takeover(capsys):

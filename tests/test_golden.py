@@ -110,12 +110,11 @@ def test_seeded_artifacts_match_pinned_hashes(shape, tmp_path):
     assert hashlib.sha256(journal.read_bytes()).hexdigest() == journal_sha
 
 
-# Three volumes of one-entry requests, seed 0; the rows begin
-# ``0,297.869,``, ``40,303.237,`` and ``200,340.325,``.
-SWEEP_SHA = "16a01b9276dff2316f714c16f1fde0ff072c982dbd928db72682a862a76705cd"
+# The trickle shape at three visitor counts, seed 0; the rows begin
+# ``0,0,0,24,672,``, ``40,174,172,24,779,`` and ``200,944,926,24,1502,``.
+SWEEP_SHA = "ff430ddba0e3d5f6e0acffa49b72be67de8415b0ec595a06abe161a57e98519e"
 
 
-def test_sweep_csv_matches_pinned_hash(tmp_path):
-    csv = sweep_csv(sweep_load([0, 40, 200], seed=0,
-                               store_dir=str(tmp_path)))
+def test_sweep_csv_matches_pinned_hash():
+    csv = sweep_csv(sweep_load([0, 40, 200], seed=0))
     assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == SWEEP_SHA

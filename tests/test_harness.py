@@ -617,16 +617,16 @@ def test_udp_kills_at_random_times_land_between_handlers(tmp_path):
 # -- sweep --------------------------------------------------------------------
 
 
-def test_sweep_rejects_unsorted_counts(tmp_path):
+def test_sweep_rejects_negative_counts():
     with pytest.raises(ConfigError):
-        sweep_load([100, 10], store_dir=str(tmp_path))
-    with pytest.raises(ConfigError):
-        sweep_load([-5], store_dir=str(tmp_path))
+        sweep_load([-5])
 
 
-def test_sweep_rows_and_csv(tmp_path):
-    rows = sweep_load([0, 40], store_dir=str(tmp_path))
-    assert [int(row["requests"]) for row in rows] == [0, 40]
+def test_sweep_rows_and_csv():
+    rows = sweep_load([0, 40])
+    assert [row["visitors"] for row in rows] == [0, 40]
+    assert rows[0]["offered_readings"] == rows[0]["committed_readings"] == 0
+    assert rows[1]["committed_readings"] > 0
     assert rows[1]["mean_response_ms"] > 0.0
     # Identical timer schedule before load: control-plane latency stays
     # flat while response tracks volume.
@@ -635,7 +635,15 @@ def test_sweep_rows_and_csv(tmp_path):
     lines = text.splitlines()
     assert lines[0] == SWEEP_HEADER
     assert len(lines) == 3
-    assert lines[1].startswith("0,")
+    assert lines[1].startswith("0,0,0,")
+
+
+def test_sweep_repeated_count_gives_equal_rows():
+    # Each point journals afresh: a point that recovered an earlier
+    # point's journal had its readings swallowed by the old acks.
+    first, second = sweep_load([40, 40], seed=0)
+    assert first["committed_readings"] > 0
+    assert first == second
 
 
 def test_sweep_csv_header_only_for_no_counts():

@@ -13,6 +13,7 @@ text that is not a submission at all).
 import dataclasses
 import operator
 import random
+import time
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -374,6 +375,24 @@ def test_consolidation_matches_per_entry_count(submissions, watermarks):
     pairs, acks = consolidate_runs(ordered, watermarks)
     assert pairs == old_pairs
     assert list(acks.items()) == list(old_acks.items())
+
+
+def test_consolidation_counts_many_rooms_in_one_pass():
+    # One reading per pair of rooms 1..20 000 in one slot.  A scan of
+    # the whole text per distinct symbol took 2.4 s for it on 2 shared
+    # cores; one counting pass, cold pair cache included, about 0.3 s.
+    symbols = [pair_symbol(tag, room) for room in range(1, 20_001)
+               for tag in sorted(TAG_KEYS)]
+    random.Random(7).shuffle(symbols)
+    submissions = [(1, [(0, "".join(symbols[:30_000]))]),
+                   (2, [(0, "".join(symbols[30_000:]))])]
+    symbol_pair.cache_clear()
+    start = time.perf_counter()
+    pairs, acks = consolidate_runs(submissions, {})
+    elapsed = time.perf_counter() - start
+    assert pairs == sort_pairs(map(symbol_pair, symbols))
+    assert acks == {1: 29_999, 2: 29_999}
+    assert elapsed < 1.0, elapsed
 
 
 # -- the client buffer --------------------------------------------------------
