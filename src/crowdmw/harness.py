@@ -645,9 +645,10 @@ def build_metrics(events: Sequence[str], cycle_ms: int) -> MetricsReport:
     """Distill latency samples and cycle outcomes from an event log."""
     report = MetricsReport()
     submit_at: dict[tuple[int, int], float] = {}
-    # Each node's latest unanswered PING: a node checks one target at a
-    # time with a fresh nonce per PING, so a pong answers the last one.
-    ping_at: dict[int, float] = {}
+    # Each node's latest unanswered PING per cycle: a PONG echoes its
+    # PING's cycle, and a queued PONG can arrive after the next cycle's
+    # PING went out; of a cycle's retries, the latest counts.
+    ping_at: dict[tuple[int, int], float] = {}
     ttfb_seen: set[tuple[int, int]] = set()
     cycle_rows: dict[int, CycleSummary] = {}
     for line in events:
@@ -661,12 +662,12 @@ def build_metrics(events: Sequence[str], cycle_ms: int) -> MetricsReport:
             if kind == "data_submit":
                 submit_at.setdefault((node, cycle), t)
             elif kind == "ping":
-                ping_at[node] = t
+                ping_at[(node, cycle)] = t
         elif event == "recv":
             kind = fields.get("kind", "")
             cycle = int(fields.get("cycle", -1))
             if kind == "pong":
-                sent = ping_at.pop(node, None)
+                sent = ping_at.pop((node, cycle), None)
                 if sent is not None:
                     report.rtt_ms.append(t - sent)
             if kind in ("cycle_success", "cycle_abort"):

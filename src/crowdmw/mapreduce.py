@@ -220,7 +220,6 @@ def _valid_key_for_mode(key: str, mode: CountMode) -> bool:
 class PartialResult:
     """One reducer's aggregate map for one segment."""
 
-    assignee: NodeId
     mode: CountMode
     aggregates: Mapping[str, int]
     input_pair_count: int
@@ -343,7 +342,6 @@ def reduce_segment(segment: Segment, mode: CountMode, *,
     for pair, count in segment.runs:
         aggregates[pair.key] = aggregates.get(pair.key, 0) + pair.value * count
     return PartialResult(
-        assignee=segment.assignee,
         mode=mode,
         aggregates=aggregates,
         input_pair_count=segment.pair_count,

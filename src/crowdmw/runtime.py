@@ -83,10 +83,6 @@ Run = tuple[KeyValuePair, list[int]]
 _PAIR_ORDER = operator.attrgetter("key", "value")
 
 
-class IntegrityFailure(MiddlewareError):
-    """The partials' pair counts do not cover the dispatched segments."""
-
-
 @dataclass
 class CycleConfig:
     """Timing and participation knobs for the cycle protocol.
@@ -463,28 +459,8 @@ def parse_success_acks(message: Message) -> dict[NodeId, int]:
 
 
 # ---------------------------------------------------------------------------
-# The leader's cycle pipeline: consolidate, partition, reduce, check, merge.
+# The leader's cycle pipeline: consolidate, partition, reduce, merge.
 # ---------------------------------------------------------------------------
-
-
-def integrity_check(segments: Sequence[Segment],
-                    partials: Sequence[PartialResult]) -> bool:
-    """Conservation check: partial input counts cover the dispatch."""
-    by_assignee = {s.assignee: s for s in segments}
-    if len(by_assignee) != len(segments):
-        return False
-    seen: set[NodeId] = set()
-    for partial in partials:
-        segment = by_assignee.get(partial.assignee)
-        if segment is None or partial.assignee in seen:
-            return False
-        seen.add(partial.assignee)
-        if partial.input_pair_count != segment.pair_count:
-            return False
-    if seen != set(by_assignee):
-        return False
-    total = sum(s.pair_count for s in segments)
-    return sum(p.input_pair_count for p in partials) == total
 
 
 def consolidate_runs(submissions: Iterable[tuple[NodeId,
@@ -531,7 +507,7 @@ def _reduce_both(segment: Segment) -> tuple[PartialResult, PartialResult]:
     """
     visitor = reduce_segment(segment, CountMode.VISITOR, verified=True)
     room = PartialResult(
-        assignee=segment.assignee, mode=CountMode.ROOM,
+        mode=CountMode.ROOM,
         aggregates={room_key(room): count
                     for room, count in room_counts(segment.runs)},
         input_pair_count=visitor.input_pair_count,
@@ -539,23 +515,21 @@ def _reduce_both(segment: Segment) -> tuple[PartialResult, PartialResult]:
     return visitor, room
 
 
-def reduce_check_merge(cycle_id: int, segments: Sequence[Segment],
-                       remote: Mapping[int, tuple[PartialResult,
-                                                  PartialResult]]
-                       ) -> CycleResult:
-    """Reduce, check and merge one cycle's segments in both modes.
+def reduce_and_merge(cycle_id: int, segments: Sequence[Segment],
+                     remote: Mapping[int, tuple[PartialResult,
+                                                PartialResult]]
+                     ) -> CycleResult:
+    """Reduce and merge one cycle's segments in both modes.
 
     A segment takes the (visitor, room) partials stored for its index
-    in ``remote``; any other segment is reduced here.  Raises
-    IntegrityFailure when the partials' pair counts do not cover the
-    segments.
+    in ``remote``; any other segment is reduced here.  A stored partial
+    passed ``Node._on_reduce_result``, so it counts every pair of its
+    segment, as a local one does by construction.
     """
     partials = [remote[s.segment_index] if s.segment_index in remote
                 else _reduce_both(s) for s in segments]
-    visitor_partials = [visitor for visitor, _ in partials]
-    if not integrity_check(segments, visitor_partials):
-        raise IntegrityFailure("pair-count conservation failed")
-    visitors, _ = merge_partials(visitor_partials, CountMode.VISITOR)
+    visitors, _ = merge_partials([visitor for visitor, _ in partials],
+                                 CountMode.VISITOR)
     rooms, _ = merge_partials([room for _, room in partials], CountMode.ROOM)
     visitor_aggregates = {tag: visitors[tag.value]
                           for tag in TagCategory if tag.value in visitors}
@@ -1011,8 +985,7 @@ class Node:
                     == sum(parsed["room"].values())):
                 raise ValueError("not the segment's partial")
             partials = tuple(
-                PartialResult(assignee=matching[0].assignee, mode=mode,
-                              aggregates=parsed[mode.value],
+                PartialResult(mode=mode, aggregates=parsed[mode.value],
                               input_pair_count=parsed["count"])
                 for mode in (CountMode.VISITOR, CountMode.ROOM)
             )
@@ -1040,12 +1013,8 @@ class Node:
         for index in missing:
             self._log(now, f"fallback_reduce segment={index}")
         slot = self._slot
-        try:
-            result = reduce_check_merge(self.cycle_id, slot.segments,
-                                        slot.remote_partials)
-        except IntegrityFailure:
-            self._abort_cycle(now, "integrity")
-            return
+        result = reduce_and_merge(self.cycle_id, slot.segments,
+                                  slot.remote_partials)
         self._transition(now, NodePhase.COMMITTING)
         try:
             rows = self.store.commit_results(result,

@@ -26,7 +26,7 @@ from crowdmw.harness import (
     sweep_load,
 )
 from crowdmw.mapreduce import partition, sequential_oracle
-from crowdmw.runtime import ClientBuffer, consolidate_runs, reduce_check_merge
+from crowdmw.runtime import ClientBuffer, consolidate_runs, reduce_and_merge
 from crowdmw.store import JournalStore
 from crowdmw.transport import (
     Message,
@@ -101,7 +101,7 @@ def test_distribution_never_changes_totals():
                 if readings:
                     want_acks[origin] = len(readings) - 1
             consolidated, acks = consolidate_runs(submissions, watermarks)
-            result = reduce_check_merge(
+            result = reduce_and_merge(
                 trial, partition(consolidated, routed), {})
             assert acks == want_acks, trial
             assert result.total_readings == len(fresh), trial

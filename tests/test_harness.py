@@ -319,10 +319,22 @@ def test_build_metrics_from_synthetic_log():
     assert report.cycles[0].total_readings == 16
 
 
+def test_late_pong_pairs_with_the_ping_of_its_cycle():
+    # Node 3's cycle-22 PONG arrives after its cycle-23 PING went out:
+    # it answers the cycle-22 PING, 2 131.45 ms earlier, not the latest.
+    events = [
+        "t=44000.000 node=3 send kind=ping to=node5:7000 cycle=22 bytes=8",
+        "t=46000.000 node=3 send kind=ping to=node5:7000 cycle=23 bytes=8",
+        "t=46131.450 node=3 recv kind=pong from=node5:7000 cycle=22 bytes=8",
+    ]
+    report = build_metrics(events, cycle_ms=2000)
+    assert report.rtt_ms == [pytest.approx(2131.45)]
+
+
 def test_lossy_run_rtt_samples_are_round_trips(tmp_path):
     # Lost PINGs leave some unanswered.  Each pong pairs with its node's
-    # latest PING, so no sample spans a lost one; paired first in, first
-    # out over the run, this run's median read over 2 s.
+    # PING of the cycle it echoes, so no sample spans a lost one; paired
+    # first in, first out over the run, this run's median read over 2 s.
     config = ScenarioConfig(nodes=4, cycles=8, seed=1, visitors=20,
                             loss_rate=0.2)
     report = run_scenario(config, str(tmp_path / "store.journal"))

@@ -252,7 +252,7 @@ def test_pair_keys_and_room_partials_share_one_room_grammar(key):
         return True
 
     as_pair = accepted(lambda: KeyValuePair(key, 1))
-    as_room = accepted(lambda: PartialResult(1, CountMode.ROOM, {key: 1}, 1))
+    as_room = accepted(lambda: PartialResult(CountMode.ROOM, {key: 1}, 1))
     assert as_room == (key in ("Room1", "Room42"))
     assert as_pair == (as_room or key == "man")
 

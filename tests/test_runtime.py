@@ -5,7 +5,6 @@ from a hand count (visitor man=10, woman=21, other=12; room counts
 2/5/5/4) so the pipeline cannot drift without a test noticing.
 """
 
-import dataclasses
 import operator
 
 import pytest
@@ -21,20 +20,17 @@ from crowdmw.domain import (
 )
 from crowdmw.mapreduce import (
     KeyValuePair,
-    PartialResult,
     Segment,
     crc64,
     pair_runs,
     parse_runs,
     partition,
-    reduce_segment,
     sequential_oracle,
     sort_pairs,
 )
 from crowdmw.runtime import (
     ClientBuffer,
     CycleConfig,
-    IntegrityFailure,
     ListReadingSource,
     NodePhase,
     PHASE_EDGES,
@@ -47,10 +43,9 @@ from crowdmw.runtime import (
     build_submission_parts,
     build_success,
     consolidate_runs,
-    integrity_check,
     parse_reduce_result,
     parse_success_acks,
-    reduce_check_merge,
+    reduce_and_merge,
     symbol_pair,
 )
 from crowdmw.simgen import VisitorModel, dedupe_readings, generate_stream, replay_fixture
@@ -67,7 +62,7 @@ def _leader_steps(cycle_id, readings_by_origin):
 
     Each origin's readings enter a ``ClientBuffer`` and are submitted as
     one (base, trace) part; ``consolidate_runs`` (no watermarks),
-    ``partition`` over the origins and ``reduce_check_merge``, with
+    ``partition`` over the origins and ``reduce_and_merge``, with
     every segment reduced here, follow as in ``Node._consolidate`` and
     at the slot boundary.
     """
@@ -77,7 +72,7 @@ def _leader_steps(cycle_id, readings_by_origin):
         buffer.ingest(map(reading_key, readings))
         submissions.append((origin, [(buffer.base, buffer.trace)]))
     consolidated, _ = consolidate_runs(submissions, {})
-    return reduce_check_merge(
+    return reduce_and_merge(
         cycle_id, partition(consolidated, readings_by_origin), {})
 
 
@@ -445,55 +440,6 @@ def test_success_acks_roundtrip():
     assert parse_success_acks(build_success(5, 9, {})) == {}
 
 
-# -- integrity check ----------------------------------------------------------
-
-
-def _segments_and_partials():
-    pairs = sort_pairs(pair for pair, _ in _entries(16))
-    segments = partition(pairs, {1, 2, 3})
-    partials = [reduce_segment(s, CountMode.VISITOR) for s in segments]
-    return segments, partials
-
-
-def test_integrity_accepts_faithful_partials():
-    segments, partials = _segments_and_partials()
-    assert integrity_check(segments, partials)
-
-
-def test_integrity_rejects_missing_partial():
-    segments, partials = _segments_and_partials()
-    assert not integrity_check(segments, partials[:-1])
-
-
-def test_integrity_rejects_duplicate_partial():
-    segments, partials = _segments_and_partials()
-    assert not integrity_check(segments, partials + [partials[0]])
-
-
-def test_integrity_rejects_count_drift():
-    segments, partials = _segments_and_partials()
-    bad = PartialResult(assignee=partials[0].assignee,
-                        mode=partials[0].mode,
-                        aggregates=partials[0].aggregates,
-                        input_pair_count=partials[0].input_pair_count + 1)
-    assert not integrity_check(segments, [bad] + partials[1:])
-
-
-def test_integrity_rejects_unknown_assignee():
-    segments, partials = _segments_and_partials()
-    stray = PartialResult(assignee=99, mode=CountMode.VISITOR,
-                          aggregates={}, input_pair_count=0)
-    assert not integrity_check(segments, partials[:-1] + [stray])
-
-
-def test_integrity_rejects_colliding_segments():
-    pairs = sort_pairs(pair for pair, _ in _entries(4))
-    colliding = [Segment.build(1, pair_runs(pairs[:2]), 0),
-                 Segment.build(1, pair_runs(pairs[2:]), 1)]
-    partials = [reduce_segment(s, CountMode.VISITOR) for s in colliding]
-    assert not integrity_check(colliding, partials)
-
-
 # -- full cycle pipeline -------------------------------------------------------
 
 
@@ -559,19 +505,15 @@ def test_driven_nodes_respect_phase_edges(tmp_path):
     assert NodePhase.AWAITING_SEGMENT in observed
 
 
-def test_reduce_check_merge_refuses_unconserved_partials():
-    # The live leader's last step: a stored partial replaces the local reduction of its segment, and one that claims
-    # a pair more than its segment holds fails the conservation check.
-    segments, _ = _segments_and_partials()
-    local = reduce_check_merge(7, segments, {})
+def test_reduce_and_merge_takes_a_stored_partial_for_its_segment():
+    # The live leader's last step: a stored partial replaces the local
+    # reduction of its segment, and merges to the same totals.
+    pairs = sort_pairs(pair for pair, _ in _entries(16))
+    segments = partition(pairs, {1, 2, 3})
+    local = reduce_and_merge(7, segments, {})
     assert local.cycle_id == 7 and local.total_readings == 16
-    visitor, room = _reduce_both(segments[0])
-    assert reduce_check_merge(7, segments, {0: (visitor, room)}) == local
-    lying = tuple(dataclasses.replace(
-        partial, input_pair_count=partial.input_pair_count + 1)
-        for partial in (visitor, room))
-    with pytest.raises(IntegrityFailure):
-        reduce_check_merge(7, segments, {0: lying})
+    assert reduce_and_merge(7, segments, {0: _reduce_both(segments[0])}) \
+        == local
 
 
 # -- validation survives the pair caches ----------------------------------
@@ -825,8 +767,12 @@ HONEST_CYCLE = ({"man": 68, "other": 9, "woman": 141},
     # segment's count: kept, it would commit man=1000 and Room1=43.
     (0, "node9:7000", 9, "{count}", "man:1000", "Room1:{count}"),
     # From the assignee, one pair more than the segment holds: kept,
-    # it would fail the conservation check after the merge.
+    # its room counts would add up to 89 of the cycle's 88 readings.
     (0, "node1:7000", 1, "31", "man:31", "Room1:31"),
+    # From the assignee, with the segment's count and room counts that
+    # add up to it, but a negative count: kept, it would skew the totals.
+    (0, "node1:7000", 1, "{count}", "man:-3", "Room1:{count}"),
+    (0, "node1:7000", 1, "{count}", "man:30", "Room1:-5,Room2:35"),
     # From the assignee, a room key that is no room number: kept, it
     # would raise out of the merge.
     (0, "node1:7000", 1, "{count}", "man:30", "Roomx:{count}"),
@@ -838,8 +784,7 @@ def test_forged_partial_is_refused_at_ingress(tmp_path, index, source,
     totals, events = _forged_partial_run(tmp_path, index, source, sender,
                                          count, visitor, room)
     assert f"t=1700.500 node=3 corrupt_partial from={sender}" in events
-    assert not any(" integrity_retry " in line or " fallback_reduce " in line
-                   for line in events)
+    assert not any(" fallback_reduce " in line for line in events)
     assert ("t=1720.775 node=3 commit cycle=0 rows=10 total=88 fallbacks=0"
             in events)
     assert totals == HONEST_CYCLE
@@ -1183,6 +1128,15 @@ def test_assignment_count_must_match_the_runs():
         Message(kind=MessageKind.SEGMENT_ASSIGN, sender=3, cycle_id=0,
                 payload=payload.encode()), LEADER, 1.0)
     assert events[-1] == "t=1.000 node=1 short_segment segment=0"
+    assert node.phase is NodePhase.AWAITING_SEGMENT
+
+
+def test_assignment_checksum_must_match_the_text():
+    events = []
+    node = _idle_node(events, NodePhase.AWAITING_SEGMENT, leader=False)
+    node.on_message(_assign("man=1", 1, whole="man=2"), LEADER, 1.0)
+    assert events[-1] == "t=1.000 node=1 checksum_mismatch segment=0"
+    assert node.endpoint.sent == []
     assert node.phase is NodePhase.AWAITING_SEGMENT
 
 

@@ -91,24 +91,53 @@ def test_uncommitted_rows_invisible_after_crash(path):
     assert os.path.getsize(path) >= size_committed
 
 
-def test_torn_tail_truncated_on_recovery(path):
+def _reopen_after_bad_tail(path, tail):
+    """Append ``tail`` after a committed cycle, then recover twice."""
     store = JournalStore(path)
     store.upsert_node(_row(1, "node1:7000", Role.FOLLOWER, 0))
     store.commit_results(_result(), committed_at=10)
     store.close()
+    good = os.path.getsize(path)
     with open(path, "ab") as handle:
-        handle.write(b"87|results|torn-half-rec")  # no trailing newline
+        handle.write(tail)
 
     reopened = JournalStore(path)
     assert reopened.committed_cycles() == [0]
     assert reopened.node(1) is not None
-    # Recovery rewrites nothing, but the next append lands after the
-    # last intact record; reopening again must still work.
+    assert os.path.getsize(path) == good
+    # The next append lands after the last intact record; reopening
+    # again must still work.
     reopened.upsert_node(_row(2, "node2:7000", Role.FOLLOWER, 5))
     reopened.close()
     final = JournalStore(path)
     assert final.node(2) is not None
     final.close()
+
+
+def test_torn_tail_truncated_on_recovery(path):
+    _reopen_after_bad_tail(path, b"87|results|torn-half-rec")
+
+
+def _framed(body):
+    return b"%d|%s\n" % (len(body), body)
+
+
+BAD_FRAMES = {
+    "no-bar": b"results\n",
+    "length-not-decimal": b"1x|commit|0,1\n",
+    "no-newline": b"10|commit|0,1X",
+    "no-table": _framed(b"commit"),
+    "unknown-table": _framed(b"widgets|1,2"),
+    "short-results-row": _framed(b"results|1,visitor,man"),
+    "commit-count-mismatch": _framed(b"commit|1,1"),
+    "node-id-0": _framed(b"nodes|0,node0:7000;follower;5"),
+    "unknown-mode": _framed(b"results|1,bogus,man,3,10"),
+}
+
+
+@pytest.mark.parametrize("tail", list(BAD_FRAMES.values()), ids=list(BAD_FRAMES))
+def test_bad_frame_truncated_on_recovery(path, tail):
+    _reopen_after_bad_tail(path, tail)
 
 
 def test_commit_idempotent_and_conflicting(path):
