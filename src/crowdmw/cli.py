@@ -79,16 +79,15 @@ def _print_report(report: ScenarioReport) -> None:
     print(f"leader: {leader}")
     print(f"commits={report.commits} aborts={report.aborts}")
     recon = report.reconciliation
-    if recon is not None:
-        print(
-            "readings: "
-            f"injected={recon.injected} ingested={recon.ingested} "
-            f"deduplicated={recon.deduplicated} "
-            f"committed={recon.committed} pending={recon.pending_live} "
-            f"stranded={recon.stranded_killed} "
-            f"undelivered={recon.undelivered} "
-            f"conserved={'yes' if recon.conserves() else 'NO'}"
-        )
+    print(
+        "readings: "
+        f"injected={recon.injected} ingested={recon.ingested} "
+        f"deduplicated={recon.deduplicated} "
+        f"committed={recon.committed} pending={recon.pending_live} "
+        f"stranded={recon.stranded_killed} "
+        f"undelivered={recon.undelivered} "
+        f"conserved={'yes' if recon.conserves() else 'NO'}"
+    )
     print(f"datagrams: sent={report.datagrams_sent} "
           f"dropped={report.datagrams_dropped} "
           f"delivered={report.datagrams_delivered}")

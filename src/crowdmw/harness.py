@@ -742,7 +742,7 @@ class ScenarioReport:
     leader_id: Optional[int]
     commits: int
     aborts: int
-    reconciliation: Optional[Reconciliation]
+    reconciliation: Reconciliation
     nodes: dict[int, Node]
     ledger: Optional[simgen.GenerationLedger]
     # The network's counters over the run, all nodes and kinds summed.

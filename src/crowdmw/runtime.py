@@ -35,11 +35,14 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from crowdmw import election
 from crowdmw.domain import (
     KEY_SHIFT,
+    ROOM_KEY_RE,
     SYMBOL_MASK,
+    TAG_KEYS,
     CountMode,
     KeyValuePair,
     MiddlewareError,
     TagCategory,
+    pair_symbol,
     room_key,
     symbol_pair,
 )
@@ -277,13 +280,55 @@ class ListReadingSource:
 # ---------------------------------------------------------------------------
 
 
-# A submission part: its four fields in this order, origin, i, n and
-# base as canonical decimals (ASCII digits, no sign, space, ``_`` or
-# leading zero), and a trace of pair symbols (see ``domain.pair_symbol``)
-# that runs to the end of the payload.
+# Each kind a node parses has one anchored pattern, its fields in the
+# order its builder writes them: numbers are canonical decimals (ASCII
+# digits, no sign, space, ``_`` or leading zero), checksums and digests
+# 16 lowercase hex digits, and a ``k:v`` list names each key once.
+_DECIMAL = "0|[1-9][0-9]*"
+_NUMBER = f"({_DECIMAL})"
+_HEX = "([0-9a-f]{16})"
+_ITEM = re.compile(f"([^,:]+):{_NUMBER}")
+
+
+def _listed(key: str) -> str:
+    """One group: a comma-joined list of ``key:number`` items."""
+    item = f"(?:{key}):(?:{_DECIMAL})"
+    return f"((?:{item}(?:,{item})*)?)"
+
+
+# A submission part: origin, part i/n, base, and a trace of pair symbols
+# (see ``domain.pair_symbol``) that runs to the end of the payload.
 _SUBMISSION = re.compile(
-    "origin=(0|[1-9][0-9]*);part=(0|[1-9][0-9]*)/(0|[1-9][0-9]*);"
-    "base=(0|[1-9][0-9]*);trace=([^\x00-;\ud800-\udfff]*)")
+    f"origin={_NUMBER};part={_NUMBER}/{_NUMBER};base={_NUMBER};"
+    "trace=([^\x00-;\ud800-\udfff]*)")
+# An assignment part: its slice of the segment's run text comes last.
+_ASSIGNMENT = re.compile(
+    f"segment={_NUMBER};count={_NUMBER};checksum={_HEX};"
+    f"part={_NUMBER}/{_NUMBER};pairs=([^;]*)")
+# A partial: its body, then the body's CRC-64.
+_PARTIAL = re.compile(
+    f"(segment={_NUMBER};count={_NUMBER};checksum={_HEX};"
+    f"visitor={_listed('|'.join(sorted(TAG_KEYS)))};"
+    f"room={_listed(ROOM_KEY_RE.pattern)});digest={_HEX}")
+_SUCCESS = re.compile(f"acks={_listed(_DECIMAL)}")
+_ANNOUNCEMENT = re.compile(f"leader={_NUMBER};addr=([^;]*)")
+
+
+def _match(pattern: re.Pattern, payload: bytes) -> tuple[str, ...]:
+    """The groups of ``payload`` read whole by ``pattern``; else ValueError."""
+    match = pattern.fullmatch(payload.decode("utf-8"))
+    if match is None:
+        raise ValueError("payload does not match its kind's grammar")
+    return match.groups()
+
+
+def _items(text: str) -> dict[str, int]:
+    """A matched ``k:v`` list as a dict; ValueError if a key repeats."""
+    items = _ITEM.findall(text)
+    listed = {key: int(count) for key, count in items}
+    if len(listed) != len(items):
+        raise ValueError("a key listed twice")
+    return listed
 
 
 def _parse_submission(payload: bytes) -> tuple[int, int, int, int, str]:
@@ -292,24 +337,11 @@ def _parse_submission(payload: bytes) -> tuple[int, int, int, int, str]:
     Reading base + j has symbol j of the trace.  The base and the
     part's last sequence are at most MAX_PAIR_COUNT.
     """
-    match = _SUBMISSION.fullmatch(payload.decode("utf-8"))
-    if match is None:
-        raise ValueError("not a submission part")
-    origin, index, total, base_text, trace = match.groups()
+    origin, index, total, base_text, trace = _match(_SUBMISSION, payload)
     base = int(base_text)
     if max(base, base + len(trace) - 1) > MAX_PAIR_COUNT:
         raise ValueError(f"sequences past {MAX_PAIR_COUNT}")
     return int(origin), int(index), int(total), base, trace
-
-
-def _parse_fields(payload: bytes) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for chunk in payload.decode("utf-8").split(";"):
-        name, sep, value = chunk.partition("=")
-        if not sep:
-            raise ValueError(f"malformed payload field: {chunk!r}")
-        fields[name] = value
-    return fields
 
 
 def _chunk(text: str, budget: int) -> list[str]:
@@ -399,18 +431,6 @@ def _serialize_aggregates(aggregates: Mapping) -> str:
     return ",".join(f"{k}:{aggregates[k]}" for k in sorted(aggregates))
 
 
-def _parse_aggregates(text: str) -> dict[str, int]:
-    if not text:
-        return {}
-    out: dict[str, int] = {}
-    for item in text.split(","):
-        key, sep, count = item.partition(":")
-        if not sep:
-            raise ValueError(f"malformed aggregate: {item!r}")
-        out[key] = int(count)
-    return out
-
-
 def build_reduce_result(sender: NodeId, cycle_id: int, segment_index: int,
                         segment_checksum: int,
                         visitor: dict[str, int], room: dict[str, int],
@@ -430,19 +450,14 @@ def build_reduce_result(sender: NodeId, cycle_id: int, segment_index: int,
 def parse_reduce_result(message: Message) -> Optional[dict]:
     """Validate a REDUCE_RESULT payload; None if malformed or corrupt."""
     try:
-        text = message.payload.decode("utf-8")
-        body, sep, digest_field = text.rpartition(";digest=")
-        if not sep or crc64(body.encode("utf-8")) != int(digest_field, 16):
+        body, segment, count, checksum, visitor, room, digest = _match(
+            _PARTIAL, message.payload)
+        if crc64(body.encode("utf-8")) != int(digest, 16):
             return None
-        fields = _parse_fields(body.encode("utf-8"))
-        return {
-            "segment": int(fields["segment"]),
-            "count": int(fields["count"]),
-            "checksum": int(fields["checksum"], 16),
-            "visitor": _parse_aggregates(fields["visitor"]),
-            "room": _parse_aggregates(fields["room"]),
-        }
-    except (ValueError, KeyError, UnicodeDecodeError):
+        return {"segment": int(segment), "count": int(count),
+                "checksum": int(checksum, 16),
+                "visitor": _items(visitor), "room": _items(room)}
+    except ValueError:
         return None
 
 
@@ -454,8 +469,8 @@ def build_success(sender: NodeId, cycle_id: int,
 
 
 def parse_success_acks(message: Message) -> dict[NodeId, int]:
-    acks = _parse_aggregates(_parse_fields(message.payload).get("acks", ""))
-    return {int(origin): seq for origin, seq in acks.items()}
+    (acks,) = _match(_SUCCESS, message.payload)
+    return {int(origin): seq for origin, seq in _items(acks).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +514,12 @@ def consolidate_runs(submissions: Iterable[tuple[NodeId,
 def _reduce_both(segment: Segment) -> tuple[PartialResult, PartialResult]:
     """Reduce one visitor-keyed segment in both modes.
 
-    Every caller holds a segment whose pairs match its checksum: the
-    leader built it, or the follower checked the wire text's checksum
-    and parsed it in canonical form.  So it is not checksummed again,
-    and room counts, which never leave the node, are derived from the
+    Every caller holds a segment whose pairs match its checksum and
+    are visitor pairs on the symbol table: the leader built it, or the
+    follower checked the wire text's checksum, parsed it in canonical
+    form and checked each pair with ``pair_symbol``.  So it is not
+    checksummed again.  The room counts, which a follower's
+    REDUCE_RESULT carries beside the visitor totals, come from the
     same runs.
     """
     visitor = reduce_segment(segment, CountMode.VISITOR, verified=True)
@@ -645,7 +662,7 @@ class Node:
         self.endpoint = endpoint
         self.store = store
         self.source = reading_source
-        self.rng = rng if rng is not None else random.Random()
+        self.rng = rng if rng is not None else random.Random(node_id)
         self.override = override
         self.event_sink = event_sink
         self.max_entries_per_part = max_entries_per_part
@@ -975,24 +992,20 @@ class Node:
             self._log(now, f"stale_partial from={message.sender} "
                            f"segment={index}")
             return
-        try:
-            # Only the segment's assignee answers, from the address it
-            # was dispatched to, and an honest partial counts every pair
-            # of its segment; room mode counts one per pair, so its room
-            # counts add up to the same count.
-            if not (slot.assignee_addresses.get(index) == source
-                    and parsed["count"] == matching[0].pair_count
-                    == sum(parsed["room"].values())):
-                raise ValueError("not the segment's partial")
-            partials = tuple(
-                PartialResult(mode=mode, aggregates=parsed[mode.value],
-                              input_pair_count=parsed["count"])
-                for mode in (CountMode.VISITOR, CountMode.ROOM)
-            )
-        except ValueError:
+        # Only the segment's assignee answers, from the address it was
+        # dispatched to, and an honest partial counts every pair of its
+        # segment; room mode counts one per pair, so its room counts
+        # add up to the same count.
+        if not (slot.assignee_addresses.get(index) == source
+                and parsed["count"] == matching[0].pair_count
+                == sum(parsed["room"].values())):
             self._log(now, f"corrupt_partial from={message.sender}")
             return
-        slot.remote_partials[index] = partials
+        slot.remote_partials[index] = tuple(
+            PartialResult(mode=mode, aggregates=parsed[mode.value],
+                          input_pair_count=parsed["count"])
+            for mode in (CountMode.VISITOR, CountMode.ROOM)
+        )
         self._maybe_finish_early(now)
 
     def _missing_partials(self) -> list[int]:
@@ -1056,23 +1069,22 @@ class Node:
         if self.phase is not NodePhase.AWAITING_SEGMENT:
             return
         try:
-            fields = _parse_fields(message.payload)
-            index = int(fields["segment"])
-            count = int(fields["count"])
-            if count > MAX_PAIR_COUNT:
-                raise ValueError(f"pair count too large: {count}")
-            checksum = int(fields["checksum"], 16)
-            part_index_str, part_total_str = fields["part"].split("/")
-            part_index, part_total = int(part_index_str), int(part_total_str)
-            pairs_text = fields["pairs"]
-        except (ValueError, KeyError):
+            index, count, checksum, part_index, part_total, pairs_text = (
+                _match(_ASSIGNMENT, message.payload))
+            index, count, part_index, part_total = map(
+                int, (index, count, part_index, part_total))
+            if count > MAX_PAIR_COUNT or part_index >= part_total:
+                raise ValueError("pair count too large or part past total")
+        except ValueError:
             self._log(now, f"malformed_assignment from={message.sender}")
             return
         assignment, _ = _file_part(self._slot.assignments, index,
                                    part_total, part_index, pairs_text,
-                                   (count, checksum))
+                                   (count, int(checksum, 16)))
         if not assignment.complete():
             return
+        # A whole set is taken out, so a refused one leaves nothing.
+        del self._slot.assignments[index]
         # The first part of the set fixes the count and checksum.
         count, checksum = assignment.header
         text = ",".join(filter(None, assignment.ordered()))
@@ -1081,6 +1093,9 @@ class Node:
             return
         try:
             runs = tuple(parse_runs(text, canonical=True))
+            # A reducer answers for visitor pairs on the symbol table.
+            for pair, _ in runs:
+                pair_symbol(pair.key, pair.value)
         except ValueError:
             self._log(now, f"malformed_assignment from={message.sender}")
             return
@@ -1091,18 +1106,14 @@ class Node:
                           segment_index=index, checksum=checksum,
                           pair_count=count)
         self._transition(now, NodePhase.REDUCING)
-        try:
-            visitor, room = _reduce_both(segment)
-            reply = build_reduce_result(
-                self.node_id, self.cycle_id, index, checksum,
-                dict(visitor.aggregates), dict(room.aggregates),
-                visitor.input_pair_count,
-            )
-            if len(reply.payload) > MAX_PAYLOAD:
-                raise ValueError("partial does not fit one datagram")
-        except ValueError:
-            # Valid pairs a reducer cannot answer for: not visitor pairs
-            # (a room key, room 0), or totals too long to print or send.
+        visitor, room = _reduce_both(segment)
+        reply = build_reduce_result(
+            self.node_id, self.cycle_id, index, checksum,
+            dict(visitor.aggregates), dict(room.aggregates),
+            visitor.input_pair_count,
+        )
+        if len(reply.payload) > MAX_PAYLOAD:
+            # More rooms than one reply can list.
             self._log(now, f"malformed_assignment from={message.sender}")
             self._transition(now, NodePhase.AWAITING_RESULT)
             return
@@ -1151,11 +1162,10 @@ class Node:
             return
         if kind is MessageKind.REGISTER_ACK:
             try:
-                fields = _parse_fields(message.payload)
-                leader_id = int(fields["leader"])
-                address = fields["addr"]
-            except (ValueError, KeyError):
+                leader_text, address = _match(_ANNOUNCEMENT, message.payload)
+            except ValueError:
                 return
+            leader_id = int(leader_text)
             if leader_id == self.node_id:
                 return
             # Only the announced leader may announce itself, from the

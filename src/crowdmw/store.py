@@ -93,8 +93,8 @@ class JournalStore:
         self.path = path
         self._lock = threading.RLock()
         self._nodes: dict[int, NodeRecord] = {}
-        self._results: dict[tuple[int, str, str], ResultTableRow] = {}
-        self._committed: dict[int, frozenset] = {}
+        # Each committed cycle's rows, in (mode, key) order.
+        self._cycles: dict[int, list[ResultTableRow]] = {}
         # Highest committed ack per origin, kept as rows are applied.
         self._acks: dict[int, int] = {}
         self._writes_since_compact = 0
@@ -176,17 +176,15 @@ class JournalStore:
             rows = pending.pop(cycle, [])
             if len(rows) != count:
                 raise ValueError(f"commit marker for cycle {cycle} mismatched")
-            self._apply_results(rows)
-            self._committed[cycle] = frozenset(r.content() for r in rows)
+            self._apply_results(cycle, rows)
         else:
             raise ValueError(f"unknown table {table!r}")
 
-    def _apply_results(self, rows: list[ResultTableRow]) -> None:
+    def _apply_results(self, cycle: int, rows: list[ResultTableRow]) -> None:
         """Make one committed cycle's rows visible, acks included."""
         acks = [(int(r.key.removeprefix("node")), r.count)
                 for r in rows if r.mode == "ack"]
-        for row in rows:
-            self._results[(row.cycle_id, row.mode, row.key)] = row
+        self._cycles[cycle] = sorted(rows, key=lambda r: (r.mode, r.key))
         for origin, seq in acks:
             if seq > self._acks.get(origin, -1):
                 self._acks[origin] = seq
@@ -259,11 +257,11 @@ class JournalStore:
         for an already-committed cycle raise ConflictingCommit.
         """
         rows = rows_for_result(result, committed_at, acks)
-        content = frozenset(r.content() for r in rows)
         with self._lock:
-            existing = self._committed.get(result.cycle_id)
+            existing = self._cycles.get(result.cycle_id)
             if existing is not None:
-                if existing == content:
+                if ({r.content() for r in existing}
+                        == {r.content() for r in rows}):
                     return self.rows_for_cycle(result.cycle_id)
                 raise ConflictingCommit(
                     f"cycle {result.cycle_id} already committed with "
@@ -272,8 +270,7 @@ class JournalStore:
             bodies = [self._result_body(row) for row in rows]
             bodies.append(f"commit|{result.cycle_id},{len(rows)}")
             self._append(bodies)
-            self._apply_results(rows)
-            self._committed[result.cycle_id] = content
+            self._apply_results(result.cycle_id, rows)
             self._maybe_compact()
             # Same shape as the idempotent path: callers cannot tell a
             # first commit from a repeat of it.
@@ -281,21 +278,16 @@ class JournalStore:
 
     def rows_for_cycle(self, cycle_id: int) -> list[ResultTableRow]:
         with self._lock:
-            return sorted(
-                (r for r in self._results.values() if r.cycle_id == cycle_id),
-                key=lambda r: (r.mode, r.key),
-            )
+            return list(self._cycles.get(cycle_id, ()))
 
     def snapshot_results(self) -> list[ResultTableRow]:
         with self._lock:
-            return sorted(
-                self._results.values(),
-                key=lambda r: (r.cycle_id, r.mode, r.key),
-            )
+            return [row for cycle in sorted(self._cycles)
+                    for row in self._cycles[cycle]]
 
     def committed_cycles(self) -> list[int]:
         with self._lock:
-            return sorted(self._committed)
+            return sorted(self._cycles)
 
     def ack_watermarks(self) -> dict[int, int]:
         """Highest committed read sequence per origin node."""
@@ -306,9 +298,10 @@ class JournalStore:
         """Aggregate committed counts for one mode across all cycles."""
         out: dict[str, int] = {}
         with self._lock:
-            for row in self._results.values():
-                if row.mode == mode:
-                    out[row.key] = out.get(row.key, 0) + row.count
+            for rows in self._cycles.values():
+                for row in rows:
+                    if row.mode == mode:
+                        out[row.key] = out.get(row.key, 0) + row.count
         return out
 
     # -- maintenance ----------------------------------------------------
@@ -323,12 +316,9 @@ class JournalStore:
         with self._lock:
             bodies = [self._node_body(r)
                       for _, r in sorted(self._nodes.items())]
-            by_cycle: dict[int, list[ResultTableRow]] = {}
-            for row in self.snapshot_results():
-                by_cycle.setdefault(row.cycle_id, []).append(row)
-            for cycle in sorted(by_cycle):
-                bodies += map(self._result_body, by_cycle[cycle])
-                bodies.append(f"commit|{cycle},{len(by_cycle[cycle])}")
+            for cycle in sorted(self._cycles):
+                bodies += map(self._result_body, self._cycles[cycle])
+                bodies.append(f"commit|{cycle},{len(self._cycles[cycle])}")
             tmp_path = self.path + ".compact"
             try:
                 with open(tmp_path, "wb") as tmp:

@@ -335,3 +335,162 @@ def test_non_canonical_origin_or_part_is_malformed(origin, part, tmp_path):
         store.close()
     assert cluster.events[-1].endswith(" node=3 malformed_submit from=2")
     assert leader._slot.submissions == {}
+
+
+# -- canonical fields of every other parsed kind ------------------------------
+
+# An assignment or a partial that is not spelled exactly as its builder
+# writes it is refused with its kind's reason; a success broadcast or a
+# leader announcement is ignored.  Either way the node is left as it
+# was, and the honest spelling of the same payload is then taken.
+
+ARABIC_INDIC = str.maketrans("0123456789",
+                             "".join(map(chr, range(0x660, 0x66A))))
+FULLWIDTH = str.maketrans("0123456789",
+                          "".join(map(chr, range(0xFF10, 0xFF1A))))
+# Spellings that ``int`` reads as the number they rewrite.
+NUMBER_SPELLINGS = {
+    "plus": "+{}".format,
+    "leading-space": " {}".format,
+    "trailing-space": "{} ".format,
+    "leading-zero": "0{}".format,
+    "underscore": "0_{}".format,
+    "arabic-indic-digit": lambda text: text.translate(ARABIC_INDIC),
+    "fullwidth-digit": lambda text: text.translate(FULLWIDTH),
+}
+# Spellings that ``int(text, 16)`` reads as the checksum they rewrite.
+HEX_SPELLINGS = {"0x-prefix": "0x{}".format, "uppercase": str.upper}
+
+
+def _honest(field, text):
+    return text
+
+
+def _assignment_text(node, spell):
+    pairs = spell("pairs", "man=1")
+    checksum = f"{crc64(pairs.encode()):016x}"
+    return (f"segment={spell('segment', '0')};count={spell('count', '1')};"
+            f"checksum={spell('checksum', checksum)};"
+            f"part={spell('i', '0')}/{spell('n', '1')};pairs={pairs}")
+
+
+def _partial_text(node, spell):
+    """A partial for the leader's segment 0, whose assignee is dead."""
+    segment = node._slot.segments[0]
+    count = str(segment.pair_count)
+    body = (f"segment={spell('segment', str(segment.segment_index))};"
+            f"count={spell('count', count)};"
+            f"checksum={spell('checksum', f'{segment.checksum:016x}')};"
+            f"visitor=man:{spell('visitor', count)};"
+            f"room=Room1:{spell('room', count)}")
+    return f"{body};digest={spell('digest', f'{crc64(body.encode()):016x}')}"
+
+
+def _success_text(node, spell):
+    """An ack of the node's first pending reading."""
+    return (f"acks={spell('origin', str(node.node_id))}:"
+            f"{spell('seq', str(node.buffer.base))}")
+
+
+def _announcement_text(node, spell):
+    return f"leader={spell('leader', '3')};addr=node3:7000"
+
+
+# Per kind: its payload, the moment and node it is aimed at, the phase
+# that node is in then, the sender and its address, the kind's numeric
+# and hex fields, and the reason it is refused with (None: ignored).
+# Node 2 awaits its segment at 1501 and the leader's PONG at 0; at
+# 1700 the leader merges and awaits segment 0 from node 1, now dead.
+SPELLING_TARGETS = {
+    MessageKind.SEGMENT_ASSIGN: (
+        _assignment_text, 1501.0, 2, "AWAITING_SEGMENT", 3,
+        ("segment", "count", "i", "n"), ("checksum",),
+        "malformed_assignment"),
+    MessageKind.REDUCE_RESULT: (
+        _partial_text, 1700.0, 3, "MERGING", 1,
+        ("segment", "count", "visitor", "room"), ("checksum", "digest"),
+        "corrupt_partial"),
+    MessageKind.CYCLE_SUCCESS: (
+        _success_text, 1501.0, 2, "AWAITING_SEGMENT", 3,
+        ("origin", "seq"), (), None),
+    MessageKind.REGISTER_ACK: (
+        _announcement_text, 0.0, 2, "CHECKING_SERVER", 3,
+        ("leader",), (), None),
+}
+
+
+def _respelled(field, spelling):
+    """A speller that rewrites ``field`` and keeps every other field."""
+    return lambda name, text: spelling(text) if name == field else text
+
+
+SPELLING_CASES = [
+    pytest.param(kind, _respelled(field, spelling),
+                 id=f"{kind.name}-{field}-{name}")
+    for kind, (_, _, _, _, _, numbers, hexes, _) in SPELLING_TARGETS.items()
+    for fields, spellings in ((numbers, NUMBER_SPELLINGS),
+                              (hexes, HEX_SPELLINGS))
+    for field in fields
+    for name, spelling in spellings.items()
+] + [
+    # A part index at its total, and a negative one.
+    pytest.param(MessageKind.SEGMENT_ASSIGN,
+                 _respelled("i", lambda _: "1"),
+                 id="SEGMENT_ASSIGN-part-1-of-1"),
+    pytest.param(MessageKind.SEGMENT_ASSIGN,
+                 _respelled("i", lambda _: "-1"),
+                 id="SEGMENT_ASSIGN-part-minus-1-of-1"),
+    # Canonical runs that are no visitor pair on the symbol table.
+    pytest.param(MessageKind.SEGMENT_ASSIGN,
+                 _respelled("pairs", lambda _: "man=370669"),
+                 id="SEGMENT_ASSIGN-room-past-the-table"),
+    pytest.param(MessageKind.SEGMENT_ASSIGN,
+                 _respelled("pairs", lambda _: "Room1=1"),
+                 id="SEGMENT_ASSIGN-room-key"),
+]
+
+
+def _node_state(node):
+    """What a datagram may change: buffer, part sets, partials, leader
+    and phase."""
+    slot = node._slot
+    return (node.buffer.base, node.buffer.trace,
+            {index: (parts.total, parts.header, dict(parts.parts))
+             for sets in (slot.submissions, slot.assignments)
+             for index, parts in sets.items()},
+            dict(slot.remote_partials), node._leader_address,
+            slot.is_leader, node.phase)
+
+
+@pytest.mark.parametrize("kind, spell", SPELLING_CASES)
+def test_non_canonical_field_of_any_kind_changes_nothing(kind, spell,
+                                                         tmp_path):
+    render, at, node_id, phase, sender, _, _, refusal = (
+        SPELLING_TARGETS[kind])
+
+    def deliver(node, speller):
+        node.on_message(
+            Message(kind=kind, sender=sender, cycle_id=node.cycle_id,
+                    payload=render(node, speller).encode()),
+            f"node{sender}:7000", cluster.clock.now_ms())
+
+    store = JournalStore(str(tmp_path / "spelling.journal"))
+    try:
+        cluster = SimCluster(ScenarioConfig(**CLUSTER), store)
+        cluster.start()
+        cluster.run(at)
+        node = cluster.nodes[node_id]
+        assert node.phase.name == phase
+        before, seen = _node_state(node), len(cluster.events)
+        deliver(node, spell)
+        refused, logged = _node_state(node), cluster.events[seen:]
+        # The honest spelling of the same payload is taken.
+        deliver(node, _honest)
+        assert _node_state(node) != before
+    finally:
+        store.close()
+    assert refused == before
+    assert len(logged) == (1 if refusal is None else 2)
+    if refusal is not None:
+        assert logged[-1].endswith(f" node={node_id} {refusal} "
+                                   f"from={sender}")

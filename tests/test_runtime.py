@@ -34,8 +34,9 @@ from crowdmw.runtime import (
     ListReadingSource,
     NodePhase,
     PHASE_EDGES,
+    _ASSIGNMENT,
     _file_part,
-    _parse_fields,
+    _match,
     _parse_submission,
     _reduce_both,
     build_assignment_parts,
@@ -230,24 +231,6 @@ def _trace(entries):
     return "".join(pair_symbol(pair.key, pair.value) for pair, _ in entries)
 
 
-def _reassemble(messages, body, header=lambda fields: ()):
-    """The node's part set for ``messages``, each filed as one new part.
-
-    Every message lands in the one set it completes, so none started
-    it over.
-    """
-    sets = {}
-    for message in messages:
-        fields = _parse_fields(message.payload)
-        index, _, total = fields["part"].partition("/")
-        _, fresh = _file_part(sets, 0, int(total), int(index), body(fields),
-                              header(fields))
-        assert fresh
-    (holder,) = sets.values()
-    assert holder.complete() and holder.total == len(messages)
-    return holder
-
-
 def _reassemble_submission(messages):
     """A submission's entries, as a leader files its parts."""
     sets = {}
@@ -268,7 +251,7 @@ def test_submission_roundtrip_single_part():
     assert messages[0].kind is MessageKind.DATA_SUBMIT
     assert messages[0].sender == 7
     assert messages[0].cycle_id == 3
-    assert _parse_fields(messages[0].payload)["origin"] == "7"
+    assert _parse_submission(messages[0].payload)[0] == 7
     assert _reassemble_submission(messages) == entries
 
 
@@ -326,10 +309,20 @@ def test_submission_writes_base_and_one_symbol_per_reading():
 
 
 def _reassemble_assignment(messages):
-    """An assignment's (count, checksum, pair text), as a node joins it."""
-    holder = _reassemble(
-        messages, operator.itemgetter("pairs"),
-        lambda fields: (int(fields["count"]), int(fields["checksum"], 16)))
+    """An assignment's (count, checksum, pair text), as a node joins it.
+
+    Every message lands in the one set it completes, so none started
+    it over.
+    """
+    sets = {}
+    for message in messages:
+        _, count, checksum, index, total, pairs = _match(_ASSIGNMENT,
+                                                         message.payload)
+        _, fresh = _file_part(sets, 0, int(total), int(index), pairs,
+                              (int(count), int(checksum, 16)))
+        assert fresh
+    (holder,) = sets.values()
+    assert holder.complete() and holder.total == len(messages)
     return (*holder.header, ",".join(filter(None, holder.ordered())))
 
 

@@ -218,6 +218,22 @@ def test_replay_keeps_one_leader_of_two_consecutive_claims(path):
     store.close()
 
 
+def test_replay_keeps_the_last_commit_of_a_cycle(path):
+    # The store refuses a second commit of a cycle, so only a journal
+    # written by hand holds two; the later marker's rows win whole.
+    with open(path, "wb") as handle:
+        for body in (b"results|0,room,Room1,4,10",
+                     b"results|0,room,Room2,1,10", b"commit|0,2",
+                     b"results|0,room,Room1,5,20", b"commit|0,1"):
+            handle.write(_framed(body))
+    store = JournalStore(path)
+    assert store.committed_cycles() == [0]
+    assert store.rows_for_cycle(0) == [ResultTableRow(0, "room", "Room1", 5,
+                                                      20)]
+    assert store.totals("room") == {"Room1": 5}
+    store.close()
+
+
 def test_concurrent_claims_leave_one_leader(path):
     store = JournalStore(path)
     node_ids = range(1, 9)
