@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from crowdmw import election
 from crowdmw.domain import (
     KEY_SHIFT,
+    MAX_ROOM,
     ROOM_KEY_RE,
     SYMBOL_MASK,
     TAG_KEYS,
@@ -282,12 +283,12 @@ class ListReadingSource:
 
 # Each kind a node parses has one anchored pattern, its fields in the
 # order its builder writes them: numbers are canonical decimals (ASCII
-# digits, no sign, space, ``_`` or leading zero), checksums and digests
-# 16 lowercase hex digits, and a ``k:v`` list names each key once.
-_DECIMAL = "0|[1-9][0-9]*"
+# digits, no sign, space, ``_`` or leading zero) of at most 19 digits,
+# the width of MAX_PAIR_COUNT, checksums and digests 16 lowercase hex
+# digits, and a ``k:v`` list names each key once.
+_DECIMAL = "0|[1-9][0-9]{0,18}"
 _NUMBER = f"({_DECIMAL})"
 _HEX = "([0-9a-f]{16})"
-_ITEM = re.compile(f"([^,:]+):{_NUMBER}")
 
 
 def _listed(key: str) -> str:
@@ -324,8 +325,8 @@ def _match(pattern: re.Pattern, payload: bytes) -> tuple[str, ...]:
 
 def _items(text: str) -> dict[str, int]:
     """A matched ``k:v`` list as a dict; ValueError if a key repeats."""
-    items = _ITEM.findall(text)
-    listed = {key: int(count) for key, count in items}
+    items = [item.partition(":") for item in text.split(",")] if text else []
+    listed = {key: int(count) for key, _, count in items}
     if len(listed) != len(items):
         raise ValueError("a key listed twice")
     return listed
@@ -452,11 +453,14 @@ def parse_reduce_result(message: Message) -> Optional[dict]:
     try:
         body, segment, count, checksum, visitor, room, digest = _match(
             _PARTIAL, message.payload)
-        if crc64(body.encode("utf-8")) != int(digest, 16):
+        rooms = _items(room)
+        # An intact body, whose Room<n> keys are on the symbol table.
+        if (crc64(body.encode("utf-8")) != int(digest, 16)
+                or any(int(key[4:]) > MAX_ROOM for key in rooms)):
             return None
         return {"segment": int(segment), "count": int(count),
                 "checksum": int(checksum, 16),
-                "visitor": _items(visitor), "room": _items(room)}
+                "visitor": _items(visitor), "room": rooms}
     except ValueError:
         return None
 
@@ -1115,9 +1119,7 @@ class Node:
         if len(reply.payload) > MAX_PAYLOAD:
             # More rooms than one reply can list.
             self._log(now, f"malformed_assignment from={message.sender}")
-            self._transition(now, NodePhase.AWAITING_RESULT)
-            return
-        if self._leader_address is not None:
+        elif self._leader_address is not None:
             self._send(now, self._leader_address, reply)
         self._transition(now, NodePhase.AWAITING_RESULT)
 
@@ -1126,10 +1128,8 @@ class Node:
             acks = parse_success_acks(message)
         except ValueError:
             return
-        pruned = 0
         own = acks.get(self.node_id)
-        if own is not None:
-            pruned = self.buffer.prune_through(own)
+        pruned = 0 if own is None else self.buffer.prune_through(own)
         self._log(now, f"outcome cycle={message.cycle_id} kind=success "
                        f"pruned={pruned}")
 
@@ -1163,9 +1163,9 @@ class Node:
         if kind is MessageKind.REGISTER_ACK:
             try:
                 leader_text, address = _match(_ANNOUNCEMENT, message.payload)
+                leader_id = int(leader_text)
             except ValueError:
                 return
-            leader_id = int(leader_text)
             if leader_id == self.node_id:
                 return
             # Only the announced leader may announce itself, from the

@@ -360,6 +360,9 @@ NUMBER_SPELLINGS = {
 }
 # Spellings that ``int(text, 16)`` reads as the checksum they rewrite.
 HEX_SPELLINGS = {"0x-prefix": "0x{}".format, "uppercase": str.upper}
+# A canonical number past the digits ``int`` reads from text by default
+# (4 300); it still fits one payload.
+LONG_NUMBER = "1" + "0" * 4300
 
 
 def _honest(field, text):
@@ -382,7 +385,7 @@ def _partial_text(node, spell):
             f"count={spell('count', count)};"
             f"checksum={spell('checksum', f'{segment.checksum:016x}')};"
             f"visitor=man:{spell('visitor', count)};"
-            f"room=Room1:{spell('room', count)}")
+            f"room={spell('room-key', 'Room1')}:{spell('room', count)}")
     return f"{body};digest={spell('digest', f'{crc64(body.encode()):016x}')}"
 
 
@@ -433,6 +436,11 @@ SPELLING_CASES = [
     for field in fields
     for name, spelling in spellings.items()
 ] + [
+    pytest.param(kind, _respelled(field, lambda _: LONG_NUMBER),
+                 id=f"{kind.name}-{field}-4301-digits")
+    for kind, (_, _, _, _, _, numbers, _, _) in SPELLING_TARGETS.items()
+    for field in numbers
+] + [
     # A part index at its total, and a negative one.
     pytest.param(MessageKind.SEGMENT_ASSIGN,
                  _respelled("i", lambda _: "1"),
@@ -447,6 +455,13 @@ SPELLING_CASES = [
     pytest.param(MessageKind.SEGMENT_ASSIGN,
                  _respelled("pairs", lambda _: "Room1=1"),
                  id="SEGMENT_ASSIGN-room-key"),
+    # Partial room keys past the symbol table.
+    pytest.param(MessageKind.REDUCE_RESULT,
+                 _respelled("room-key", lambda _: "Room370669"),
+                 id="REDUCE_RESULT-room-key-past-the-table"),
+    pytest.param(MessageKind.REDUCE_RESULT,
+                 _respelled("room-key", lambda _: "Room" + LONG_NUMBER),
+                 id="REDUCE_RESULT-room-key-4301-digits"),
 ]
 
 

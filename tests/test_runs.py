@@ -152,9 +152,10 @@ def per_reading_parts(origin, base, trace, max_entries_per_part):
 
 
 def canonical_decimal(text):
-    """The value of decimal text that ``str`` would write back as is."""
+    """The value of decimal text that ``str`` would write back as is,
+    in at most 19 digits, the width of MAX_PAIR_COUNT."""
     value = int(text)
-    if value < 0 or str(value) != text:
+    if value < 0 or str(value) != text or len(text) > 19:
         raise ValueError(f"non-canonical decimal: {text!r}")
     return value
 
