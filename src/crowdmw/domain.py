@@ -150,22 +150,26 @@ def symbol_pair(symbol: str) -> KeyValuePair:
 
 # A reading's key is its pair symbol's code point (below 2 ** KEY_SHIFT)
 # under its timestamp: readings share a key exactly when they share tag,
-# room and timestamp, as a double read and its original do.
+# room and timestamp, as a double read and its original do.  Every key
+# fits in 64 bits, so a batch of keys packs into one array of words.
 KEY_SHIFT = 21
 SYMBOL_MASK = (1 << KEY_SHIFT) - 1
+MAX_TIMESTAMP = 2 ** (64 - KEY_SHIFT) - 1
 
 
 def reading_key(reading: SensorReading) -> int:
     """Check ``reading`` where it enters a run and pack it into its key.
 
     ValueError unless the tag is a ``TagCategory``, the room an int in
-    1..MAX_ROOM and the timestamp an int >= 0; the reader id is dropped.
+    1..MAX_ROOM and the timestamp an int in 0..MAX_TIMESTAMP, so the key
+    is below 2 ** 64; the reader id is dropped.
     """
     tag, room, timestamp = reading.tag, reading.room, reading.timestamp
     if not (isinstance(tag, TagCategory) and isinstance(room, int)):
         raise ValueError(f"not a tag and a room number: {tag!r}, {room!r}")
-    if not isinstance(timestamp, int) or timestamp < 0:
-        raise ValueError(f"timestamp must be an int >= 0, got {timestamp!r}")
+    if not isinstance(timestamp, int) or not 0 <= timestamp <= MAX_TIMESTAMP:
+        raise ValueError(f"timestamp must be an int in 0..{MAX_TIMESTAMP}, "
+                         f"got {timestamp!r}")
     # pair_symbol refuses a room outside 1..MAX_ROOM.
     return timestamp << KEY_SHIFT | ord(pair_symbol(tag.value, room))
 

@@ -4,8 +4,15 @@ The backing file is an append-only journal of length-prefixed records,
 each a UTF-8 line ``table|field,field,...``.  Node rows apply as soon
 as they are written; result rows only take effect once their cycle's
 commit marker lands, so a crash mid-commit leaves either zero or all
-rows of that cycle.  A periodic compaction rewrites the journal to the
+rows of that cycle.  A cycle's first commit marker wins, on write and
+on replay alike.  A periodic compaction rewrites the journal to the
 current table contents.
+
+Claims, commits and their ack rows are fsync'd before the call returns.
+A heartbeat (``upsert_node``) is soft state: its row is written and
+flushed at once, and the next fsync'd append or compaction makes it
+durable with everything before it (group commit).  A crash can lose
+only a tail of heartbeats, which recovery truncates like any torn tail.
 
 The store owns the node table: callers read one row with ``node`` or
 all rows with ``snapshot_nodes``.  It also owns the one-leader rule: a
@@ -111,12 +118,13 @@ class JournalStore:
         payload = body.encode("utf-8")
         return b"%d|%s\n" % (len(payload), payload)
 
-    def _append(self, bodies: Iterable[str]) -> None:
+    def _append(self, bodies: Iterable[str], *, sync: bool = True) -> None:
         data = b"".join(self._frame(body) for body in bodies)
         try:
             self._fh.write(data)
             self._fh.flush()
-            os.fsync(self._fh.fileno())
+            if sync:
+                os.fsync(self._fh.fileno())
         except OSError as exc:
             raise StorageFailure(str(exc)) from exc
 
@@ -176,7 +184,10 @@ class JournalStore:
             rows = pending.pop(cycle, [])
             if len(rows) != count:
                 raise ValueError(f"commit marker for cycle {cycle} mismatched")
-            self._apply_results(cycle, rows)
+            # commit_results' rule: the first marker of a cycle wins, and
+            # a later one is skipped with its rows.
+            if cycle not in self._cycles:
+                self._apply_results(cycle, rows)
         else:
             raise ValueError(f"unknown table {table!r}")
 
@@ -213,20 +224,25 @@ class JournalStore:
             return self._nodes.get(node_id)
 
     def upsert_node(self, record: NodeRecord) -> None:
-        """Insert or update one registry row; durable before return."""
-        self._write_nodes([record])
+        """Insert or update one registry row: a heartbeat.
+
+        The row is journaled before return but not fsync'd: it becomes
+        durable with the next synced append or compaction.
+        """
+        self._write_nodes([record], sync=False)
 
     def upsert_nodes(self, records: Iterable[NodeRecord]) -> None:
         """Atomic batch upsert; durable before return."""
-        self._write_nodes(records)
+        self._write_nodes(records, sync=True)
 
-    def _write_nodes(self, records: Iterable[NodeRecord]) -> None:
+    def _write_nodes(self, records: Iterable[NodeRecord], *,
+                     sync: bool) -> None:
         # Demotions are journaled before the claim in the same append,
         # so a torn claim still leaves no leader behind.
         with self._lock:
             rows = [row for record in records
                     for row in self._demotions(record) + [record]]
-            self._append([self._node_body(row) for row in rows])
+            self._append([self._node_body(row) for row in rows], sync=sync)
             for row in rows:
                 self._apply_node(row)
             self._maybe_compact()

@@ -63,6 +63,14 @@ def test_run_bad_workload_scenario_is_config_error(tmp_path, capsys):
     assert "rooms must be >= 1" in capsys.readouterr().err
 
 
+def test_run_past_the_key_timestamps_is_config_error(tmp_path, capsys):
+    scenario = tmp_path / "endless.scenario"
+    scenario.write_text(f"cycles = 2\ncycle_ms = {2 ** 42}\n",
+                        encoding="utf-8")
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert "the run must end by" in capsys.readouterr().err
+
+
 def test_run_fault_naming_no_node_is_config_error(tmp_path, capsys):
     scenario = tmp_path / "stray.scenario"
     scenario.write_text("nodes = 3\nfault = kill_node@100:9\n",

@@ -4,6 +4,7 @@ from crowdmw.domain import (
     CANONICAL_TAG_ORDER,
     KEY_SHIFT,
     MAX_ROOM,
+    MAX_TIMESTAMP,
     CountMode,
     KeyValuePair,
     SensorReading,
@@ -68,6 +69,14 @@ def test_reading_validation():
                 dict(tag="man", room=1, timestamp=0)):
         with pytest.raises(ValueError):
             reading_key(SensorReading(**bad))
+
+
+def test_reading_key_bounds_the_timestamp_to_64_bit_keys():
+    last = SensorReading(TagCategory.WOMAN, MAX_ROOM, MAX_TIMESTAMP)
+    assert reading_key(last) < 2 ** 64
+    assert key_reading(reading_key(last)) == last
+    with pytest.raises(ValueError, match="timestamp"):
+        reading_key(SensorReading(TagCategory.MAN, 1, MAX_TIMESTAMP + 1))
 
 
 def test_count_mode_values():

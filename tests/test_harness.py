@@ -18,6 +18,7 @@ from crowdmw import harness
 from crowdmw.domain import (
     KEY_SHIFT,
     MAX_ROOM,
+    MAX_TIMESTAMP,
     CountMode,
     SensorReading,
     TagCategory,
@@ -188,6 +189,17 @@ def test_parse_scenario_refuses_a_room_past_the_symbol_table():
     assert parse_scenario(f"rooms = {MAX_ROOM}").rooms == MAX_ROOM
     with pytest.raises(ConfigError, match="rooms"):
         parse_scenario(f"rooms = {MAX_ROOM + 1}")
+
+
+def test_scenario_refuses_a_horizon_past_the_key_timestamps():
+    # A reading key packs its timestamp in 64 bits, so a run whose
+    # horizon passes MAX_TIMESTAMP ms is refused before anything runs.
+    last = ScenarioConfig(cycles=1, cycle_duration_ms=MAX_TIMESTAMP)
+    assert last.cycles * last.cycle_duration_ms == MAX_TIMESTAMP
+    with pytest.raises(ConfigError, match=str(MAX_TIMESTAMP)):
+        ScenarioConfig(cycles=2, cycle_duration_ms=MAX_TIMESTAMP)
+    with pytest.raises(ConfigError, match=str(MAX_TIMESTAMP)):
+        parse_scenario(f"cycles = 1\ncycle_ms = {MAX_TIMESTAMP + 1}")
 
 
 def test_load_scenario_roundtrip(tmp_path):

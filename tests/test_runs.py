@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 from crowdmw.domain import (
     KEY_SHIFT,
     MAX_ROOM,
+    MAX_TIMESTAMP,
+    SYMBOL_MASK,
     TAG_KEYS,
     CountMode,
     KeyValuePair,
@@ -597,6 +599,48 @@ def test_ingest_matches_per_reading_buffer_out_of_order(batches,
 def test_ingest_keeps_a_double_read_split_across_batches(batch, cut):
     """Dedupe is per batch: a repeat in the next batch is kept."""
     _ingest_both([batch[:cut], batch[cut:]], as_iterator=False)
+
+
+def per_key_trace(keys):
+    """The trace ingest appends, one ``chr`` per kept key."""
+    return "".join(map(chr, map(SYMBOL_MASK.__and__, dict.fromkeys(keys))))
+
+
+# Every tag; rooms on each side of the surrogate gap and the last room,
+# whose symbols take three and four UTF-8 bytes; every timestamp a key
+# can carry, the extremes included.
+KEY = st.builds(
+    lambda tag, room, stamp: reading_key(SensorReading(tag, room, stamp)),
+    st.sampled_from(TagCategory), st.sampled_from([1, 18412, 18413, MAX_ROOM]),
+    st.integers(0, MAX_TIMESTAMP) | st.sampled_from([0, MAX_TIMESTAMP]))
+
+
+@st.composite
+def key_batches(draw):
+    """Keys in any order, with repeats next to their original or apart."""
+    keys = draw(st.lists(KEY, max_size=30))
+    if draw(st.booleans()):
+        keys.sort()
+    for _ in range(draw(st.integers(0, 4)) if keys else 0):
+        original = draw(st.integers(0, len(keys) - 1))
+        keys.insert(draw(st.integers(original + 1, len(keys))),
+                    keys[original])
+    return keys
+
+
+LAST_KEYS = [reading_key(SensorReading(tag, MAX_ROOM, MAX_TIMESTAMP))
+             for tag in TagCategory]
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches=st.lists(key_batches(), max_size=4))
+@example(batches=[LAST_KEYS + LAST_KEYS[:1], [], LAST_KEYS[::-1]])
+def test_ingest_matches_the_per_key_map(batches):
+    buffer, trace = ClientBuffer(), ""
+    for keys in batches:
+        assert buffer.ingest(keys) == list(dict.fromkeys(keys))
+        trace += per_key_trace(keys)
+        assert buffer.trace == trace
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,6 +8,7 @@ import pytest
 
 from crowdmw.domain import TagCategory
 from crowdmw.election import NodeRecord, Role, claim_leadership, register_node
+from crowdmw.harness import ScenarioConfig, SimCluster
 from crowdmw.mapreduce import CycleResult
 from crowdmw.store import (
     ConflictingCommit,
@@ -218,9 +219,10 @@ def test_replay_keeps_one_leader_of_two_consecutive_claims(path):
     store.close()
 
 
-def test_replay_keeps_the_last_commit_of_a_cycle(path):
+def test_replay_keeps_the_first_commit_of_a_cycle(path):
     # The store refuses a second commit of a cycle, so only a journal
-    # written by hand holds two; the later marker's rows win whole.
+    # written by hand holds two; replay applies the same rule: the first
+    # marker's rows win whole and the later marker's are skipped.
     with open(path, "wb") as handle:
         for body in (b"results|0,room,Room1,4,10",
                      b"results|0,room,Room2,1,10", b"commit|0,2",
@@ -228,10 +230,31 @@ def test_replay_keeps_the_last_commit_of_a_cycle(path):
             handle.write(_framed(body))
     store = JournalStore(path)
     assert store.committed_cycles() == [0]
-    assert store.rows_for_cycle(0) == [ResultTableRow(0, "room", "Room1", 5,
-                                                      20)]
-    assert store.totals("room") == {"Room1": 5}
+    assert store.rows_for_cycle(0) == [
+        ResultTableRow(0, "room", "Room1", 4, 10),
+        ResultTableRow(0, "room", "Room2", 1, 10)]
+    assert store.totals("room") == {"Room1": 4, "Room2": 1}
     store.close()
+
+
+def test_replayed_watermarks_agree_with_compaction(path):
+    # Two commit markers for cycle 0 with different acks: the watermark
+    # read on open, after compaction and after reopening the compacted
+    # journal is the first marker's.
+    with open(path, "wb") as handle:
+        for body in (b"results|0,ack,node1,5,10", b"commit|0,1",
+                     b"results|0,ack,node1,3,20", b"commit|0,1"):
+            handle.write(_framed(body))
+    store = JournalStore(path)
+    assert store.ack_watermarks() == {1: 5}
+    store.compact()
+    assert store.ack_watermarks() == {1: 5}
+    store.close()
+    compacted = JournalStore(path)
+    assert compacted.ack_watermarks() == {1: 5}
+    assert compacted.rows_for_cycle(0) == [
+        ResultTableRow(0, "ack", "node1", 5, 10)]
+    compacted.close()
 
 
 def test_concurrent_claims_leave_one_leader(path):
@@ -373,3 +396,60 @@ def test_uncommitted_acks_do_not_count(path):
     reopened = JournalStore(path)
     assert reopened.ack_watermarks() == {1: 2}
     reopened.close()
+
+
+# -- sync policy --------------------------------------------------------------
+
+
+def _counted_run(path, monkeypatch):
+    """A 3-node, 4-slot run with every fsync counted, construction included.
+
+    The run goes one millisecond past its fourth slot, so the journal
+    ends with the next boundary's heartbeats after the last commit.
+    """
+    fsyncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr("crowdmw.store.os.fsync",
+                        lambda fd: fsyncs.append(fd) or real_fsync(fd))
+    config = ScenarioConfig(nodes=3, cycles=4, seed=1, visitors=60)
+    store = JournalStore(path)
+    cluster = SimCluster(config, store)
+    cluster.start()
+    cluster.run(config.cycles * config.cycle_duration_ms + 1.0)
+    cluster.network.close()
+    store.close()
+    return cluster.events, len(fsyncs)
+
+
+def test_one_fsync_per_claim_and_per_commit(path, monkeypatch):
+    # Heartbeats ride on the next synced append (group commit); claims
+    # and commits, with their ack rows, are synced before they return.
+    events, fsyncs = _counted_run(path, monkeypatch)
+    claims = sum(" leader_claimed " in line for line in events)
+    commits = sum(" commit cycle=" in line for line in events)
+    assert claims >= 4 and commits == 4
+    assert fsyncs == claims + commits
+
+
+def _state(store):
+    return (store.committed_cycles(), store.snapshot_results(),
+            store.totals("visitor"), store.totals("room"),
+            store.ack_watermarks())
+
+
+def test_a_torn_heartbeat_tail_keeps_every_commit(path, monkeypatch):
+    _counted_run(path, monkeypatch)
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    last_commit = raw.rindex(b"|commit|")
+    tail_start = raw.index(b"\n", last_commit) + 1
+    assert b"|nodes|" in raw[tail_start:]
+    whole = JournalStore(path)
+    expected = _state(whole)
+    whole.close()
+    for cut in range(tail_start, len(raw) + 1):
+        with open(path, "wb") as handle:
+            handle.write(raw[:cut])
+        reopened = JournalStore(path)
+        assert _state(reopened) == expected, cut
+        reopened.close()
