@@ -397,7 +397,11 @@ class SimCluster:
     occurrences of their own; on UDP it delivers what arrives in the
     meantime, and after any delivery the step starts over, since a
     handler may have moved a deadline.  A node is only ever touched
-    from this loop, so a kill never lands inside a handler.
+    from this loop, so a kill never lands inside a handler.  Once a
+    delivery is picked, the deliveries that would be picked after it
+    run in one inner loop, one ``dispatch_next`` each, with no new
+    decision: the next datagram lands while it is due before the next
+    fault and ``until_ms`` and no later than the earliest timer.
 
     Node timers sit in one heap of ``(deadline, node_id)`` beside each
     node's last known deadline; an entry whose deadline no longer
@@ -447,19 +451,22 @@ class SimCluster:
             )
             self.ingested[node_id] = Ingested()
             node.ingest_listener = self.ingested[node_id].extend
-            endpoint.handler = (
-                lambda message, src, bound=node: self._deliver(
-                    bound, message, src
-                )
-            )
+            endpoint.handler = self._receiver(node)
             self.nodes[node_id] = node
             self.sources[node_id] = source
             election.register_node(store, node_id, endpoint.address, 0,
                                    cycle_config.liveness_window_ms)
 
-    def _deliver(self, node: Node, message: Message, src: str) -> None:
-        node.on_message(message, src, self.clock.now_ms())
-        self._refresh(node.node_id)
+    def _receiver(self, node: Node) -> Callable[[Message, str], None]:
+        """``node``'s endpoint handler: the datagram, then its deadline."""
+        now_ms, refresh, node_id = (self.clock.now_ms, self._refresh,
+                                    node.node_id)
+
+        def receive(message: Message, src: str) -> None:
+            node.on_message(message, src, now_ms())
+            refresh(node_id)
+
+        return receive
 
     def _apply_fault(self, fault: FaultSpec) -> None:
         """Apply one fault now; killing a node that is dead does nothing."""
@@ -521,10 +528,27 @@ class SimCluster:
         for node_id in sorted(self.nodes):
             self.nodes[node_id].start(self.clock.now_ms())
 
+    def _check_progress(self, at: float) -> None:
+        """Fold in the nodes' progress; raise ScenarioDeadlock if it is
+        still more than the budget before ``at``.
+
+        ``run`` calls it only once the cached progress time trips the
+        budget, so the common step reads one float.
+        """
+        self._last_progress_ms = max(
+            node.progress_ms for node in self.nodes.values())
+        if at - self._last_progress_ms > (self.DEADLOCK_FACTOR
+                                          * self.config.cycle_duration_ms):
+            raise ScenarioDeadlock(
+                f"no cycle outcome between {self._last_progress_ms:.0f}"
+                f" and {at:.0f} ms"
+            )
+
     def run(self, until_ms: float) -> None:
         """Execute occurrences strictly before ``until_ms``."""
         budget = self.DEADLOCK_FACTOR * self.config.cycle_duration_ms
         wait_until = self.network.wait_until
+        heap = self._timer_heap
         for node_id in self.nodes:
             self._refresh(node_id)
         while True:
@@ -535,17 +559,23 @@ class SimCluster:
                 continue
             at, kind, node_id = occurrence
             if at - self._last_progress_ms > budget:
-                # Fold in the nodes' progress only when the cached time
-                # trips the budget: the common step reads one float.
-                self._last_progress_ms = max(
-                    node.progress_ms for node in self.nodes.values())
-            if at - self._last_progress_ms > budget:
-                raise ScenarioDeadlock(
-                    f"no cycle outcome between {self._last_progress_ms:.0f}"
-                    f" and {at:.0f} ms"
-                )
+                self._check_progress(at)
             if kind == 1:
-                self.network.dispatch_next()
+                # Land datagrams while the next is due before the next
+                # fault and ``until_ms`` and no later than the top of
+                # the timer heap.  A delivery pushes its node's new
+                # deadline, so the top stays a bound; a stale top only
+                # ends the batch early.
+                fault_at = self._next_fault()
+                stop = (until_ms if fault_at is None or until_ms < fault_at
+                        else fault_at)
+                dispatch_next = self.network.dispatch_next
+                at = dispatch_next()
+                while (at is not None and at < stop
+                       and not (heap and heap[0][0] < at)):
+                    if at - self._last_progress_ms > budget:
+                        self._check_progress(at)
+                    at = dispatch_next()
             elif not wait_until(at):
                 continue
             elif kind == 0:

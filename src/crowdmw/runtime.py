@@ -355,7 +355,7 @@ def _parse_submission(payload: bytes) -> tuple[int, int, int, int, str]:
     """
     origin, index, total, base_text, trace = _match(_SUBMISSION, payload)
     base = int(base_text)
-    if max(base, base + len(trace) - 1) > MAX_PAIR_COUNT:
+    if base > MAX_PAIR_COUNT or base + len(trace) - 1 > MAX_PAIR_COUNT:
         raise ValueError(f"sequences past {MAX_PAIR_COUNT}")
     return int(origin), int(index), int(total), base, trace
 
@@ -400,27 +400,34 @@ def build_submission_parts(origin: NodeId, cycle_id: int, base: int,
     step = budget
     if max_entries_per_part is not None:
         step = max(1, min(max_entries_per_part, budget))
-    slices = []
-    start = 0
-    while True:
-        chunk = trace[start:start + step]
-        if not chunk.isascii():
-            data = chunk.encode("utf-8")
-            if len(data) > budget:
-                # Cut before the symbol whose bytes straddle the budget.
-                cut = budget
-                while data[cut] & 0xC0 == 0x80:
-                    cut -= 1
-                chunk = data[:cut].decode("utf-8")
-        slices.append((base + start, chunk))
-        start += len(chunk)
-        if start >= len(trace):
-            break
-    return [Message(kind=MessageKind.DATA_SUBMIT, sender=origin,
-                    cycle_id=cycle_id,
-                    payload=(f"origin={origin};part={index}/{len(slices)};"
-                             f"base={first};trace={chunk}").encode("utf-8"))
-            for index, (first, chunk) in enumerate(slices)]
+    if trace.isascii():
+        # One byte per symbol: every slice of ``step`` symbols fits.
+        slices = [(start, trace[start:start + step])
+                  for start in range(0, len(trace) or 1, step)]
+    else:
+        slices = []
+        start = 0
+        while True:
+            chunk = trace[start:start + step]
+            if not chunk.isascii():
+                data = chunk.encode("utf-8")
+                if len(data) > budget:
+                    # Cut before the symbol whose bytes straddle the budget.
+                    cut = budget
+                    while data[cut] & 0xC0 == 0x80:
+                        cut -= 1
+                    chunk = data[:cut].decode("utf-8")
+            slices.append((start, chunk))
+            start += len(chunk)
+            if start >= len(trace):
+                break
+    head = f"origin={origin};part="
+    tail = f"/{len(slices)};base="
+    kind = MessageKind.DATA_SUBMIT
+    return [Message(kind, origin, cycle_id,
+                    f"{head}{index}{tail}{base + start};trace={chunk}"
+                    .encode())
+            for index, (start, chunk) in enumerate(slices)]
 
 
 def build_assignment_parts(sender: NodeId, cycle_id: int,
@@ -512,12 +519,13 @@ def consolidate_runs(submissions: Iterable[tuple[NodeId,
     fresh: list[str] = []
     acks: dict[NodeId, int] = {}
     for origin, parts in submissions:
-        top = watermark = watermarks.get(origin, -1)
-        for base, trace in parts:
-            last = base + len(trace) - 1
-            if trace and last > watermark:
-                fresh.append(trace[max(0, watermark - base + 1):])
-                top = max(top, last)
+        # The first sequence above the watermark; a part's symbols from
+        # it on are fresh, and a part wholly below it gives none.
+        first = watermarks.get(origin, -1) + 1
+        fresh += [trace[first - base:] if base < first else trace
+                  for base, trace in parts]
+        top = max([base + len(trace) for base, trace in parts if trace]
+                  + [first]) - 1
         if top >= 0:
             acks[origin] = top
     counts = collections.Counter("".join(fresh))
@@ -589,9 +597,13 @@ _TIMER_PRIORITY = {"slot": 0, "ping": 1, "collect": 2, "consolidate": 3}
 # Event-line names, so logging a datagram skips the enum descriptors.
 _KIND_NAMES = {kind: kind.name.lower() for kind in MessageKind}
 
-# Phases in which a leader files submission parts.
-_SUBMIT_PHASES = frozenset({NodePhase.COLLECTING, NodePhase.SUBMITTING,
-                            NodePhase.CONSOLIDATING})
+# Phases in which a leader files submission parts, tested by identity:
+# a plain Enum member hashes in Python.
+_SUBMIT_PHASES = (NodePhase.COLLECTING, NodePhase.SUBMITTING,
+                  NodePhase.CONSOLIDATING)
+
+# The busiest kind, bound once: an enum class attribute is a slow lookup.
+_DATA_SUBMIT = MessageKind.DATA_SUBMIT
 
 # Kinds a node acts on only from its confirmed leader's address.
 _FROM_LEADER = frozenset({MessageKind.SEGMENT_ASSIGN,
@@ -699,6 +711,9 @@ class Node:
         self.ingest_listener: Optional[Callable[[list[int]], None]] = None
 
         self._timers: dict[str, float] = {}
+        # The ``t=... node=... `` prefix of event lines, and its instant.
+        self._log_at: Optional[float] = None
+        self._log_prefix = ""
         # The leader this node last confirmed or became; it outlives
         # the slot, so a late outcome from it is still handled.
         self._leader_address: Optional[str] = None
@@ -711,7 +726,10 @@ class Node:
 
     def _log(self, now: float, text: str) -> None:
         if self.event_sink is not None:
-            self.event_sink(f"t={now:.3f} node={self.node_id} {text}")
+            if now != self._log_at:
+                self._log_at = now
+                self._log_prefix = f"t={now:.3f} node={self.node_id} "
+            self.event_sink(self._log_prefix + text)
 
     def _transition(self, now: float, new_phase: NodePhase) -> None:
         if new_phase not in PHASE_EDGES[self.phase]:
@@ -933,9 +951,8 @@ class Node:
     def _on_data_submit(self, message: Message, source: str,
                         now: float) -> None:
         slot = self._slot
-        if not slot.is_leader or message.cycle_id != self.cycle_id:
-            return
-        if self.phase not in _SUBMIT_PHASES:
+        if (not slot.is_leader or message.cycle_id != self.cycle_id
+                or self.phase not in _SUBMIT_PHASES):
             return
         try:
             origin, index, total, base, trace = _parse_submission(
@@ -1161,11 +1178,11 @@ class Node:
     def on_message(self, message: Message, source: str, now: float) -> None:
         if self.killed:
             return
-        self._log(now, f"recv kind={_KIND_NAMES[message.kind]} "
-                       f"from={message.sender} cycle={message.cycle_id}")
         kind = message.kind
+        self._log(now, f"recv kind={_KIND_NAMES[kind]} "
+                       f"from={message.sender} cycle={message.cycle_id}")
         # The busiest kind first: one datagram per submission part.
-        if kind is MessageKind.DATA_SUBMIT:
+        if kind is _DATA_SUBMIT:
             self._on_data_submit(message, source, now)
             return
         if kind is MessageKind.PING:

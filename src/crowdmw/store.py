@@ -92,7 +92,10 @@ def rows_for_result(result: CycleResult, committed_at: int,
 
 
 class JournalStore:
-    """Append-only journal store; safe for concurrent upserts."""
+    """Append-only journal store; safe for concurrent upserts.
+
+    As a context manager it closes itself on leaving the block.
+    """
 
     COMPACT_EVERY = 256
 
@@ -355,3 +358,9 @@ class JournalStore:
                 self._fh.close()
             except OSError:
                 pass
+
+    def __enter__(self) -> "JournalStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

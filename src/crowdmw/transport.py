@@ -80,24 +80,19 @@ def encode_message(message: Message) -> bytes:
     It refuses every message that ``decode_message`` would not give
     back, so a message that passes may be delivered as it is.
     """
-    if type(message.kind) is not MessageKind:
-        raise ValueError(f"kind {message.kind!r} is not a MessageKind")
-    if len(message.payload) > MAX_PAYLOAD:
+    kind, sender, cycle_id, payload = message
+    if type(kind) is not MessageKind:
+        raise ValueError(f"kind {kind!r} is not a MessageKind")
+    if len(payload) > MAX_PAYLOAD:
         raise PayloadTooLarge(
-            f"payload of {len(message.payload)} bytes exceeds {MAX_PAYLOAD}"
+            f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}"
         )
-    if not 0 <= message.sender < 2 ** 32:
-        raise ValueError(f"sender {message.sender} outside uint32 range")
-    if not 0 <= message.cycle_id < 2 ** 32:
-        raise ValueError(f"cycle_id {message.cycle_id} outside uint32 range")
-    header = _HEADER.pack(
-        WIRE_VERSION,
-        message.kind,
-        message.sender,
-        message.cycle_id,
-        len(message.payload),
-    )
-    return header + message.payload
+    if not 0 <= sender < 2 ** 32:
+        raise ValueError(f"sender {sender} outside uint32 range")
+    if not 0 <= cycle_id < 2 ** 32:
+        raise ValueError(f"cycle_id {cycle_id} outside uint32 range")
+    return _HEADER.pack(WIRE_VERSION, kind, sender, cycle_id,
+                        len(payload)) + payload
 
 
 def decode_message(data: bytes) -> Message:
@@ -219,6 +214,10 @@ class SimulatedNetwork(_FaultyNetwork):
         self._endpoints: dict[str, "SimEndpoint"] = {}
         self._in_flight: list[tuple[float, int, str, str, Message]] = []
         self._seq = 0
+        # What a send reads of the config, read once.
+        self._us_per_byte = config.transmission_us_per_byte
+        low, high = config.latency_ms
+        self._latency = (low, high - low)
 
     # -- wiring -------------------------------------------------------------
 
@@ -235,22 +234,6 @@ class SimulatedNetwork(_FaultyNetwork):
 
     # -- traffic ------------------------------------------------------------
 
-    def _send(self, src: "SimEndpoint", dest: str, message: Message) -> None:
-        size = len(encode_message(message))
-        now = self.clock.now_ms()
-        if self._lost(src.address, dest, now):
-            return
-        tx_ms = size * self.config.transmission_us_per_byte / 1000.0
-        depart = max(now, src.next_free_ms) + tx_ms
-        src.next_free_ms = depart
-        low, high = self.config.latency_ms
-        latency = self._rng.uniform(low, high)
-        self._seq += 1
-        heapq.heappush(
-            self._in_flight,
-            (depart + latency, self._seq, dest, src.address, message),
-        )
-
     def next_due_ms(self) -> Optional[float]:
         return self._in_flight[0][0] if self._in_flight else None
 
@@ -259,17 +242,22 @@ class SimulatedNetwork(_FaultyNetwork):
         self.clock.advance_to(at)
         return True
 
-    def dispatch_next(self) -> None:
-        """Advance the clock to the next in-flight message and land it."""
-        due_ms, _, dest, src, message = heapq.heappop(self._in_flight)
+    def dispatch_next(self) -> Optional[float]:
+        """Advance the clock to the next in-flight message and land it.
+
+        Returns ``next_due_ms()`` as the handler left it.
+        """
+        in_flight = self._in_flight
+        due_ms, _, dest, src, message = heapq.heappop(in_flight)
         self.clock.advance_to(due_ms)
         endpoint = self._endpoints.get(dest)
         if endpoint is None or endpoint.closed:
             # Dead letter: receiver gone, exactly like real UDP.
             self.dropped += 1
-            return
-        self.delivered += 1
-        endpoint.handler(message, src)
+        else:
+            self.delivered += 1
+            endpoint.handler(message, src)
+        return in_flight[0][0] if in_flight else None
 
 
 class SimEndpoint:
@@ -287,9 +275,29 @@ class SimEndpoint:
         self.next_free_ms = 0.0
 
     def send(self, dest: str, message: Message) -> None:
+        """Schedule ``message`` unless a fault drops it.
+
+        It departs once this endpoint's earlier frames have left, plus
+        its own transmission cost, and lands ``uniform(low, high)`` of
+        the seeded RNG later, drawn inline with ``Random.uniform``'s
+        formula and its one draw.
+        """
         if self.closed:
             raise EndpointClosed(f"endpoint {self.address} is closed")
-        self.network._send(self, dest, message)
+        size = len(encode_message(message))
+        network = self.network
+        now = network.clock.now_ms()
+        if network._lost(self.address, dest, now):
+            return
+        free = self.next_free_ms
+        depart = ((free if free > now else now)
+                  + size * network._us_per_byte / 1000.0)
+        self.next_free_ms = depart
+        low, span = network._latency
+        network._seq += 1
+        heapq.heappush(network._in_flight, (
+            depart + (low + span * network._rng.random()), network._seq,
+            dest, self.address, message))
 
     def close(self) -> None:
         self.closed = True

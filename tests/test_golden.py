@@ -85,6 +85,15 @@ GOLDEN = {
         "1d918739cfdcd0cc90ff699517d7ff79e2c8fe647556b67f4d13db197dbdf5c6",
         "113828803a8eaa79f6c62328a4fb93d622a838e855c19d2ab441d443efdc6f45",
     ),
+    # One entry per datagram with a send cost and no loss: every part
+    # takes the no-fault send branch and queues behind its sender's
+    # previous frame.
+    "lossless-one-per-part": (
+        dict(nodes=5, cycles=4, visitors=300, seed=3, entries_per_part=1,
+             transmission_us_per_byte=15.0),
+        "0c0f1fa33234cf11a1c107b28297b45f428fd473ea666849b7b59a4b1804262f",
+        "abbed44458106e7e34fdf02a6c88be884ac7bf1ebe6a65a6538d05565dc21c15",
+    ),
     "trickle-full": (
         dict(nodes=5, cycles=24, visitors=1750, seed=1, entries_per_part=1,
              transmission_us_per_byte=15.0),

@@ -554,6 +554,24 @@ def test_dead_cluster_trips_deadlock_guard(tmp_path, fields, faults):
         run_scenario(config, str(tmp_path / "store.journal"))
 
 
+def test_deadlock_guard_checks_every_datagram_of_a_batch(tmp_path):
+    # Both nodes die at 100 ms with two datagrams in flight, due at
+    # 12 687 and 26 949 ms.  The first lands inside the budget; the
+    # second, landed in the same run of deliveries, is past it.
+    config = ScenarioConfig(
+        nodes=2, cycles=20, seed=1, visitors=10,
+        latency_ms=(10_000.0, 30_000.0),
+        faults=(parse_fault("kill_node@100:1"),
+                parse_fault("kill_node@100:2")))
+    with JournalStore(str(tmp_path / "store.journal")) as store:
+        cluster = SimCluster(config, store)
+        cluster.start()
+        with pytest.raises(ScenarioDeadlock,
+                           match="between 0 and 26949 ms"):
+            cluster.run(40_000.0)
+    assert cluster.network.dropped == 1
+
+
 def test_total_blackout_reelects_without_deadlock(tmp_path):
     # Total datagram loss starves every cycle, but nodes keep claiming
     # leadership through the shared registry; that is progress, so the

@@ -319,6 +319,30 @@ def test_on_message_never_raises(kind):
     pytest.param("2", "0/\u0661", id="total-arabic-indic-digit"),
 ])
 def test_non_canonical_origin_or_part_is_malformed(origin, part, tmp_path):
+    _assert_submission_refused(
+        f"origin={origin};part={part};base=0;trace=<".encode(), tmp_path)
+
+
+# Byte-level defects in node 2's part 0 of 1: a trace that is not UTF-8,
+# or holds what no pair symbol is, and a base that ``int`` would read.
+@pytest.mark.parametrize("base, trace", [
+    pytest.param(b"0", b"\xff", id="trace-invalid-byte"),
+    pytest.param(b"0", b"\xed\xa0\x80", id="trace-utf8-surrogate"),
+    pytest.param(b"0", b"\xc0\xbb", id="trace-overlong-semicolon"),
+    pytest.param(b"0", b"<\x00", id="trace-nul"),
+    pytest.param(b"0", b"<;", id="trace-semicolon"),
+    pytest.param(b"+0", b"<", id="base-plus"),
+    pytest.param(b"00", b"<", id="base-leading-zero"),
+    pytest.param("\u0660".encode(), b"<", id="base-arabic-indic-digit"),
+    pytest.param(b"1" + b"0" * 19, b"<", id="base-20-digits"),
+])
+def test_submission_byte_defect_is_malformed(base, trace, tmp_path):
+    _assert_submission_refused(
+        b"origin=2;part=0/1;base=" + base + b";trace=" + trace, tmp_path)
+
+
+def _assert_submission_refused(payload, tmp_path):
+    """The leader logs the part from node 2 as malformed and files nothing."""
     store = JournalStore(str(tmp_path / "canonical.journal"))
     try:
         cluster = SimCluster(ScenarioConfig(**CLUSTER), store)
@@ -328,8 +352,7 @@ def test_non_canonical_origin_or_part_is_malformed(origin, part, tmp_path):
         assert leader._slot.is_leader and leader._slot.submissions == {}
         leader.on_message(
             Message(kind=MessageKind.DATA_SUBMIT, sender=2, cycle_id=0,
-                    payload=f"origin={origin};part={part};base=0;"
-                            f"trace=<".encode()),
+                    payload=payload),
             SOURCES[MessageKind.DATA_SUBMIT], cluster.clock.now_ms())
     finally:
         store.close()

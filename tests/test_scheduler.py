@@ -1,12 +1,13 @@
 """The timer-heap scheduler against the O(nodes) scan it replaced.
 
-``SimCluster`` keeps node deadlines in a heap and re-reads a node's
-deadline only when a step touched that node.  ``ScanCluster`` below
-keeps the old rule, re-reading every node on every step.  Over seeded
-random fault schedules both must pick the same occurrences in the same
-order and write byte-identical event logs and journals.  Comparing the
-occurrences matters: a stale deadline only costs an empty
-``Node.advance``, which leaves the event log as it was.
+``SimCluster`` keeps node deadlines in a heap, re-reads a node's
+deadline only when a step touched that node, and lands a batch of
+datagrams per scheduling decision.  ``ScanCluster`` below keeps the
+old rules: one occurrence per step, picked by re-reading every node.
+Over seeded random fault schedules both must run the same occurrences
+in the same order and write byte-identical event logs and journals.
+Comparing the occurrences matters: a stale deadline only costs an
+empty ``Node.advance``, which leaves the event log as it was.
 
 The same schedules also check that no leader claims a slot that has
 already ended, and that under every one of 200 of them readings are
@@ -15,6 +16,7 @@ conserved and no cycle commits twice.
 
 import collections
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -30,7 +32,27 @@ from crowdmw.store import JournalStore
 
 
 class ScanCluster(SimCluster):
-    """Picks every step by scanning all nodes, as before the heap."""
+    """Runs one occurrence per step, picked by scanning all nodes."""
+
+    def run(self, until_ms):
+        while True:
+            occurrence = self._next_occurrence()
+            if occurrence is None or occurrence[0] >= until_ms:
+                self.network.wait_until(until_ms)
+                return
+            at, kind, node_id = occurrence
+            if at - self._last_progress_ms > (self.DEADLOCK_FACTOR
+                                              * self.config.cycle_duration_ms):
+                self._check_progress(at)
+            if kind == 1:
+                self.network.dispatch_next()
+                continue
+            self.network.wait_until(at)
+            if kind == 0:
+                self._fault_cursor += 1
+                self._apply_fault(self._faults[self._fault_cursor - 1])
+            else:
+                self.nodes[node_id].advance(at)
 
     def _next_occurrence(self):
         best = None
@@ -80,15 +102,29 @@ def _random_config(seed):
 
 
 def _recorded(cluster):
-    """Every occurrence the cluster's scheduler picks, in order."""
+    """Every occurrence the cluster runs, in order, as (time, kind, id)."""
     steps = []
-    pick = cluster._next_occurrence
+    network, dispatch = cluster.network, cluster.network.dispatch_next
+    apply_fault = cluster._apply_fault
 
-    def recording():
-        steps.append(pick())
-        return steps[-1]
+    def delivering():
+        steps.append((network.next_due_ms(), 1, 0))
+        return dispatch()
 
-    cluster._next_occurrence = recording
+    def faulting(fault):
+        steps.append((cluster.clock.now_ms(), 0, 0))
+        apply_fault(fault)
+
+    def advancing(node_id, advance):
+        def recording(at):
+            steps.append((at, 2, node_id))
+            advance(at)
+        return recording
+
+    network.dispatch_next = delivering
+    cluster._apply_fault = faulting
+    for node_id, node in cluster.nodes.items():
+        node.advance = advancing(node_id, node.advance)
     return steps
 
 
@@ -119,9 +155,7 @@ def test_schedules_draw_every_fault_kind():
     assert min(sizes) == 3 and max(sizes) == 12
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_heap_scheduler_matches_node_scan(seed, tmp_path):
-    config = _random_config(seed)
+def _assert_runs_match(config, seed, tmp_path):
     end = float(config.cycles * config.cycle_duration_ms)
     # Odd seeds stop half way: the heap must also pick up whatever
     # changed between two calls to run().
@@ -132,6 +166,20 @@ def test_heap_scheduler_matches_node_scan(seed, tmp_path):
     assert heap[1] == scan[1]
     assert heap[2] == scan[2]
     assert heap[3] == scan[3]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_heap_scheduler_matches_node_scan(seed, tmp_path):
+    _assert_runs_match(_random_config(seed), seed, tmp_path)
+
+
+# A fixed whole-millisecond latency lands the datagrams sent at a timer
+# on whole milliseconds, where faults, timers and the stops of run()
+# fall too: ties with a delivery are common, so the tie order runs.
+@pytest.mark.parametrize("seed", range(8))
+def test_heap_scheduler_matches_node_scan_on_ties(seed, tmp_path):
+    _assert_runs_match(replace(_random_config(seed), latency_ms=(50.0, 50.0)),
+                       seed, tmp_path)
 
 
 # Schedules whose PING chains ran out exactly at a slot boundary when

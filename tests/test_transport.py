@@ -215,6 +215,45 @@ def test_transmission_cost_serializes_sender():
     assert spacing == [frame_ms, frame_ms]
 
 
+def _due_times(loss):
+    """Send 300 frames of varied sizes from a:1, ten per instant, landing
+    what is due before each instant; return {cycle_id: due time} of the
+    frames delivered, and what the frames and the seed predict: per
+    send, in send order, a loss draw when ``loss`` is positive, then, if
+    kept, ``uniform(40, 90)`` added to the departure."""
+    network, clock = _network(loss=loss, seed=17, tx=15.0)
+    a = network.open("a:1")
+    b = network.open("b:1")
+    dues = {}
+    b.handler = lambda message, src: dues.setdefault(message.cycle_id,
+                                                     clock.now_ms())
+    rng = random.Random(17)
+    expected, free = {}, 0.0
+    for i in range(300):
+        now = 7.5 * (i // 10)
+        while (network.next_due_ms() is not None
+               and network.next_due_ms() <= now):
+            network.dispatch_next()
+        clock.advance_to(now)
+        message = Message(kind=MessageKind.DATA_SUBMIT, sender=1,
+                          cycle_id=i, payload=b"x" * (i % 37))
+        a.send("b:1", message)
+        if loss > 0.0 and rng.random() < loss:
+            continue
+        depart = max(now, free) + len(encode_message(message)) * 15.0 / 1000.0
+        free = depart
+        expected[i] = depart + rng.uniform(40.0, 90.0)
+    _drain(network)
+    return dues, expected
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.3], ids=["lossless", "lossy"])
+def test_due_time_is_departure_plus_a_seeded_uniform_draw(loss):
+    dues, expected = _due_times(loss)
+    assert len(expected) == 300 if loss == 0.0 else 150 < len(expected) < 250
+    assert dues == expected
+
+
 def test_partition_blocks_cross_group_traffic():
     network, clock = _network(latency=(5.0, 5.0))
     a = network.open("a:1")
