@@ -1,7 +1,6 @@
 """Command line entry points for running scenarios and sweeps.
 
-Precedence for shared settings is flag, then environment variable
-(CROWDMW_SEED, CROWDMW_BACKEND), then the scenario file's value.
+A flag beats the scenario file's value for the settings both give.
 """
 
 from __future__ import annotations
@@ -24,26 +23,6 @@ from crowdmw.harness import (
 from crowdmw.transport import TransportMode
 
 
-def _env_seed() -> Optional[int]:
-    raw = os.environ.get("CROWDMW_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"CROWDMW_SEED must be an integer, got {raw!r}")
-
-
-def _env_backend() -> Optional[TransportMode]:
-    raw = os.environ.get("CROWDMW_BACKEND")
-    if raw is None:
-        return None
-    try:
-        return TransportMode(raw)
-    except ValueError:
-        raise ConfigError(f"CROWDMW_BACKEND must be sim or udp, got {raw!r}")
-
-
 def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     if args.scenario is not None:
         config = load_scenario(args.scenario)
@@ -51,13 +30,10 @@ def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
         # A bare run demonstrates the fixed single-source workload.
         config = ScenarioConfig(fixture="table1")
     overrides: dict = {}
-    seed = args.seed if args.seed is not None else _env_seed()
-    if seed is not None:
-        overrides["seed"] = seed
-    backend = (TransportMode(args.backend) if args.backend is not None
-               else _env_backend())
-    if backend is not None:
-        overrides["backend"] = backend
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if args.backend is not None:
+        overrides["backend"] = TransportMode(args.backend)
     if args.cycles is not None:
         overrides["cycles"] = args.cycles
     if args.nodes is not None:
@@ -115,8 +91,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         counts = [int(item) for item in args.visitors.split(",") if item]
     except ValueError:
         raise ConfigError(f"bad visitor counts: {args.visitors!r}")
-    seed = args.seed if args.seed is not None else (_env_seed() or 0)
-    text = harness.sweep_csv(harness.sweep_load(counts, seed=seed))
+    text = harness.sweep_csv(harness.sweep_load(counts, seed=args.seed))
     if args.out is not None:
         directory = os.path.dirname(args.out)
         if directory:
@@ -136,13 +111,11 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
 
 
 def _cmd_election_demo(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else (_env_seed() or 0)
-    nodes = args.nodes if args.nodes is not None else 3
     cycle_ms = 2000
     config = ScenarioConfig(
-        nodes=nodes,
+        nodes=args.nodes,
         cycles=4,
-        seed=seed,
+        seed=args.seed,
         visitors=12,
         cycle_duration_ms=cycle_ms,
         faults=(harness.FaultSpec(kind="kill_leader",
@@ -184,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "per visitor count.")
     sweep.add_argument("--visitors", default="0,1000,2000,2500,3000",
                        help="comma-separated visitor counts")
-    sweep.add_argument("--seed", type=int, default=None)
+    sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", help="CSV output path (default stdout)")
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -193,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("election-demo",
                           help="kill the leader mid-run and show takeover")
-    demo.add_argument("--seed", type=int, default=None)
-    demo.add_argument("--nodes", type=int, default=None)
+    demo.add_argument("--seed", type=int, default=0)
+    demo.add_argument("--nodes", type=int, default=3)
     demo.set_defaults(func=_cmd_election_demo)
 
     return parser

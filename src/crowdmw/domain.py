@@ -34,9 +34,6 @@ class TagCategory(enum.Enum):
     WOMAN = "woman"
     OTHER = "other"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 # Visitor-mode pair keys: one per badge category.
 TAG_KEYS: frozenset[str] = frozenset(tag.value for tag in TagCategory)

@@ -78,19 +78,20 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind not in _FAULT_KINDS:
             raise ConfigError(f"unknown fault kind {self.kind!r}")
-        if self.at_ms < 0:
-            raise ConfigError("fault time must be >= 0")
+        if not (math.isfinite(self.at_ms) and self.at_ms >= 0):
+            raise ConfigError("fault time must be a finite number >= 0")
         if self.kind == "kill_node" and self.node_id is None:
             raise ConfigError("kill_node needs a node id")
         if self.kind == "set_loss" and not (
             self.rate is not None and 0.0 <= self.rate <= 1.0
         ):
             raise ConfigError("set_loss needs a rate in [0, 1]")
-        if self.kind == "partition" and (
-            not self.nodes or self.duration_ms is None
-            or self.duration_ms <= 0
+        if self.kind == "partition" and not (
+            self.nodes and self.duration_ms is not None
+            and math.isfinite(self.duration_ms) and self.duration_ms > 0
         ):
-            raise ConfigError("partition needs node ids and a duration")
+            raise ConfigError("partition needs node ids and a finite "
+                              "duration > 0")
 
 
 def parse_fault(text: str) -> FaultSpec:
@@ -106,6 +107,8 @@ def parse_fault(text: str) -> FaultSpec:
     when, colon, arg = rest.partition(":")
     duration = None
     if "+" in when:
+        if kind != "partition":
+            raise ConfigError(f"only a partition takes a +duration: {text!r}")
         when, _, dur = when.partition("+")
         try:
             duration = float(dur)
@@ -156,7 +159,6 @@ class ScenarioConfig:
     visitors: int = 0
     rooms: int = DEFAULT_ROOM_COUNT
     double_read_rate: float = 0.02
-    inject_ms: Optional[float] = None
     entries_per_part: Optional[int] = None
     override_leader: Optional[int] = None
     faults: tuple[FaultSpec, ...] = ()
@@ -178,8 +180,6 @@ class ScenarioConfig:
         if self.cycles * self.cycle_duration_ms > MAX_TIMESTAMP:
             raise ConfigError(f"the run must end by {MAX_TIMESTAMP} ms: a "
                               f"reading key packs its timestamp in 64 bits")
-        if self.visitors > 0 and self.injection_window_ms() < 1:
-            raise ConfigError("injection window must be >= 1 ms")
         named = {self.override_leader}
         for fault in self.faults:
             named |= {fault.node_id, *fault.nodes}
@@ -217,8 +217,6 @@ class ScenarioConfig:
         )
 
     def injection_window_ms(self) -> float:
-        if self.inject_ms is not None:
-            return self.inject_ms
         if self.cycles > 1:
             return float((self.cycles - 1) * self.cycle_duration_ms)
         return float(self.cycle_duration_ms - self.mapreduce_window_ms)
@@ -242,7 +240,6 @@ _INT_KEYS = {
 _FLOAT_KEYS = {
     "loss_rate": "loss_rate",
     "tx_us_per_byte": "transmission_us_per_byte",
-    "inject_ms": "inject_ms",
     "double_read_rate": "double_read_rate",
 }
 
@@ -324,24 +321,24 @@ def route_readings(keys: Iterable[int], node_ids: Sequence[int]
 
 
 def build_workload(config: ScenarioConfig) -> tuple[
-        dict[int, list[int]], Optional[simgen.GenerationLedger]]:
-    """Each node's reading keys in timestamp order, and the ledger.
+        dict[int, list[int]], Optional[list[int]]]:
+    """Each node's reading keys in timestamp order, and the generated
+    stream's keys (None without visitors).
 
     A fixture stream goes first on the lowest-id node, which keeps
     single-source totals easy to audit: its readings are checked and
     packed here, and go before the generated ones of their millisecond.
     """
-    keys: list[int] = []
-    ledger = None
+    generated = None
     if config.visitors > 0:
-        keys, ledger = simgen.generate_stream(
+        generated = simgen.generate_stream(
             config.visitor_model(), config.injection_window_ms())
-    routed = route_readings(keys, config.node_ids())
+    routed = route_readings(generated or (), config.node_ids())
     if config.fixture is not None:
         fixture = map(reading_key, simgen.replay_fixture(config.fixture))
         routed[1] = sorted([*fixture, *routed[1]],
                            key=lambda key: key >> KEY_SHIFT)
-    return routed, ledger
+    return routed, generated
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +430,8 @@ class SimCluster:
         self._timer_heap: list[tuple[float, int]] = []
         self._deadlines: dict[int, Optional[float]] = {}
         cycle_config = config.cycle_config()
+        # The generated stream's keys, or None: the benchmark reads
+        # how many there were.
         routed, self.ledger = build_workload(config)
         self.nodes: dict[int, Node] = {}
         self.sources: dict[int, ListReadingSource] = {}
@@ -777,7 +776,8 @@ class ScenarioReport:
     aborts: int
     reconciliation: Reconciliation
     nodes: dict[int, Node]
-    ledger: Optional[simgen.GenerationLedger]
+    # The generated stream's keys, in stream order; None without visitors.
+    ledger: Optional[list[int]]
     # The network's counters over the run, all nodes and kinds summed.
     datagrams_sent: int
     datagrams_dropped: int
@@ -850,8 +850,7 @@ def _build_report(cluster: SimCluster) -> ScenarioReport:
 
 
 def run_scenario(config: ScenarioConfig, store_path: str) -> ScenarioReport:
-    store = JournalStore(store_path)
-    try:
+    with JournalStore(store_path) as store:
         cluster = SimCluster(config, store)
         try:
             cluster.start()
@@ -859,8 +858,6 @@ def run_scenario(config: ScenarioConfig, store_path: str) -> ScenarioReport:
         finally:
             cluster.network.close()
         return _build_report(cluster)
-    finally:
-        store.close()
 
 
 def emit_report(report: ScenarioReport, out_dir: str) -> list[str]:

@@ -4,9 +4,9 @@ Models badge-wearing visitors walking a small set of rooms: each
 visitor gets a category from the tag mix, enters at a random time,
 then random-walks rooms (never re-entering the room just left) with a
 uniform dwell per room.  Readers fire on entry only.  At a small rate
-the paired doorway antenna double-reads a pass.  The ledger holds the
-stream's keys; distinct visits never share a key, so a repeated key is
-the double read, and downstream dedupe can be verified exactly.
+the paired doorway antenna double-reads a pass.  The stream is a list
+of reading keys; distinct visits never share a key, so a repeated key
+is the double read, and downstream dedupe can be verified exactly.
 Everything is a pure function of the model, so one seed always yields
 one stream.
 """
@@ -21,19 +21,17 @@ import math
 import random
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from crowdmw.domain import (
     KEY_SHIFT,
     TAG_KEYS,
-    CountMode,
     MiddlewareError,
     SensorReading,
     TagCategory,
-    key_reading,
     pair_symbol,
 )
-from crowdmw.mapreduce import parse_pairs, sequential_oracle
+from crowdmw.mapreduce import parse_pairs
 
 
 class UnknownFixture(MiddlewareError):
@@ -74,83 +72,14 @@ class VisitorModel:
 _MIX_ORDER = (TagCategory.MAN, TagCategory.WOMAN, TagCategory.OTHER)
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    """Ground truth for one generated reading."""
-
-    sequence: int
-    tag: TagCategory
-    room: int
-    timestamp: int
-    reader_id: int
-    is_duplicate: bool
-
-    def to_reading(self) -> SensorReading:
-        return SensorReading(tag=self.tag, room=self.room,
-                             timestamp=self.timestamp,
-                             reader_id=self.reader_id)
-
-
-@dataclass
-class GenerationLedger:
-    """Every generated reading as its key, in stream order.
-
-    A run mostly needs only ``len()``, so the ``LedgerEntry`` values are
-    built the first time ``entries`` (or anything reading it) asks, then
-    cached; the sequence of an entry is its index.  Distinct visits
-    never share a key, so a key seen earlier in the stream is a double
-    read, read by its room's odd reader.
-    """
-
-    keys: Sequence[int] = ()
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __iter__(self) -> Iterator[LedgerEntry]:
-        return iter(self.entries)
-
-    @functools.cached_property
-    def entries(self) -> list[LedgerEntry]:
-        seen: set[int] = set()
-        entries = []
-        for sequence, key in enumerate(self.keys):
-            read = key_reading(key)
-            duplicate = key in seen
-            seen.add(key)
-            entries.append(LedgerEntry(sequence, read.tag, read.room,
-                                       read.timestamp,
-                                       2 * read.room + duplicate, duplicate))
-        return entries
-
-    def non_duplicates(self) -> list[LedgerEntry]:
-        return [e for e in self.entries if not e.is_duplicate]
-
-    def expected_counts(self, mode: CountMode) -> dict[str, int]:
-        """Oracle totals over the deduplicated stream."""
-        return sequential_oracle(
-            (e.to_reading() for e in self.non_duplicates()), mode
-        )
-
-    def tag_proportions(self) -> dict[TagCategory, float]:
-        readings = self.non_duplicates()
-        if not readings:
-            return {tag: 0.0 for tag in _MIX_ORDER}
-        return {
-            tag: sum(1 for e in readings if e.tag is tag) / len(readings)
-            for tag in _MIX_ORDER
-        }
-
-
-def generate_stream(model: VisitorModel,
-                    duration_ms: int) -> tuple[list[int], GenerationLedger]:
-    """Generate the reading stream, as keys, and its ground-truth ledger.
+def generate_stream(model: VisitorModel, duration_ms: int) -> list[int]:
+    """Generate the reading stream as keys, in stream order.
 
     A key packs a reading's tag, room and timestamp
-    (``domain.reading_key``); the ledger holds the returned list itself.
-    Distinct visits never collide on (tag, room, timestamp); only an
-    injected double read shares its original's key, which is exactly
-    the collision collection-side dedupe collapses.
+    (``domain.reading_key``).  Distinct visits never collide on (tag,
+    room, timestamp); only an injected double read shares its
+    original's key, which is exactly the collision collection-side
+    dedupe collapses.
 
     A visit takes the first free millisecond of its (tag, room) lane at
     or after its arrival.  Lanes are numbered ``tag * (rooms + 1) +
@@ -249,7 +178,7 @@ def generate_stream(model: VisitorModel,
     for timestamp in sorted(by_ms):
         keys += map((timestamp << KEY_SHIFT).__or__,
                     map(code, by_ms.pop(timestamp)))
-    return keys, GenerationLedger(keys)
+    return keys
 
 
 def dedupe_readings(readings: Iterable[SensorReading]) -> list[SensorReading]:

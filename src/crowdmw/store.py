@@ -299,11 +299,6 @@ class JournalStore:
         with self._lock:
             return list(self._cycles.get(cycle_id, ()))
 
-    def snapshot_results(self) -> list[ResultTableRow]:
-        with self._lock:
-            return [row for cycle in sorted(self._cycles)
-                    for row in self._cycles[cycle]]
-
     def committed_cycles(self) -> list[int]:
         with self._lock:
             return sorted(self._cycles)

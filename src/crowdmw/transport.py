@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import math
 import random
 import selectors
 import socket
@@ -140,10 +141,12 @@ class NetConfig:
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError(f"loss_rate {self.loss_rate} outside [0, 1]")
         low, high = self.latency_ms
-        if low < 0 or high < low:
+        if not (math.isfinite(high) and 0 <= low <= high):
             raise ValueError(f"bad latency range {self.latency_ms}")
-        if self.transmission_us_per_byte < 0:
-            raise ValueError("transmission_us_per_byte must be >= 0")
+        if not (math.isfinite(self.transmission_us_per_byte)
+                and self.transmission_us_per_byte >= 0):
+            raise ValueError("transmission_us_per_byte must be a finite "
+                             "number >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -84,28 +84,17 @@ def test_run_fault_naming_no_node_is_config_error(tmp_path, capsys):
     assert "[3] name no scenario node" in capsys.readouterr().err
 
 
-def test_flag_beats_environment(tmp_path, capsys, monkeypatch):
+def test_environment_sets_nothing(tmp_path, capsys, monkeypatch):
+    # A run's seed and backend come from its flags or its scenario file;
+    # a CROWDMW_<FLAG> variable changes nothing.
     scenario = tmp_path / "seeded.scenario"
     scenario.write_text("visitors = 5\nseed = 1\n", encoding="utf-8")
-    monkeypatch.setenv("CROWDMW_SEED", "2")
-
-    main(["run", "--scenario", str(scenario)])
-    env_out = capsys.readouterr().out
-    main(["run", "--scenario", str(scenario), "--seed", "2"])
-    flag_out = capsys.readouterr().out
-    assert env_out == flag_out
-
-
-def test_bad_environment_seed(monkeypatch, capsys):
-    monkeypatch.setenv("CROWDMW_SEED", "soon")
-    assert main(["run"]) == 2
-    assert "CROWDMW_SEED" in capsys.readouterr().err
-
-
-def test_bad_environment_backend(monkeypatch, capsys):
-    monkeypatch.setenv("CROWDMW_BACKEND", "tcp")
-    assert main(["run"]) == 2
-    assert "CROWDMW_BACKEND" in capsys.readouterr().err
+    assert main(["run", "--scenario", str(scenario)]) == 0
+    plain = capsys.readouterr().out
+    for flag, value in (("seed", "2"), ("backend", "udp")):
+        monkeypatch.setenv(f"CROWDMW_{flag.upper()}", value)
+    assert main(["run", "--scenario", str(scenario)]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_fixtures_verb(capsys):

@@ -67,16 +67,17 @@ GOLDEN = {
         "6d51d5e3bf4006d90d2ae884f7c2730f36a58b2aa63d0717d0e638e84bb8e78b",
         "1f57beb9152326128abe680f963f52d3b9045a2dc2eb82c1c54d73086c10961c",
     ),
-    # The fixture on node 1 shares six milliseconds with generated
-    # readings, and readings of one millisecond mix one- and two-byte
-    # symbols in four-symbol parts.  A source must keep readings of a
-    # millisecond in their routed order: sorting them by symbol moves
-    # bytes between parts.
+    # One cycle injects over its 1 500 ms collection, so the fixture on
+    # node 1 shares three milliseconds with generated readings, and
+    # readings of one millisecond mix one- and two-byte symbols in
+    # four-symbol parts.  A source must keep readings of a millisecond
+    # in their routed order: sorting them by symbol moves bytes between
+    # parts.
     "fixture-and-visitors": (
-        dict(nodes=3, cycles=3, visitors=400, seed=11, fixture="table1",
-             inject_ms=300.0, rooms=40, entries_per_part=4),
-        "0e353046253ef47dcd862074793e01e5d8c326e065c7eb945b0da8512c268ed5",
-        "ff62034f7b81f9aaaa866e038d93c010b9370c266aa68a9674826a8a4073e0fe",
+        dict(nodes=3, cycles=1, visitors=400, seed=11, fixture="table1",
+             rooms=40, entries_per_part=4),
+        "72fa57477ad89c84f1cca3dcdf47683ec07f959ddb8fda19fd67a77c611afba6",
+        "12e320e7ddeb6c09dc2eb10309ab4f98a9da29f8169f070d21c1f5e6f62d3df9",
     ),
     # 20 000 rooms: symbols of three UTF-8 bytes on both sides of the
     # UTF-16 surrogate gap (rooms past 18 412 skip it).

@@ -6,12 +6,13 @@ of staying in the docs.
 
 import dataclasses
 import pathlib
+import re
 import shlex
 
 import pytest
 
 from crowdmw.cli import main
-from crowdmw.harness import parse_scenario, run_scenario
+from crowdmw.harness import ConfigError, parse_scenario, run_scenario
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,6 +28,19 @@ def _cli_lines():
     return [shlex.split(line, comments=True)[1:]
             for line in _block_after("CLI").splitlines()
             if line.startswith("crowdmw ")]
+
+
+def test_readme_also_recognized_keys_parse():
+    # A value may be out of range for a key; the key itself must be known.
+    text = README.read_text(encoding="utf-8")
+    sentence = text.split("\nAlso recognized: ", 1)[1].split(".\n", 1)[0]
+    keys = re.findall(r"`(\w+)`", sentence)
+    assert "override_leader" in keys
+    for key in keys:
+        try:
+            parse_scenario(f"{key} = 1")
+        except ConfigError as exc:
+            assert "unknown key" not in str(exc)
 
 
 def test_readme_scenario_example_runs(tmp_path):

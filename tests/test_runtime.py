@@ -447,7 +447,7 @@ def test_leader_steps_reference_totals():
 
 
 def test_leader_steps_match_oracle_on_generated_stream():
-    keys, _ = generate_stream(VisitorModel(seed=11, visitor_count=120),
+    keys = generate_stream(VisitorModel(seed=11, visitor_count=120),
                               30_000)
     deduped = dedupe_readings(map(key_reading, keys))
     result = _leader_steps(0, {origin: deduped[origin - 1::4]

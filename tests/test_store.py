@@ -1,11 +1,14 @@
 """Journal store durability, atomicity and arbitration."""
 
 import os
+import sqlite3
 import sys
 import threading
+from importlib import resources
 
 import pytest
 
+from crowdmw.cli import main
 from crowdmw.domain import TagCategory
 from crowdmw.election import NodeRecord, Role, claim_leadership, register_node
 from crowdmw.harness import ScenarioConfig, SimCluster
@@ -332,10 +335,16 @@ def test_ack_watermarks_take_latest_maximum(path):
         assert store.ack_watermarks() == {1: 8, 2: 9}
 
 
+def _committed_rows(store):
+    """Every committed row, cycle by cycle."""
+    return [row for cycle in store.committed_cycles()
+            for row in store.rows_for_cycle(cycle)]
+
+
 def _rescanned_watermarks(store):
     """The watermarks as a full scan of every committed ack row."""
     marks = {}
-    for row in store.snapshot_results():
+    for row in _committed_rows(store):
         if row.mode == "ack":
             origin = int(row.key.removeprefix("node"))
             marks[origin] = max(row.count, marks.get(origin, -1))
@@ -417,7 +426,7 @@ def test_one_fsync_per_claim_and_per_commit(path, monkeypatch):
 
 
 def _state(store):
-    return (store.committed_cycles(), store.snapshot_results(),
+    return (store.committed_cycles(), _committed_rows(store),
             store.totals("visitor"), store.totals("room"),
             store.ack_watermarks())
 
@@ -436,3 +445,38 @@ def test_a_torn_heartbeat_tail_keeps_every_commit(path, monkeypatch):
             handle.write(raw[:cut])
         with JournalStore(path) as reopened:
             assert _state(reopened) == expected, cut
+
+
+# -- sql/schema.sql holds the journal's tables ----------------------------
+
+
+def test_schema_sql_holds_a_run_journal(tmp_path, capsys):
+    # The README calls sql/schema.sql equivalent DDL: a run's node rows
+    # and committed rows load into it, and SQL over them gives the
+    # store's totals and watermarks.
+    assert main(["run", "--seed", "1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    schema = resources.files("crowdmw") / "sql" / "schema.sql"
+    db = sqlite3.connect(":memory:")
+    try:
+        db.executescript(schema.read_text(encoding="utf-8"))
+        with JournalStore(str(tmp_path / "store.journal")) as store:
+            # network_props packs 'host:port;role;last_seen_ms'.
+            db.executemany("INSERT INTO nodes VALUES (?, ?)", [
+                (r.node_id, f"{r.address};{r.role.value};{r.last_seen}")
+                for r in store.snapshot_nodes()])
+            db.executemany("INSERT INTO results VALUES (?, ?, ?, ?, ?)", [
+                (r.cycle_id, r.mode, r.key, r.count, r.committed_at)
+                for r in _committed_rows(store)])
+            for mode in ("visitor", "room"):
+                assert dict(db.execute(
+                    "SELECT key, SUM(count) FROM results WHERE mode = ? "
+                    "GROUP BY key", (mode,))) == store.totals(mode) != {}
+            acks = db.execute("SELECT key, MAX(count) FROM results "
+                              "WHERE mode = 'ack' GROUP BY key")
+            assert {int(key.removeprefix("node")): seq
+                    for key, seq in acks} == store.ack_watermarks() != {}
+            assert db.execute("SELECT COUNT(*) FROM nodes").fetchone() == (
+                len(store.snapshot_nodes()),)
+    finally:
+        db.close()
