@@ -25,11 +25,10 @@ from crowdmw.mapreduce import (
     merge_partials,
     sequential_oracle,
 )
-from crowdmw.runtime import CycleConfig, Node, NodePhase
+from crowdmw.runtime import Node, NodePhase
 
 __all__ = [
     "CountMode",
-    "CycleConfig",
     "CycleResult",
     "KeyValuePair",
     "MiddlewareError",

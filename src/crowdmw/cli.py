@@ -74,6 +74,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         store_path = os.path.join(args.out, "store.journal")
+        # A run starts from an empty journal, as it does without --out.
+        if os.path.isfile(store_path):
+            os.remove(store_path)
         report = harness.run_scenario(config, store_path)
         harness.emit_report(report, args.out)
         _print_report(report)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 import math
 import os
-import random
 import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -38,11 +37,10 @@ from crowdmw.domain import (
     key_reading,
     reading_key,
 )
-from crowdmw.runtime import CycleConfig, ListReadingSource, Node
+from crowdmw.runtime import ListReadingSource, Node
 from crowdmw.store import JournalStore
 from crowdmw.transport import (
     Message,
-    NetConfig,
     SimulatedNetwork,
     TransportMode,
     UdpNetwork,
@@ -138,7 +136,15 @@ def parse_fault(text: str) -> FaultSpec:
 
 @dataclass
 class ScenarioConfig:
-    """Everything a run needs: cluster, timing, network, workload."""
+    """The one settings object: cluster, timing, network, workload.
+
+    Every setting is checked here, once, whether a scenario file, a CLI
+    flag or a caller's keyword sets it.  ``SimCluster`` reads the shape,
+    workload and faults; each ``Node`` the cycle timing, participation,
+    ``override_leader``, ``entries_per_part`` and ``seed``; each network
+    the loss, latency, ``seed`` and ``transmission_us_per_byte`` (a
+    simulated sender's cost per byte, a crude bandwidth model).
+    """
 
     nodes: int = 3
     cycles: int = 2
@@ -171,9 +177,25 @@ class ScenarioConfig:
         if self.rooms > MAX_ROOM:
             raise ConfigError(f"rooms must be <= {MAX_ROOM}: a submission "
                               f"symbol encodes rooms 1..{MAX_ROOM}")
+        if self.cycle_duration_ms < 1:
+            raise ConfigError("cycle_duration_ms must be >= 1")
+        if not 0 < self.mapreduce_window_ms < self.cycle_duration_ms:
+            raise ConfigError("mapreduce_window_ms must fall inside the "
+                              "cycle duration")
+        if self.min_responding_nodes < 2:
+            raise ConfigError("min_responding_nodes must be >= 2")
+        if self.ping_timeout_ms < 1 or self.ping_retries < 1:
+            raise ConfigError("ping timeout and retries must be >= 1")
+        if not 0.0 <= self.loss_rate <= 1.0:
+            raise ConfigError(f"loss_rate {self.loss_rate} outside [0, 1]")
+        low, high = self.latency_ms
+        if not (math.isfinite(high) and 0 <= low <= high):
+            raise ConfigError(f"bad latency range {self.latency_ms}")
+        if not (math.isfinite(self.transmission_us_per_byte)
+                and self.transmission_us_per_byte >= 0):
+            raise ConfigError("transmission_us_per_byte must be a finite "
+                              "number >= 0")
         try:
-            self.cycle_config()
-            self.net_config()
             self.visitor_model()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -191,22 +213,19 @@ class ScenarioConfig:
     def node_ids(self) -> list[int]:
         return list(range(1, self.nodes + 1))
 
-    def cycle_config(self) -> CycleConfig:
-        return CycleConfig(
-            cycle_duration_ms=self.cycle_duration_ms,
-            mapreduce_window_ms=self.mapreduce_window_ms,
-            min_responding_nodes=self.min_responding_nodes,
-            ping_timeout_ms=self.ping_timeout_ms,
-            ping_retries=self.ping_retries,
-        )
+    # Derived schedule, all relative to the slot start.
+    @property
+    def collection_ms(self) -> int:
+        return self.cycle_duration_ms - self.mapreduce_window_ms
 
-    def net_config(self) -> NetConfig:
-        return NetConfig(
-            loss_rate=self.loss_rate,
-            latency_ms=self.latency_ms,
-            seed=self.seed,
-            transmission_us_per_byte=self.transmission_us_per_byte,
-        )
+    @property
+    def submit_window_ms(self) -> int:
+        return self.mapreduce_window_ms * 2 // 5
+
+    @property
+    def liveness_window_ms(self) -> int:
+        # A record is live while seen within two check intervals.
+        return 2 * self.cycle_duration_ms
 
     def visitor_model(self) -> simgen.VisitorModel:
         return simgen.VisitorModel(
@@ -248,6 +267,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     """Parse scenario text: key=value lines, # comments, blank lines."""
     values: dict = {}
     faults: list[FaultSpec] = []
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -257,6 +277,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: expected key=value: {raw!r}")
         key = key.strip()
         value = value.strip()
+        if first_line.setdefault(key, lineno) != lineno and key != "fault":
+            raise ConfigError(f"line {lineno}: {key!r} is already set on "
+                              f"line {first_line[key]}")
         try:
             if key == "fault":
                 faults.append(parse_fault(value))
@@ -284,10 +307,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 f"line {lineno}: bad value for {key!r}: {value!r}"
             ) from None
     values["faults"] = tuple(faults)
-    try:
-        return ScenarioConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ScenarioConfig(**values)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -417,11 +437,11 @@ class SimCluster:
         self.store = store
         if config.backend is TransportMode.UDP:
             self.clock = WallClock()
-            self.network = UdpNetwork(config.net_config(), self.clock)
+            self.network = UdpNetwork(config, self.clock)
             address = "127.0.0.1:0"
         else:
             self.clock = VirtualClock()
-            self.network = SimulatedNetwork(config.net_config(), self.clock)
+            self.network = SimulatedNetwork(config, self.clock)
             address = "node{node_id}:7000"
         self.events: list[str] = []
         self._faults = sorted(config.faults, key=lambda f: f.at_ms)
@@ -429,7 +449,6 @@ class SimCluster:
         self._last_progress_ms = 0.0
         self._timer_heap: list[tuple[float, int]] = []
         self._deadlines: dict[int, Optional[float]] = {}
-        cycle_config = config.cycle_config()
         # The generated stream's keys, or None: the benchmark reads
         # how many there were.
         routed, self.ledger = build_workload(config)
@@ -441,20 +460,15 @@ class SimCluster:
         for node_id in config.node_ids():
             endpoint = self.network.open(address.format(node_id=node_id))
             source = ListReadingSource(routed[node_id])
-            node = Node(
-                node_id, cycle_config, endpoint, store, source,
-                rng=random.Random((config.seed << 16) ^ node_id),
-                override=config.override_leader,
-                event_sink=self.events.append,
-                max_entries_per_part=config.entries_per_part,
-            )
+            node = Node(node_id, config, endpoint, store, source,
+                        event_sink=self.events.append)
             self.ingested[node_id] = Ingested()
             node.ingest_listener = self.ingested[node_id].extend
             endpoint.handler = self._receiver(node)
             self.nodes[node_id] = node
             self.sources[node_id] = source
             election.register_node(store, node_id, endpoint.address, 0,
-                                   cycle_config.liveness_window_ms)
+                                   config.liveness_window_ms)
 
     def _receiver(self, node: Node) -> Callable[[Message, str], None]:
         """``node``'s endpoint handler: the datagram, then its deadline."""

@@ -31,7 +31,8 @@ import random
 import re
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Iterable, Mapping, Optional,
+                    Sequence)
 
 from crowdmw import election
 from crowdmw.domain import (
@@ -80,6 +81,9 @@ from crowdmw.transport import (
     MessageKind,
 )
 
+if TYPE_CHECKING:
+    from crowdmw.harness import ScenarioConfig
+
 NodeId = int
 
 # One run: a visitor pair and the sequences of its readings.
@@ -90,50 +94,6 @@ _PAIR_ORDER = operator.attrgetter("key", "value")
 # Byte 2 of a little-endian key holds the top five bits of its symbol
 # under the lowest timestamp bits; this table keeps the symbol's bits.
 _SYMBOL_BYTE_2 = bytes(byte & (SYMBOL_MASK >> 16) for byte in range(256))
-
-
-@dataclass
-class CycleConfig:
-    """Timing and participation knobs for the cycle protocol.
-
-    The budget of one slot of D = ``cycle_duration_ms``, with W =
-    ``mapreduce_window_ms``: collection until D - W; submissions for
-    ``submit_window_ms`` (2W/5) after that; partials until the slot
-    boundary, where the leader reduces missing segments locally and
-    the cycle commits or aborts.
-    """
-
-    cycle_duration_ms: int = 2000
-    mapreduce_window_ms: int = 500
-    min_responding_nodes: int = 2
-    ping_timeout_ms: int = 250
-    ping_retries: int = 2
-
-    def __post_init__(self) -> None:
-        if self.cycle_duration_ms < 1:
-            raise ValueError("cycle_duration_ms must be >= 1")
-        if not 0 < self.mapreduce_window_ms < self.cycle_duration_ms:
-            raise ValueError(
-                "mapreduce_window_ms must fall inside the cycle duration"
-            )
-        if self.min_responding_nodes < 2:
-            raise ValueError("min_responding_nodes must be >= 2")
-        if self.ping_timeout_ms < 1 or self.ping_retries < 1:
-            raise ValueError("ping timeout and retries must be >= 1")
-
-    # Derived schedule, all relative to the slot start.
-    @property
-    def collection_ms(self) -> int:
-        return self.cycle_duration_ms - self.mapreduce_window_ms
-
-    @property
-    def submit_window_ms(self) -> int:
-        return self.mapreduce_window_ms * 2 // 5
-
-    @property
-    def liveness_window_ms(self) -> int:
-        # A record is live while seen within two check intervals.
-        return 2 * self.cycle_duration_ms
 
 
 class NodePhase(enum.Enum):
@@ -400,27 +360,22 @@ def build_submission_parts(origin: NodeId, cycle_id: int, base: int,
     step = budget
     if max_entries_per_part is not None:
         step = max(1, min(max_entries_per_part, budget))
-    if trace.isascii():
-        # One byte per symbol: every slice of ``step`` symbols fits.
-        slices = [(start, trace[start:start + step])
-                  for start in range(0, len(trace) or 1, step)]
-    else:
-        slices = []
-        start = 0
-        while True:
-            chunk = trace[start:start + step]
-            if not chunk.isascii():
-                data = chunk.encode("utf-8")
-                if len(data) > budget:
-                    # Cut before the symbol whose bytes straddle the budget.
-                    cut = budget
-                    while data[cut] & 0xC0 == 0x80:
-                        cut -= 1
-                    chunk = data[:cut].decode("utf-8")
-            slices.append((start, chunk))
-            start += len(chunk)
-            if start >= len(trace):
-                break
+    slices = []
+    start = 0
+    while True:
+        chunk = trace[start:start + step]
+        if not chunk.isascii():
+            data = chunk.encode("utf-8")
+            if len(data) > budget:
+                # Cut before the symbol whose bytes straddle the budget.
+                cut = budget
+                while data[cut] & 0xC0 == 0x80:
+                    cut -= 1
+                chunk = data[:cut].decode("utf-8")
+        slices.append((start, chunk))
+        start += len(chunk)
+        if start >= len(trace):
+            break
     head = f"origin={origin};part="
     tail = f"/{len(slices)};base="
     kind = MessageKind.DATA_SUBMIT
@@ -678,14 +633,13 @@ class Node:
     Drive it by calling ``on_message`` and ``advance``; ``next_deadline``
     exposes the earliest pending timer so whatever runs the node
     (``SimCluster``, on either backend) knows how long it may wait.
+    It reads its settings from its scenario; with its id, the scenario's
+    seed seeds its PING nonces.
     """
 
-    def __init__(self, node_id: NodeId, config: CycleConfig, endpoint,
+    def __init__(self, node_id: NodeId, config: ScenarioConfig, endpoint,
                  store, reading_source=None, *,
-                 rng: Optional[random.Random] = None,
-                 override: Optional[NodeId] = None,
-                 event_sink: Optional[Callable[[str], None]] = None,
-                 max_entries_per_part: Optional[int] = None) -> None:
+                 event_sink: Optional[Callable[[str], None]] = None) -> None:
         if node_id < 1:
             raise ValueError("node id must be positive")
         self.node_id = node_id
@@ -693,10 +647,8 @@ class Node:
         self.endpoint = endpoint
         self.store = store
         self.source = reading_source
-        self.rng = rng if rng is not None else random.Random(node_id)
-        self.override = override
+        self.rng = random.Random((config.seed << 16) ^ node_id)
         self.event_sink = event_sink
-        self.max_entries_per_part = max_entries_per_part
 
         self.phase = NodePhase.REGISTERING
         self.buffer = ClientBuffer()
@@ -834,7 +786,7 @@ class Node:
         live = self._live(now)
         slot = self._slot
         expected = election.elect_leader(live.keys() - slot.excluded,
-                                         self.override)
+                                         self.config.override_leader)
         if expected == self.node_id:
             self._claim(now, live)
             return
@@ -941,7 +893,7 @@ class Node:
     def _submit(self, now: float) -> None:
         parts = build_submission_parts(
             self.node_id, self.cycle_id, self.buffer.base,
-            self.buffer.trace, self.max_entries_per_part,
+            self.buffer.trace, self.config.entries_per_part,
         )
         for message in parts:
             self._send(now, self._leader_address, message)

@@ -14,23 +14,25 @@ it reached.  Loss and partitions apply at send on both.  Both
 backends encode each message once at send, for its checks and its
 byte count; only bytes that arrive from outside, a UDP socket's, are
 decoded.  Node code uses only ``address``, ``send`` and ``close``,
-which both endpoint types share.
+which both endpoint types share.  A network reads its loss, latency,
+seed and per-byte cost from the checked ``harness.ScenarioConfig``.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-import math
 import random
 import selectors
 import socket
 import struct
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from crowdmw.clock import VirtualClock, WallClock
 from crowdmw.domain import MiddlewareError
+
+if TYPE_CHECKING:
+    from crowdmw.harness import ScenarioConfig
 
 WIRE_VERSION = 3
 HEADER_LEN = 12
@@ -123,32 +125,6 @@ class TransportMode(enum.Enum):
     UDP = "udp"
 
 
-@dataclass
-class NetConfig:
-    """Knobs for a network backend.
-
-    ``transmission_us_per_byte`` adds a sender-side serialization cost
-    in the simulated backend (a crude bandwidth model); the default of
-    zero leaves pure latency behavior.
-    """
-
-    loss_rate: float = 0.0
-    latency_ms: tuple[float, float] = (40.0, 90.0)
-    seed: int = 0
-    transmission_us_per_byte: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError(f"loss_rate {self.loss_rate} outside [0, 1]")
-        low, high = self.latency_ms
-        if not (math.isfinite(high) and 0 <= low <= high):
-            raise ValueError(f"bad latency range {self.latency_ms}")
-        if not (math.isfinite(self.transmission_us_per_byte)
-                and self.transmission_us_per_byte >= 0):
-            raise ValueError("transmission_us_per_byte must be a finite "
-                             "number >= 0")
-
-
 # ---------------------------------------------------------------------------
 # Faults both backends apply at send.
 # ---------------------------------------------------------------------------
@@ -162,8 +138,7 @@ class _FaultyNetwork:
     nothing here.
     """
 
-    def __init__(self, config: NetConfig) -> None:
-        self.config = config
+    def __init__(self, config: ScenarioConfig) -> None:
         self._rng = random.Random(config.seed)
         self._loss_rate = config.loss_rate
         self._partitions: list[tuple[frozenset[str], float, float]] = []
@@ -211,7 +186,7 @@ class SimulatedNetwork(_FaultyNetwork):
     heap; ``seq`` is unique, so ordering never looks past it.
     """
 
-    def __init__(self, config: NetConfig, clock: VirtualClock) -> None:
+    def __init__(self, config: ScenarioConfig, clock: VirtualClock) -> None:
         super().__init__(config)
         self.clock = clock
         self._endpoints: dict[str, "SimEndpoint"] = {}
@@ -327,7 +302,7 @@ class UdpNetwork(_FaultyNetwork):
     arrives is decoded and handed to its endpoint's handler.
     """
 
-    def __init__(self, config: NetConfig, clock: WallClock) -> None:
+    def __init__(self, config: ScenarioConfig, clock: WallClock) -> None:
         super().__init__(config)
         self.clock = clock
         self._selector = selectors.DefaultSelector()

@@ -35,6 +35,23 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert f"report written to {out_dir}" in capsys.readouterr().out
 
 
+def test_run_into_a_used_out_dir_starts_afresh(tmp_path, capsys):
+    # A second run into the same directory replaces the first's journal
+    # rather than recovering it, so it counts its own readings.
+    out_dir = str(tmp_path / "report")
+    names = ("events.log", "metrics.csv", "summary.csv", "store.journal")
+    runs = []
+    for _ in range(2):
+        assert main(["run", "--seed", "1", "--out", out_dir]) == 0
+        files = []
+        for name in names:
+            with open(os.path.join(out_dir, name), "rb") as handle:
+                files.append(handle.read())
+        runs.append((capsys.readouterr().out, files))
+    assert runs[1] == runs[0]
+    assert "commits=2 " in runs[0][0]
+
+
 def test_run_scenario_file(tmp_path, capsys):
     scenario = tmp_path / "small.scenario"
     scenario.write_text("visitors = 8\ncycles = 3\nseed = 5\n",

@@ -176,10 +176,28 @@ def test_parse_scenario_defaults():
     "tx_us_per_byte = inf",
     "fault = partition@100+nan:1",
     "fault = kill_leader@nan",
+    "cycle_ms = 0",
+    "window_ms = 0",
+    "window_ms = 2000",
+    "cycle_ms = 400\nwindow_ms = 500",
+    "min_responding = 1",
+    "ping_timeout_ms = 0",
+    "ping_retries = 0",
+    "nodes = 3\nnodes = 5",
+    "seed = 1\n\nseed = 1",
+    "latency = 5:20\nlatency = 5:30",
+    "backend = sim\n# again\nbackend = udp",
+    "fixture = table1\nfixture = table1",
 ])
 def test_parse_scenario_rejects(text):
     with pytest.raises(ConfigError):
         parse_scenario(text)
+
+
+def test_parse_scenario_names_the_repeated_line():
+    with pytest.raises(ConfigError,
+                       match="line 3: 'nodes' is already set on line 1"):
+        parse_scenario("nodes = 3\ncycles = 2\nnodes = 5")
 
 
 @pytest.mark.parametrize("text, stray", [

@@ -28,9 +28,9 @@ from crowdmw.mapreduce import (
     sequential_oracle,
     sort_pairs,
 )
+from crowdmw.harness import ScenarioConfig
 from crowdmw.runtime import (
     ClientBuffer,
-    CycleConfig,
     ListReadingSource,
     NodePhase,
     PHASE_EDGES,
@@ -81,26 +81,12 @@ def _leader_steps(cycle_id, readings_by_origin):
 
 
 def test_config_derived_windows():
-    config = CycleConfig()
+    config = ScenarioConfig()
     assert config.cycle_duration_ms == 2000
     assert config.mapreduce_window_ms == 500
     assert config.collection_ms == 1500
     assert config.submit_window_ms == 200
     assert config.liveness_window_ms == 4000
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(cycle_duration_ms=0),
-    dict(mapreduce_window_ms=0),
-    dict(mapreduce_window_ms=2000),
-    dict(cycle_duration_ms=400, mapreduce_window_ms=500),
-    dict(min_responding_nodes=1),
-    dict(ping_timeout_ms=0),
-    dict(ping_retries=0),
-])
-def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
-        CycleConfig(**kwargs)
 
 
 # -- client buffer ----------------------------------------------------------
@@ -570,7 +556,7 @@ def _idle_node(events, phase, *, leader):
     """Node 1 in slot 0: the leader, or a follower of node 3."""
     from crowdmw.runtime import Node
 
-    node = Node(1, CycleConfig(), endpoint=_Outbox(), store=None,
+    node = Node(1, ScenarioConfig(), endpoint=_Outbox(), store=None,
                 event_sink=events.append)
     node.cycle_id = 0
     node.phase = phase
@@ -838,18 +824,18 @@ def make_leader(tmp_path):
     from crowdmw.clock import VirtualClock
     from crowdmw.runtime import Node
     from crowdmw.store import JournalStore
-    from crowdmw.transport import NetConfig, SimulatedNetwork
+    from crowdmw.transport import SimulatedNetwork
 
     stores = []
 
     def make(events, config=None):
-        config = config or CycleConfig()
+        config = config or ScenarioConfig()
         store = JournalStore(str(tmp_path / f"leader{len(stores)}.journal"))
         stores.append(store)
         for node_id in (1, 2, 3):
             election.register_node(store, node_id, f"node{node_id}:7000", 0,
                                    config.liveness_window_ms)
-        endpoint = SimulatedNetwork(NetConfig(), VirtualClock()).open(
+        endpoint = SimulatedNetwork(config, VirtualClock()).open(
             "node3:7000")
         node = Node(3, config, endpoint, store, event_sink=events.append)
         node.start(0.0)
@@ -977,7 +963,7 @@ def test_consolidation_timer_still_fires_without_every_origin(
         consolidating_leader):
     node, _ = consolidating_leader
     assert _deliver_until_consolidated(node, _submission(1, 2, 2)) is None
-    node.advance(1500.0 + CycleConfig().submit_window_ms)
+    node.advance(1500.0 + ScenarioConfig().submit_window_ms)
     assert node.phase is NodePhase.MERGING
 
 
@@ -991,7 +977,7 @@ def test_an_empty_part_counts_its_origin_as_responding(make_leader,
     # and node 2, whose one part holds none.  Without that part only two
     # have responded when the submission window closes.
     events = []
-    node = make_leader(events, CycleConfig(min_responding_nodes=3))
+    node = make_leader(events, ScenarioConfig(min_responding_nodes=3))
     node.advance(float(node.config.collection_ms))
     messages = _submission(1, 3, 1)
     if empty_part:
@@ -1076,7 +1062,7 @@ def test_assignment_parts_do_not_carry_across_a_slot(tmp_path):
     from crowdmw.runtime import Node
     from crowdmw.store import JournalStore
 
-    config = CycleConfig()
+    config = ScenarioConfig()
     store = JournalStore(str(tmp_path / "follower.journal"))
     election.register_node(store, 3, LEADER, 0, config.liveness_window_ms)
     node = Node(1, config, _Outbox(), store)
@@ -1259,7 +1245,7 @@ def _checking_follower(tmp_path, events):
     from crowdmw.runtime import Node
     from crowdmw.store import JournalStore
 
-    config = CycleConfig()
+    config = ScenarioConfig()
     store = JournalStore(str(tmp_path / "check.journal"))
     election.register_node(store, 2, "node2:7000", 0,
                            config.liveness_window_ms)
@@ -1342,14 +1328,14 @@ def test_live_override_is_checked_whatever_later_registrations_say(tmp_path):
     from crowdmw.runtime import Node
     from crowdmw.store import JournalStore
 
-    config = CycleConfig()
+    config = ScenarioConfig(override_leader=2)
     assert config.liveness_window_ms == 4000
     store = JournalStore(str(tmp_path / "override.journal"))
     election.register_node(store, 2, "node2:7000", 0,
                            config.liveness_window_ms)
     election.register_node(store, 9, "node9:7000", 4100,
                            config.liveness_window_ms)
-    node = Node(1, config, _Outbox(), store, override=2)
+    node = Node(1, config, _Outbox(), store)
     node.start(4000.0)
     assert node.phase is NodePhase.CHECKING_SERVER
     assert [(dest, message.kind) for dest, message in node.endpoint.sent] == [

@@ -7,13 +7,13 @@ import time
 import pytest
 
 from crowdmw.clock import VirtualClock, WallClock
+from crowdmw.harness import ScenarioConfig
 from crowdmw.transport import (
     HEADER_LEN,
     MAX_PAYLOAD,
     Malformed,
     Message,
     MessageKind,
-    NetConfig,
     PayloadTooLarge,
     SimulatedNetwork,
     UdpNetwork,
@@ -83,8 +83,8 @@ def test_decode_rejects_garbage():
 
 def _network(loss=0.0, seed=0, latency=(40.0, 90.0), tx=0.0):
     clock = VirtualClock()
-    config = NetConfig(loss_rate=loss, latency_ms=latency, seed=seed,
-                       transmission_us_per_byte=tx)
+    config = ScenarioConfig(loss_rate=loss, latency_ms=latency, seed=seed,
+                            transmission_us_per_byte=tx)
     return SimulatedNetwork(config, clock), clock
 
 
@@ -284,7 +284,7 @@ def test_send_to_closed_endpoint_is_silent_drop():
 
 def _udp_pair():
     """A UDP network with two endpoints, each recording what reaches it."""
-    network = UdpNetwork(NetConfig(), WallClock())
+    network = UdpNetwork(ScenarioConfig(), WallClock())
     endpoints, received = [], []
     for _ in range(2):
         endpoint = network.open()
@@ -350,9 +350,9 @@ def test_udp_partition_and_loss_apply_at_send():
 @pytest.mark.parametrize("backend", ["sim", "udp"])
 def test_set_loss_rate_outside_unit_interval_is_refused(backend):
     if backend == "sim":
-        network = SimulatedNetwork(NetConfig(), VirtualClock())
+        network = SimulatedNetwork(ScenarioConfig(), VirtualClock())
     else:
-        network = UdpNetwork(NetConfig(), WallClock())
+        network = UdpNetwork(ScenarioConfig(), WallClock())
     try:
         for rate in (1.5, -0.1):
             with pytest.raises(ValueError):
