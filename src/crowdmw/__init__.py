@@ -16,7 +16,6 @@ from crowdmw.domain import (
 )
 from crowdmw.mapreduce import (
     Segment,
-    PartialResult,
     CycleResult,
     map_reading,
     sort_pairs,
@@ -34,7 +33,6 @@ __all__ = [
     "MiddlewareError",
     "Node",
     "NodePhase",
-    "PartialResult",
     "Segment",
     "SensorReading",
     "TagCategory",

@@ -47,8 +47,6 @@ CANONICAL_TAG_ORDER: tuple[TagCategory, ...] = tuple(
 
 def room_key(room: int) -> str:
     """Serialize a room number as a counting key, e.g. 3 -> 'Room3'."""
-    if room < 1:
-        raise ValueError(f"room number must be positive, got {room}")
     return f"Room{room}"
 
 

@@ -195,6 +195,13 @@ class ScenarioConfig:
                 and self.transmission_us_per_byte >= 0):
             raise ConfigError("transmission_us_per_byte must be a finite "
                               "number >= 0")
+        if self.entries_per_part is not None and self.entries_per_part < 1:
+            raise ConfigError("entries_per_part must be >= 1")
+        if self.fixture is not None:
+            bundled = simgen.list_fixtures()
+            if self.fixture not in bundled:
+                raise ConfigError(f"fixture {self.fixture!r} is not bundled "
+                                  f"(bundled: {', '.join(bundled)})")
         try:
             self.visitor_model()
         except ValueError as exc:

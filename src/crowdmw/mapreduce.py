@@ -3,8 +3,9 @@
 VISITOR mode keys pairs by badge category and sums the room numbers
 recorded for that category.  ROOM mode keys pairs by room and counts
 occurrences.  Segments carry a CRC-64 checksum over their canonical
-text serialization so a reducer can prove it worked on exactly the
-pairs the leader dispatched.
+text serialization, which a follower checks once, where the segment
+arrives off the wire; past that point the stages trust what the node
+built.  A partial is a plain ``{key: count}`` dict.
 
 The key space is tiny, so a sorted pair list is a handful of runs of
 equal pairs.  Segments hold runs, and their canonical text is run
@@ -24,29 +25,14 @@ from typing import Iterable, Mapping, Sequence
 
 from crowdmw.domain import (
     INTERN_LIMIT,
-    ROOM_KEY_RE,
-    TAG_KEYS,
     CountMode,
     KeyValuePair,
-    MiddlewareError,
     SensorReading,
     TagCategory,
     room_key,
 )
 
 NodeId = int
-
-
-class NoClients(MiddlewareError):
-    """Partitioning requires at least one client node."""
-
-
-class ChecksumMismatch(MiddlewareError):
-    """Segment content does not match its checksum."""
-
-
-class ModeMismatch(MiddlewareError):
-    """Partial results from different counting modes cannot merge."""
 
 
 # ---------------------------------------------------------------------------
@@ -210,30 +196,6 @@ class Segment:
                    sum(count for _, count in runs))
 
 
-def _valid_key_for_mode(key: str, mode: CountMode) -> bool:
-    if mode is CountMode.VISITOR:
-        return key in TAG_KEYS
-    return ROOM_KEY_RE.fullmatch(key) is not None
-
-
-@dataclass(frozen=True)
-class PartialResult:
-    """One reducer's aggregate map for one segment."""
-
-    mode: CountMode
-    aggregates: Mapping[str, int]
-    input_pair_count: int
-
-    def __post_init__(self) -> None:
-        for key, count in self.aggregates.items():
-            if not _valid_key_for_mode(key, self.mode):
-                raise ValueError(f"key {key!r} invalid for mode {self.mode.value}")
-            if count < 0:
-                raise ValueError(f"negative aggregate for {key!r}")
-        if self.input_pair_count < 0:
-            raise ValueError("input_pair_count must be >= 0")
-
-
 @dataclass(frozen=True)
 class CycleResult:
     """Merged output of one completed cycle, ready to commit."""
@@ -244,16 +206,6 @@ class CycleResult:
     total_readings: int = 0
 
     def __post_init__(self) -> None:
-        if self.cycle_id < 0:
-            raise ValueError("cycle_id must be >= 0")
-        if self.total_readings < 0:
-            raise ValueError("total_readings must be >= 0")
-        for count in self.visitor_aggregates.values():
-            if count < 0:
-                raise ValueError("negative visitor aggregate")
-        for count in self.room_aggregates.values():
-            if count < 0:
-                raise ValueError("negative room aggregate")
         # Room mode counts occurrences, so when it ran its counts must
         # add up to the number of readings in the cycle.
         if self.room_aggregates:
@@ -299,15 +251,11 @@ def partition(pairs: Sequence[KeyValuePair],
     Clients are ordered by ascending node id.  Sizes differ by at most
     one, with the remainder going to the lowest ids, so 16 pairs over
     three clients split 6/5/5.  The list is cut as runs: a run that
-    crosses a boundary is split in two.
+    crosses a boundary is split in two.  A leader's pairs are sorted and
+    its clients at least ``min_responding_nodes``.
     """
     client_ids = sorted(set(clients))
-    if not client_ids:
-        raise NoClients("cannot partition without clients")
     runs = pair_runs(pairs)
-    heads = [(pair.key, pair.value) for pair, _ in runs]
-    if heads != sorted(heads):
-        raise ValueError("partition input must be sorted")
     base, remainder = divmod(len(pairs), len(client_ids))
     segments = []
     position = used = 0
@@ -326,42 +274,28 @@ def partition(pairs: Sequence[KeyValuePair],
     return segments
 
 
-def reduce_segment(segment: Segment, mode: CountMode, *,
-                   verified: bool = False) -> PartialResult:
-    """Sum values per key after proving the segment arrived intact.
+def reduce_segment(segment: Segment, mode: CountMode) -> dict[str, int]:
+    """A segment's partial: the sum of its pair values per key.
 
-    ``verified`` skips the proof for a segment whose pairs are known to
-    match its checksum: built here by ``partition``, or parsed with
-    ``canonical`` from text whose checksum was checked.
+    A visitor pair's value is its room and a room pair's is 1, so one
+    sum serves both modes: ``mode`` is unused, bound for the benchmark's
+    layer kernels, which pass it.  The segment is not checksummed
+    again: the leader built it, or a follower checked its wire text.
     """
-    if not verified and checksum_runs(segment.runs) != segment.checksum:
-        raise ChecksumMismatch(
-            f"segment {segment.segment_index} failed checksum verification"
-        )
     aggregates: dict[str, int] = {}
     for pair, count in segment.runs:
         aggregates[pair.key] = aggregates.get(pair.key, 0) + pair.value * count
-    return PartialResult(
-        mode=mode,
-        aggregates=aggregates,
-        input_pair_count=segment.pair_count,
-    )
+    return aggregates
 
 
-def merge_partials(partials: Sequence[PartialResult],
-                   mode: CountMode) -> tuple[dict[str, int], int]:
-    """Pointwise-sum partials; returns (aggregates, input pair total)."""
+def merge_partials(partials: Iterable[Mapping[str, int]],
+                   mode: CountMode) -> dict[str, int]:
+    """Pointwise sum of partials; ``mode`` is unused, as in reduce_segment."""
     merged: dict[str, int] = {}
-    total_pairs = 0
     for partial in partials:
-        if partial.mode is not mode:
-            raise ModeMismatch(
-                f"cannot merge {partial.mode.value} partial in {mode.value} merge"
-            )
-        for key, count in partial.aggregates.items():
+        for key, count in partial.items():
             merged[key] = merged.get(key, 0) + count
-        total_pairs += partial.input_pair_count
-    return merged, total_pairs
+    return merged
 
 
 def room_counts(runs: Iterable[PairRun]) -> list[tuple[int, int]]:

@@ -52,7 +52,6 @@ from crowdmw.domain import (
 from crowdmw.mapreduce import (
     MAX_PAIR_COUNT,
     CycleResult,
-    PartialResult,
     Segment,
     crc64,
     # Unused here; bound for the benchmark's tracer, which wraps it by
@@ -493,30 +492,24 @@ def consolidate_runs(submissions: Iterable[tuple[NodeId,
     return consolidated, acks
 
 
-def _reduce_both(segment: Segment) -> tuple[PartialResult, PartialResult]:
-    """Reduce one visitor-keyed segment in both modes.
+def _reduce_both(segment: Segment) -> tuple[dict[str, int], dict[str, int]]:
+    """The (visitor, room) partials of one visitor-keyed segment.
 
     Every caller holds a segment whose pairs match its checksum and
     are visitor pairs on the symbol table: the leader built it, or the
     follower checked the wire text's checksum, parsed it in canonical
-    form and checked each pair with ``pair_symbol``.  So it is not
-    checksummed again.  The room counts, which a follower's
-    REDUCE_RESULT carries beside the visitor totals, come from the
-    same runs.
+    form and checked each pair with ``pair_symbol``.  The room counts,
+    which a follower's REDUCE_RESULT carries beside the visitor totals,
+    come from the same runs.
     """
-    visitor = reduce_segment(segment, CountMode.VISITOR, verified=True)
-    room = PartialResult(
-        mode=CountMode.ROOM,
-        aggregates={room_key(room): count
-                    for room, count in room_counts(segment.runs)},
-        input_pair_count=visitor.input_pair_count,
-    )
-    return visitor, room
+    return (reduce_segment(segment, CountMode.VISITOR),
+            {room_key(room): count
+             for room, count in room_counts(segment.runs)})
 
 
 def reduce_and_merge(cycle_id: int, segments: Sequence[Segment],
-                     remote: Mapping[int, tuple[PartialResult,
-                                                PartialResult]]
+                     remote: Mapping[int, tuple[dict[str, int],
+                                                dict[str, int]]]
                      ) -> CycleResult:
     """Reduce and merge one cycle's segments in both modes.
 
@@ -527,9 +520,9 @@ def reduce_and_merge(cycle_id: int, segments: Sequence[Segment],
     """
     partials = [remote[s.segment_index] if s.segment_index in remote
                 else _reduce_both(s) for s in segments]
-    visitors, _ = merge_partials([visitor for visitor, _ in partials],
-                                 CountMode.VISITOR)
-    rooms, _ = merge_partials([room for _, room in partials], CountMode.ROOM)
+    visitors = merge_partials([visitor for visitor, _ in partials],
+                              CountMode.VISITOR)
+    rooms = merge_partials([room for _, room in partials], CountMode.ROOM)
     visitor_aggregates = {tag: visitors[tag.value]
                           for tag in TagCategory if tag.value in visitors}
     room_aggregates = {int(key.removeprefix("Room")): value
@@ -619,7 +612,7 @@ class _Slot:
     # Address each remote segment was dispatched to, by index: a
     # partial counts only from its assignee's.
     assignee_addresses: dict[int, str] = field(default_factory=dict)
-    remote_partials: dict[int, tuple[PartialResult, PartialResult]] = field(
+    remote_partials: dict[int, tuple[dict[str, int], dict[str, int]]] = field(
         default_factory=dict)
     new_acks: dict[NodeId, int] = field(default_factory=dict)
 
@@ -640,8 +633,6 @@ class Node:
     def __init__(self, node_id: NodeId, config: ScenarioConfig, endpoint,
                  store, reading_source=None, *,
                  event_sink: Optional[Callable[[str], None]] = None) -> None:
-        if node_id < 1:
-            raise ValueError("node id must be positive")
         self.node_id = node_id
         self.config = config
         self.endpoint = endpoint
@@ -992,11 +983,7 @@ class Node:
                 == sum(parsed["room"].values())):
             self._log(now, f"corrupt_partial from={message.sender}")
             return
-        slot.remote_partials[index] = tuple(
-            PartialResult(mode=mode, aggregates=parsed[mode.value],
-                          input_pair_count=parsed["count"])
-            for mode in (CountMode.VISITOR, CountMode.ROOM)
-        )
+        slot.remote_partials[index] = (parsed["visitor"], parsed["room"])
         self._maybe_finish_early(now)
 
     def _missing_partials(self) -> list[int]:
@@ -1100,11 +1087,8 @@ class Node:
                           pair_count=count)
         self._transition(now, NodePhase.REDUCING)
         visitor, room = _reduce_both(segment)
-        reply = build_reduce_result(
-            self.node_id, self.cycle_id, index, checksum,
-            dict(visitor.aggregates), dict(room.aggregates),
-            visitor.input_pair_count,
-        )
+        reply = build_reduce_result(self.node_id, self.cycle_id, index,
+                                    checksum, visitor, room, count)
         if len(reply.payload) > MAX_PAYLOAD:
             # More rooms than one reply can list.
             self._log(now, f"malformed_assignment from={message.sender}")

@@ -49,7 +49,7 @@ class StorageFailure(MiddlewareError):
 
 
 class ConflictingCommit(MiddlewareError):
-    """A cycle id was committed twice with different contents."""
+    """A cycle that has committed was committed again."""
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,6 @@ class ResultTableRow:
             raise ValueError(f"unknown result mode {self.mode!r}")
         if self.count < 0:
             raise ValueError("count must be >= 0")
-
-    def content(self) -> tuple[int, str, str, int]:
-        return (self.cycle_id, self.mode, self.key, self.count)
 
 
 def rows_for_result(result: CycleResult, committed_at: int,
@@ -270,29 +267,21 @@ class JournalStore:
     def commit_results(self, result: CycleResult, *, committed_at: int,
                        acks: Optional[Mapping[int, int]] = None
                        ) -> list[ResultTableRow]:
-        """Atomically commit one cycle's rows.
+        """Atomically commit one cycle's rows; durable before return.
 
-        Re-committing identical contents is a no-op; different contents
-        for an already-committed cycle raise ConflictingCommit.
+        A cycle commits once: any second commit of it, identical or
+        not, raises ConflictingCommit and writes nothing.
         """
         rows = rows_for_result(result, committed_at, acks)
         with self._lock:
-            existing = self._cycles.get(result.cycle_id)
-            if existing is not None:
-                if ({r.content() for r in existing}
-                        == {r.content() for r in rows}):
-                    return self.rows_for_cycle(result.cycle_id)
+            if result.cycle_id in self._cycles:
                 raise ConflictingCommit(
-                    f"cycle {result.cycle_id} already committed with "
-                    f"different contents"
-                )
+                    f"cycle {result.cycle_id} is already committed")
             bodies = [self._result_body(row) for row in rows]
             bodies.append(f"commit|{result.cycle_id},{len(rows)}")
             self._append(bodies)
             self._apply_results(result.cycle_id, rows)
             self._maybe_compact()
-            # Same shape as the idempotent path: callers cannot tell a
-            # first commit from a repeat of it.
             return self.rows_for_cycle(result.cycle_id)
 
     def rows_for_cycle(self, cycle_id: int) -> list[ResultTableRow]:

@@ -88,6 +88,14 @@ def test_run_past_the_key_timestamps_is_config_error(tmp_path, capsys):
     assert "the run must end by" in capsys.readouterr().err
 
 
+def test_run_unknown_fixture_is_config_error(tmp_path, capsys):
+    scenario = tmp_path / "nope.scenario"
+    scenario.write_text("fixture = nope\n", encoding="utf-8")
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert "fixture 'nope' is not bundled (bundled: empty, table1)" in (
+        capsys.readouterr().err)
+
+
 def test_run_fault_naming_no_node_is_config_error(tmp_path, capsys):
     scenario = tmp_path / "stray.scenario"
     scenario.write_text("nodes = 3\nfault = kill_node@100:9\n",

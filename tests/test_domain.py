@@ -27,8 +27,6 @@ def test_canonical_tag_order_is_lexicographic():
 def test_room_key_and_validation():
     assert room_key(1) == "Room1"
     assert room_key(4) == "Room4"
-    with pytest.raises(ValueError):
-        room_key(0)
 
 
 def test_pair_rejects_bad_keys_and_values():

@@ -188,6 +188,9 @@ def test_parse_scenario_defaults():
     "latency = 5:20\nlatency = 5:30",
     "backend = sim\n# again\nbackend = udp",
     "fixture = table1\nfixture = table1",
+    "entries_per_part = 0",
+    "entries_per_part = -3",
+    "fixture = nope",
 ])
 def test_parse_scenario_rejects(text):
     with pytest.raises(ConfigError):

@@ -6,7 +6,6 @@ are {Room1: 2, Room2: 5, Room3: 5, Room4: 4}; both were computed by
 hand from the raw pairs before any pipeline code existed.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -16,9 +15,6 @@ from hypothesis import strategies as st
 from crowdmw import domain, mapreduce
 from crowdmw.domain import CountMode, KeyValuePair, SensorReading, TagCategory
 from crowdmw.mapreduce import (
-    ChecksumMismatch,
-    NoClients,
-    PartialResult,
     Segment,
     crc64,
     pair_runs,
@@ -34,6 +30,7 @@ from crowdmw.mapreduce import (
     serialize_runs,
     sort_pairs,
 )
+from crowdmw.runtime import build_reduce_result, parse_reduce_result
 
 RAW_STREAM = (
     "man=1,man=3,man=4,man=2,woman=3,other=3,other=4,other=3,other=2,"
@@ -252,7 +249,11 @@ def test_pair_keys_and_room_partials_share_one_room_grammar(key):
         return True
 
     as_pair = accepted(lambda: KeyValuePair(key, 1))
-    as_room = accepted(lambda: PartialResult(CountMode.ROOM, {key: 1}, 1))
+    # A follower's partial lists its room counts under the same grammar.
+    partial = build_reduce_result(2, 0, segment_index=0, segment_checksum=0,
+                                  visitor={}, room={key: 1},
+                                  input_pair_count=1)
+    as_room = parse_reduce_result(partial) is not None
     assert as_room == (key in ("Room1", "Room42"))
     assert as_pair == (as_room or key == "man")
 
@@ -363,13 +364,6 @@ def test_partition_fewer_pairs_than_clients():
     assert [s.assignee for s in segments] == [1, 2, 3]
 
 
-def test_partition_rejects_unsorted_and_empty_clients():
-    with pytest.raises(ValueError):
-        partition(stream_pairs(), [1, 2])
-    with pytest.raises(NoClients):
-        partition(sort_pairs(stream_pairs()), [])
-
-
 @given(
     st.lists(
         st.tuples(st.sampled_from(["man", "woman", "other"]),
@@ -393,21 +387,8 @@ def test_reduce_segment_sums_by_key():
     segment = Segment.build(assignee=1,
                             runs=pair_runs(sort_pairs(stream_pairs())),
                             segment_index=0)
-    partial = reduce_segment(segment, CountMode.VISITOR)
-    assert dict(partial.aggregates) == VISITOR_TOTALS
-    assert partial.input_pair_count == 16
-
-
-def test_reduce_segment_rejects_tampered_checksum():
-    good = Segment.build(assignee=1,
-                         runs=pair_runs(sort_pairs(stream_pairs())),
-                         segment_index=0)
-    bad = dataclasses.replace(good, checksum=good.checksum ^ 1)
-    with pytest.raises(ChecksumMismatch):
-        reduce_segment(bad, CountMode.VISITOR)
-    # A caller that proved the pairs itself skips the checksum pass.
-    assert reduce_segment(bad, CountMode.VISITOR, verified=True) == \
-        reduce_segment(good, CountMode.VISITOR)
+    assert reduce_segment(segment, CountMode.VISITOR) == VISITOR_TOTALS
+    assert segment.pair_count == 16
 
 
 def test_derive_room_segment_matches_per_pair_derivation():
@@ -426,17 +407,15 @@ def test_derive_room_segment_counts_rooms():
     segment = Segment.build(assignee=1,
                             runs=pair_runs(sort_pairs(stream_pairs())),
                             segment_index=0)
-    room_partial = reduce_segment(derive_room_segment(segment),
-                                  CountMode.ROOM)
-    assert dict(room_partial.aggregates) == ROOM_COUNTS
+    assert reduce_segment(derive_room_segment(segment),
+                          CountMode.ROOM) == ROOM_COUNTS
 
 
 def test_merge_partials_table_totals():
     segments = partition(sort_pairs(stream_pairs()), [1, 2, 3])
     partials = [reduce_segment(s, CountMode.VISITOR) for s in segments]
-    merged, count = merge_partials(partials, CountMode.VISITOR)
-    assert merged == VISITOR_TOTALS
-    assert count == 16
+    assert merge_partials(partials, CountMode.VISITOR) == VISITOR_TOTALS
+    assert sum(s.pair_count for s in segments) == 16
 
 
 def test_sequential_oracle_both_modes():
@@ -453,10 +432,8 @@ def _distributed(readings, clients, mode):
     segments = partition(pairs, clients)
     if mode is CountMode.ROOM:
         segments = [derive_room_segment(s) for s in segments]
-    partials = [reduce_segment(s, mode) for s in segments]
-    merged, count = merge_partials(partials, mode)
-    assert count == len(readings)
-    return merged
+    assert sum(s.pair_count for s in segments) == len(readings)
+    return merge_partials([reduce_segment(s, mode) for s in segments], mode)
 
 
 @settings(max_examples=60, deadline=None)

@@ -145,16 +145,24 @@ def test_bad_frame_truncated_on_recovery(path, tail):
     _reopen_after_bad_tail(path, tail)
 
 
-def test_commit_idempotent_and_conflicting(path):
+def test_a_cycle_commits_once(path):
+    # A second commit of a cycle is refused, an identical one too, and
+    # writes nothing: the journal keeps the first commit alone.
     with JournalStore(path) as store:
         first = store.commit_results(_result(), committed_at=100,
                                      acks={1: 3})
-        again = store.commit_results(_result(), committed_at=200,
-                                     acks={1: 3})
-        assert [r.content() for r in first] == [r.content() for r in again]
-        with pytest.raises(ConflictingCommit):
-            store.commit_results(_result(man=11), committed_at=300,
-                                 acks={1: 3})
+        for again, acks in ((_result(), {1: 3}), (_result(man=11), {1: 5})):
+            with pytest.raises(ConflictingCommit):
+                store.commit_results(again, committed_at=200, acks=acks)
+        assert store.rows_for_cycle(0) == first
+        assert store.ack_watermarks() == {1: 3}
+    with open(path, "rb") as fh:
+        assert fh.read().count(b"commit|0,") == 1
+    with JournalStore(path) as reopened:
+        assert reopened.rows_for_cycle(0) == first
+        assert reopened.totals("visitor") == {"man": 10, "other": 12,
+                                              "woman": 21}
+        assert reopened.ack_watermarks() == {1: 3}
 
 
 def test_result_row_validation():
@@ -360,8 +368,9 @@ def test_ack_watermarks_equal_rescan_through_reopen_and_compaction(path):
             store.commit_results(_result(cycle), committed_at=cycle,
                                  acks=cycle_acks)
             assert store.ack_watermarks() == _rescanned_watermarks(store)
-        # A repeat of an identical commit changes nothing.
-        store.commit_results(_result(1), committed_at=1, acks={1: 9})
+        # A repeat of an identical commit is refused and changes nothing.
+        with pytest.raises(ConflictingCommit):
+            store.commit_results(_result(1), committed_at=1, acks={1: 9})
         assert store.ack_watermarks() == expected
         # Callers get a copy, not the store's own map.
         store.ack_watermarks()[1] = -5
